@@ -46,12 +46,14 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> list[str]:
 def _emit(args, lines: list[str] | None, payload: dict | None, command: str) -> None:
     """Render the chosen format with optional provenance and write it out."""
     if args.format == "json":
-        assert payload is not None
+        if payload is None:
+            raise ValueError(f"{command}: no JSON payload to write")
         if args.meta:
             payload = {"meta": {"tool": "codimgeo", "version": __version__, "command": command}, **payload}
         text = json.dumps(payload, indent=2)
     else:
-        assert lines is not None
+        if lines is None:
+            raise ValueError(f"{command}: no {args.format} lines to write")
         prefix = []
         if args.meta:
             prefix = [f"# tool: codimgeo {__version__}", f"# command: {command}"]

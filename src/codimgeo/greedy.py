@@ -213,9 +213,12 @@ def _classify_pieces(form: GreedyForm, spans: list[Span]) -> tuple[Piece, ...] |
 def enumerate_chunk_preserving(form: GreedyForm, pieces: int) -> list[PieceDecomposition]:
     """All chunk-preserving decompositions into the given number of pieces.
 
-    Ordered lexicographically by the tuple of piece boundaries.  Any word with
-    at least one chunk admits at least one chunk-preserving decomposition into
-    p pieces for every 1 <= p <= (number of positions).
+    Ordered lexicographically by the tuple of piece boundaries.  Counting each
+    gap position and each chunk as one atom, the list is nonempty iff
+    low <= p <= (number of atoms), where low is 1 if the word starts with a
+    chunk or has none, else 2.  So reversal(3), a single chunk, has no
+    decomposition into 2 pieces.  first_chunk_preserving builds element [0]
+    directly; this full listing serves the growth checks and is its oracle.
 
     >>> form = left_greedy_form(Permutation((1, 3, 2, 4)))
     >>> [len(d.pieces) for d in enumerate_chunk_preserving(form, 3)]
@@ -238,6 +241,56 @@ def enumerate_chunk_preserving(form: GreedyForm, pieces: int) -> list[PieceDecom
         if labeled is not None:
             found.append(PieceDecomposition(form.perm, labeled))
     return found
+
+
+def first_chunk_preserving(form: GreedyForm, pieces: int) -> PieceDecomposition | None:
+    """The first decomposition enumerate_chunk_preserving would list, or None.
+
+    Builds it in O(n + p) steps instead of trying all C(n-1, p-1) boundary
+    sets.  Count atoms: each gap position is one atom and each chunk is one.
+    The suffix starting at position s (never strictly inside a chunk) splits
+    into exactly r chunk-preserving pieces iff low(s) <= r <= atoms(s), where
+    atoms(s) counts the atoms in [s, n] and low(s) is 1 when s starts a chunk
+    or no chunk lies ahead, else 2.  Each piece takes its smallest legal end
+    that leaves a feasible suffix, which yields the lexicographically least
+    boundary tuple.
+
+    >>> first_chunk_preserving(left_greedy_form(Permutation((1, 3, 2, 4))), 3).p
+    3
+    >>> first_chunk_preserving(left_greedy_form(Permutation((3, 2, 1))), 2) is None
+    True
+    """
+    if pieces < 1:
+        raise ValueError(f"need at least one piece, got {pieces}")
+    n = form.perm.n
+    chunk_at = {chunk.start: (index, chunk.end) for index, chunk in enumerate(form.chunks, 1)}
+    atoms = [0] * (n + 2)
+    low = [0] * (n + 2)
+    chunk_ahead = False
+    for s in range(n, 0, -1):
+        if s in chunk_at:
+            chunk_ahead = True
+            atoms[s] = 1 + atoms[chunk_at[s][1] + 1]
+            low[s] = 1
+        else:
+            atoms[s] = 1 + atoms[s + 1]
+            low[s] = 2 if chunk_ahead else 1
+    if not low[1] <= pieces <= atoms[1]:
+        return None
+    out: list[Piece] = []
+    s = 1
+    for left in range(pieces - 1, -1, -1):  # pieces still to place after this one
+        # a chunk piece ends no earlier than its chunk, a gap piece at s or later
+        index, end = chunk_at.get(s, (None, s))
+        if left == 0:
+            end = n  # the last piece may run on through later chunks
+        else:
+            # the first feasible end never reaches past the next chunk's start
+            while not low[end + 1] <= left <= atoms[end + 1]:
+                end += 1
+        out.append(Piece(Span(s, end), GAP if index is None else CHUNK, index))
+        s = end + 1
+    return PieceDecomposition(form.perm, tuple(out))
 
 
 def apply_rearrangement(dec: PieceDecomposition, tau: Permutation) -> Permutation:

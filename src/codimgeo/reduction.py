@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FalsificationError, check_scale
-from .greedy import apply_rearrangement, enumerate_chunk_preserving, left_greedy_form
+from .greedy import apply_rearrangement, first_chunk_preserving, left_greedy_form
 from .mahonian import ball_complement_count
 from .perm import (
     Permutation,
@@ -105,14 +105,12 @@ def main_step(p: Permutation, d: int) -> tuple[Permutation, ...]:
             f"word length {base} is not below the threshold {threshold}; "
             "the rewrite only applies inside the ball"
         )
-    form = left_greedy_form(p)
-    decompositions = enumerate_chunk_preserving(form, d)
-    if not decompositions:
+    first = first_chunk_preserving(left_greedy_form(p), d)
+    if first is None:
         raise FalsificationError(
             f"no chunk-preserving decomposition of {p} into {d} pieces; "
             "existence is claimed for every word inside the ball"
         )
-    first = decompositions[0]
     children = []
     for order in _nonidentity_orders(d):
         tau = Permutation(tuple(t + 1 for t in order))

@@ -267,6 +267,8 @@ def run_suite(name: str, n_max: int | None = None) -> SuiteResult:
     suite = SUITES[name]
     if n_max is None:
         n_max = min(suite.default_n, suite.cap)
+    if n_max < 1:
+        raise ValueError(f"suite {name} needs n_max at least 1, got {n_max}")
     if n_max > suite.cap:
         raise ValueError(f"suite {name} is capped at n <= {suite.cap}, got {n_max}")
     return suite.runner(n_max)

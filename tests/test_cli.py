@@ -1,9 +1,10 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from codimgeo.cli import main
+from codimgeo.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -110,6 +111,14 @@ def test_verify_cap_exceeded(capsys):
     assert "capped" in err
 
 
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_verify_rejects_degree_below_one(capsys, n_max):
+    code, out, err = run(capsys, "verify", "--n-max", n_max, "--suites", "metric")
+    assert code == 2
+    assert out == ""
+    assert "at least 1" in err
+
+
 def test_verify_json_payload(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "4", "--suites", "dilworth", "--format", "json")
     assert code == 0
@@ -169,6 +178,19 @@ def test_reduce_main_step_json(capsys):
     payload = json.loads(out)
     assert len(payload["children"]) == 5
     assert all(child["word_length"] >= 2 for child in payload["children"])
+
+
+def test_reduce_main_step_at_large_degree(capsys):
+    # listing every cut set would try C(63, 4) = 595,665 of them
+    ident = ",".join(str(v) for v in range(1, 65))
+    code, out, _ = run(
+        capsys, "reduce", "--perm", ident, "--d", "5", "--mode", "main", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    children = payload["children"]
+    assert len({child["perm"] for child in children}) == len(children) == 119
+    assert all(child["word_length"] > 0 for child in children)
 
 
 def test_reduce_precondition_exit(capsys):
@@ -257,3 +279,11 @@ def test_env_cap_cannot_raise_limits(capsys, monkeypatch):
     monkeypatch.setenv("CODIM_MAX_N", "50")
     code, _, err = run(capsys, "verify", "--n-max", "8", "--suites", "metric")
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt, lines, payload", [("json", ["x"], None), ("table", None, {})])
+def test_emit_rejects_missing_output(fmt, lines, payload):
+    # explicit checks, so they hold under python -O as well
+    args = argparse.Namespace(format=fmt, meta=False, output=None)
+    with pytest.raises(ValueError):
+        _emit(args, lines, payload, "cmd")

@@ -11,6 +11,7 @@ from codimgeo.greedy import (
     chunk_stats,
     decomposition_json,
     enumerate_chunk_preserving,
+    first_chunk_preserving,
     greedy_form_json,
     initial_chunk,
     left_greedy_form,
@@ -181,6 +182,41 @@ def test_enumerated_decompositions_are_chunk_preserving(p, pieces):
                 if len(held) > 1:
                     assert piece is dec.pieces[-1]
                     assert piece.span.end == p.n
+
+
+def test_enumeration_is_nonempty_exactly_between_low_and_atoms():
+    # one atom per gap position and per chunk; low is 2 when a gap leads into a chunk
+    assert enumerate_chunk_preserving(left_greedy_form(reversal(3)), 2) == []
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            form = left_greedy_form(p)
+            atoms = n - sum(chunk.length for chunk in form.chunks) + form.k
+            low = 1 if form.k == 0 or form.chunks[0].start == 1 else 2
+            for pieces in range(1, n + 1):
+                found = bool(enumerate_chunk_preserving(form, pieces))
+                assert found == (low <= pieces <= atoms), (p, pieces)
+
+
+def test_first_chunk_preserving_examples():
+    form = left_greedy_form(Permutation((1, 3, 2, 4, 6, 5, 7)))
+    first = first_chunk_preserving(form, 3)
+    assert [(pc.span.start, pc.span.end, pc.kind, pc.chunk_index) for pc in first.pieces] == [
+        (1, 1, "y", None), (2, 4, "c", 1), (5, 7, "c", 2)
+    ]
+    assert first_chunk_preserving(left_greedy_form(reversal(3)), 2) is None
+    assert first_chunk_preserving(left_greedy_form(identity(3)), 4) is None
+    with pytest.raises(ValueError):
+        first_chunk_preserving(left_greedy_form(identity(3)), 0)
+
+
+def test_first_chunk_preserving_equals_first_enumerated_exhaustively():
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            form = left_greedy_form(p)
+            for pieces in range(1, n + 1):
+                enum = enumerate_chunk_preserving(form, pieces)
+                expected = enum[0] if enum else None
+                assert first_chunk_preserving(form, pieces) == expected, (p, pieces)
 
 
 def test_apply_rearrangement_example():
