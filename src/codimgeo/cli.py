@@ -25,7 +25,7 @@ from .mahonian import (
 )
 from .perm import parse_permutation, word_length
 from .reduction import classic_step, main_closure, main_step, classic_closure, trace_json
-from .verify import SUITES, run_suite
+from .verify import SUITES, check_request, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -130,16 +130,7 @@ def _cmd_crossover(args) -> int:
 def _cmd_verify(args) -> int:
     names = [s.strip() for s in args.suites.split(",")] if args.suites else list(SUITES)
     for name in names:
-        if name not in SUITES:
-            known = ",".join(SUITES)
-            print(f"error: unknown suite {name!r} (known: {known})", file=sys.stderr)
-            return EXIT_USAGE
-        if args.n_max is not None and args.n_max > SUITES[name].cap:
-            print(
-                f"error: suite {name} is capped at n <= {SUITES[name].cap}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+        check_request(name, args.n_max)  # reject a bad request before any work
     results = [run_suite(name, args.n_max) for name in names]
     command = "verify" + (f" --n-max {args.n_max}" if args.n_max is not None else "")
     if args.suites:

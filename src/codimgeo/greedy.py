@@ -1,10 +1,10 @@
 """Left greedy form and chunk-preserving decompositions.
 
-Reading a permutation's one-line word left to right, the initial chunk is the
-smallest prefix-minimal block that closes off under inversion partners: start
-from the dictionary-least inversion pair and extend the right end while any
-position inside still has an inversion partner beyond it.  Iterating on the
-remaining suffix tiles the word into alternating gaps and chunks
+Reading a permutation's one-line word left to right, cut after position j
+exactly when the first j letters are {1, ..., j}, that is when
+max sigma(1..j) = j.  The blocks between cuts are the word's sum
+(direct-sum) components; each block longer than one position is a chunk and
+each single position is a gap letter.  Runs of gap letters form the gaps of
 
     w = y_0 c_1 y_1 c_2 ... c_k y_k
 
@@ -67,41 +67,6 @@ class GreedyForm:
         return len(self.chunks)
 
 
-def _min_inversion_pair(image: tuple[int, ...], start: int) -> tuple[int, int] | None:
-    """Dictionary-least inversion pair (i, j) with i >= start, or None."""
-    n = len(image)
-    for i in range(start, n + 1):
-        for j in range(i + 1, n + 1):
-            if image[j - 1] < image[i - 1]:
-                return (i, j)
-    return None
-
-
-def _chunk_from(image: tuple[int, ...], start: int) -> Span | None:
-    """The initial chunk of the suffix beginning at position start.
-
-    Extends the right end to a fixpoint: while some position within the
-    current block has an inversion partner beyond it, absorb up to the
-    furthest such partner.  The fixpoint does not depend on update order.
-    """
-    pair = _min_inversion_pair(image, start)
-    if pair is None:
-        return None
-    i0, j0 = pair
-    n = len(image)
-    while True:
-        furthest = j0
-        for i in range(i0, j0 + 1):
-            for j in range(n, j0, -1):
-                if image[j - 1] < image[i - 1]:
-                    if j > furthest:
-                        furthest = j
-                    break
-        if furthest == j0:
-            return Span(i0, j0)
-        j0 = furthest
-
-
 def initial_chunk(perm: Permutation) -> tuple[Span | None, Span | None, Span | None]:
     """Split the word as (leading gap, initial chunk, remaining suffix).
 
@@ -110,17 +75,16 @@ def initial_chunk(perm: Permutation) -> tuple[Span | None, Span | None, Span | N
     >>> initial_chunk(Permutation((1, 3, 2, 4)))
     (Span(start=1, end=1), Span(start=2, end=3), Span(start=4, end=4))
     """
-    n = perm.n
-    chunk = _chunk_from(perm.image, 1)
-    if chunk is None:
-        return (Span(1, n), None, None)
-    before = Span(1, chunk.start - 1) if chunk.start > 1 else None
-    after = Span(chunk.end + 1, n) if chunk.end < n else None
-    return (before, chunk, after)
+    form = left_greedy_form(perm)
+    if not form.chunks:
+        return (Span(1, perm.n), None, None)
+    chunk = form.chunks[0]
+    after = Span(chunk.end + 1, perm.n) if chunk.end < perm.n else None
+    return (form.gaps[0], chunk, after)
 
 
 def left_greedy_form(perm: Permutation) -> GreedyForm:
-    """Iterate initial-chunk extraction over suffixes until no inversions remain.
+    """Cut the word where max sigma(1..j) = j; longer blocks are the chunks.
 
     >>> gf = left_greedy_form(Permutation((2, 1, 4, 3)))
     >>> gf.chunks
@@ -128,18 +92,20 @@ def left_greedy_form(perm: Permutation) -> GreedyForm:
     >>> gf.gaps
     (None, None, None)
     """
-    image = perm.image
     n = perm.n
     chunks: list[Span] = []
     gaps: list[Span | None] = []
-    cursor = 1
-    while cursor <= n:
-        chunk = _chunk_from(image, cursor)
-        if chunk is None:
-            break
-        gaps.append(Span(cursor, chunk.start - 1) if chunk.start > cursor else None)
-        chunks.append(chunk)
-        cursor = chunk.end + 1
+    cursor = 1  # first position not yet in a chunk or a gap
+    block = 1  # first position of the current sum component
+    high = 0
+    for j, value in enumerate(perm.image, 1):
+        high = max(high, value)
+        if high == j:
+            if j > block:
+                gaps.append(Span(cursor, block - 1) if block > cursor else None)
+                chunks.append(Span(block, j))
+                cursor = j + 1
+            block = j + 1
     gaps.append(Span(cursor, n) if cursor <= n else None)
     return GreedyForm(perm, tuple(chunks), tuple(gaps))
 

@@ -162,20 +162,6 @@ def ball_complement_count(n: int, radius: Radius) -> int:
     return sum(row.coefficient(k) for k in range(max(lo, 0), row.max_inversions + 1))
 
 
-def ball_complement_via_subtraction(n: int, radius: Radius) -> int:
-    """Complement count as n! minus the inventory up through floor(K).
-
-    Differs from ball_complement_count by I_n(K) exactly at integer radii,
-    where it drops the sphere of radius K as well.  Kept for comparison; the
-    canonical count is ball_complement_count.
-    """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    row = mahonian_row(n)
-    hi = math.floor(radius)
-    return math.factorial(n) - sum(row.coefficient(k) for k in range(0, hi + 1))
-
-
 def row_csv_lines(row: MahonianRow) -> list[str]:
     """Data lines "n,k,count" for one row."""
     return [f"{row.n},{k},{c}" for k, c in enumerate(row.coefficients)]

@@ -1,10 +1,12 @@
 """Exhaustive property suites behind the verify command.
 
-Each suite sweeps all permutations up to a degree cap and checks one cluster
-of structural claims: the word-metric identity, inversion-set round-trips,
-the d-bad length floor, the good-count ceiling, greedy-form structure, chunk
-size accounting, rearrangement growth, and the two rewriting closures.
-Failures are collected as printable counterexample strings, never raised.
+Each suite sweeps all cases up to a degree cap and checks one cluster of
+structural claims: the word-metric identity, inversion-set round-trips, the
+d-bad length floor, the good-count ceiling, greedy-form structure, chunk size
+accounting, rearrangement growth, and the two rewriting closures.  The
+per-permutation suites share one sweep and state only their check, which
+maps a permutation to its failures.  Failures are collected as printable
+counterexample strings, never raised.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .greedy import (
 )
 from .mahonian import ball_complement_count
 from .perm import (
+    Permutation,
     all_permutations,
     cayley_distance_bfs,
     count_d_good,
@@ -49,48 +52,51 @@ class SuiteResult:
         return not self.failures
 
 
-def _run_metric(n_max: int) -> SuiteResult:
-    checked = 0
-    failures = []
-    for n in range(1, n_max + 1):
-        for p in all_permutations(n):
-            checked += 1
-            if word_length(p) != cayley_distance_bfs(p):
-                failures.append(f"{p}: word_length != BFS distance")
-    return SuiteResult("metric", n_max, checked, tuple(failures))
+# What a suite's runner returns: (checked, failures, info).
+_Outcome = tuple[int, list[str], list[str]]
 
 
-def _run_roundtrip(n_max: int) -> SuiteResult:
-    checked = 0
-    failures = []
-    for n in range(1, n_max + 1):
-        for p in all_permutations(n):
-            checked += 1
-            r = inversion_set(p)
-            try:
-                validate_inversion_set(r)
-            except ValueError as exc:
-                failures.append(f"{p}: inversion set violates axioms ({exc})")
-                continue
-            if from_inversion_set(r) != p:
-                failures.append(f"{p}: round-trip mismatch")
-    return SuiteResult("roundtrip", n_max, checked, tuple(failures))
+def _sweep(check: Callable[[Permutation], list[str]]) -> Callable[[int], _Outcome]:
+    """A runner applying check to every permutation of degree 1 through n_max."""
+
+    def run(n_max: int) -> _Outcome:
+        checked = 0
+        failures: list[str] = []
+        for n in range(1, n_max + 1):
+            for p in all_permutations(n):
+                checked += 1
+                failures += check(p)
+        return checked, failures, []
+
+    return run
 
 
-def _run_badsize(n_max: int) -> SuiteResult:
+def _check_metric(p: Permutation) -> list[str]:
+    if word_length(p) != cayley_distance_bfs(p):
+        return [f"{p}: word_length != BFS distance"]
+    return []
+
+
+def _check_roundtrip(p: Permutation) -> list[str]:
+    r = inversion_set(p)
+    try:
+        validate_inversion_set(r)
+    except ValueError as exc:
+        return [f"{p}: inversion set violates axioms ({exc})"]
+    if from_inversion_set(r) != p:
+        return [f"{p}: round-trip mismatch"]
+    return []
+
+
+def _check_badsize(p: Permutation) -> list[str]:
     # |sigma| >= L(L-1)/2 for L the longest decreasing run covers every d <= L
-    checked = 0
-    failures = []
-    for n in range(1, n_max + 1):
-        for p in all_permutations(n):
-            checked += 1
-            longest = longest_decreasing(p)
-            if word_length(p) < longest * (longest - 1) // 2:
-                failures.append(f"{p}: length below the {longest}-bad floor")
-    return SuiteResult("badsize", n_max, checked, tuple(failures))
+    longest = longest_decreasing(p)
+    if word_length(p) < longest * (longest - 1) // 2:
+        return [f"{p}: length below the {longest}-bad floor"]
+    return []
 
 
-def _run_dilworth(n_max: int) -> SuiteResult:
+def _run_dilworth(n_max: int) -> _Outcome:
     checked = 0
     failures = []
     info = []
@@ -102,58 +108,48 @@ def _run_dilworth(n_max: int) -> SuiteResult:
             info.append(f"n={n} d={d} good={count} ceiling={ceiling}")
             if count > ceiling:
                 failures.append(f"n={n} d={d}: {count} good exceeds {ceiling}")
-    return SuiteResult("dilworth", n_max, checked, tuple(failures), tuple(info))
+    return checked, failures, info
 
 
-def _run_lgf(n_max: int) -> SuiteResult:
-    checked = 0
+def _check_lgf(p: Permutation) -> list[str]:
+    form = left_greedy_form(p)
+    covered = []
+    for idx, chunk in enumerate(form.chunks):
+        gap = form.gaps[idx]
+        if gap is not None:
+            covered.extend(gap.positions())
+        covered.extend(chunk.positions())
+    if form.gaps[-1] is not None:
+        covered.extend(form.gaps[-1].positions())
+    if covered != list(range(1, p.n + 1)):
+        return [f"{p}: spans do not tile the word"]
+    chunk_of = {}
+    for idx, chunk in enumerate(form.chunks):
+        for pos in chunk.positions():
+            chunk_of[pos] = idx
     failures = []
-    for n in range(1, n_max + 1):
-        for p in all_permutations(n):
-            checked += 1
-            form = left_greedy_form(p)
-            covered = []
-            for idx, chunk in enumerate(form.chunks):
-                gap = form.gaps[idx]
-                if gap is not None:
-                    covered.extend(gap.positions())
-                covered.extend(chunk.positions())
-            if form.gaps[-1] is not None:
-                covered.extend(form.gaps[-1].positions())
-            if covered != list(range(1, n + 1)):
-                failures.append(f"{p}: spans do not tile the word")
-                continue
-            pairs = inversion_set(p).pairs
-            chunk_of = {}
-            for idx, chunk in enumerate(form.chunks):
-                for pos in chunk.positions():
-                    chunk_of[pos] = idx
-            for i, j in pairs:
-                if i not in chunk_of:
-                    failures.append(f"{p}: gap position {i} starts inversion ({i},{j})")
-                elif j not in chunk_of or chunk_of[i] != chunk_of[j]:
-                    failures.append(f"{p}: inversion ({i},{j}) crosses a chunk border")
-    return SuiteResult("lgf", n_max, checked, tuple(failures))
+    for i, j in inversion_set(p).pairs:
+        if i not in chunk_of:
+            failures.append(f"{p}: gap position {i} starts inversion ({i},{j})")
+        elif j not in chunk_of or chunk_of[i] != chunk_of[j]:
+            failures.append(f"{p}: inversion ({i},{j}) crosses a chunk border")
+    return failures
 
 
-def _run_chunks(n_max: int) -> SuiteResult:
-    checked = 0
+def _check_chunks(p: Permutation) -> list[str]:
+    stats = chunk_stats(p)
     failures = []
-    for n in range(1, n_max + 1):
-        for p in all_permutations(n):
-            checked += 1
-            stats = chunk_stats(p)
-            if stats.chunk_count > stats.word_length:
-                failures.append(f"{p}: more chunks than inversions")
-            if stats.total_chunk_length > stats.word_length + stats.chunk_count:
-                failures.append(f"{p}: chunk letters exceed |sigma| + k")
-            for i, j in inversion_set(p).pairs:
-                if stats.word_length < j - i:
-                    failures.append(f"{p}: inversion ({i},{j}) longer than |sigma|")
-    return SuiteResult("chunks", n_max, checked, tuple(failures))
+    if stats.chunk_count > stats.word_length:
+        failures.append(f"{p}: more chunks than inversions")
+    if stats.total_chunk_length > stats.word_length + stats.chunk_count:
+        failures.append(f"{p}: chunk letters exceed |sigma| + k")
+    for i, j in inversion_set(p).pairs:
+        if stats.word_length < j - i:
+            failures.append(f"{p}: inversion ({i},{j}) longer than |sigma|")
+    return failures
 
 
-def _run_growth(n_max: int) -> SuiteResult:
+def _run_growth(n_max: int) -> _Outcome:
     checked = 0
     failures = []
     for n in range(2, n_max + 1):
@@ -168,10 +164,10 @@ def _run_growth(n_max: int) -> SuiteResult:
                         failures.append(
                             f"{p}: some rearrangement of {pieces} pieces fails to grow"
                         )
-    return SuiteResult("growth", n_max, checked, tuple(failures))
+    return checked, failures, []
 
 
-def _run_classic(n_max: int) -> SuiteResult:
+def _run_classic(n_max: int) -> _Outcome:
     checked = 0
     failures = []
     info = []
@@ -195,10 +191,10 @@ def _run_classic(n_max: int) -> SuiteResult:
                     failures.append(f"n={n} d={d}: {parent} has non-descending child")
             if len(trace.terminal_support) > count_d_good(n, d):
                 failures.append(f"n={n} d={d}: terminal support exceeds good count")
-    return SuiteResult("classic", n_max, checked, tuple(failures), tuple(info))
+    return checked, failures, info
 
 
-def _run_main(n_max: int) -> SuiteResult:
+def _run_main(n_max: int) -> _Outcome:
     checked = 0
     failures = []
     info = []
@@ -226,20 +222,23 @@ def _run_main(n_max: int) -> SuiteResult:
                 base = word_length(parent)
                 if any(word_length(c) <= base for c in children):
                     failures.append(f"n={n} d={d}: {parent} has non-growing child")
+            if len(trace.steps) != len(trace.sources):
+                failures.append(f"n={n} d={d}: some ball member was not rewritten")
             if trace.max_depth > n * (n - 1) // 2:
                 failures.append(f"n={n} d={d}: depth exceeds C(n,2)")
             if trace.complement_size != ball_complement_count(n, threshold):
                 failures.append(f"n={n} d={d}: complement cross-reference mismatch")
-    return SuiteResult("main", n_max, checked, tuple(failures), tuple(info))
+    return checked, failures, info
 
 
 @dataclass(frozen=True)
 class Suite:
     name: str
     description: str
+    min_n: int
     hard_cap: int
     default_n: int
-    runner: Callable[[int], SuiteResult] = field(repr=False)
+    runner: Callable[[int], _Outcome] = field(repr=False)
 
     @property
     def cap(self) -> int:
@@ -249,26 +248,35 @@ class Suite:
 SUITES: dict[str, Suite] = {
     s.name: s
     for s in (
-        Suite("metric", "word length equals Cayley BFS distance", 6, 6, _run_metric),
-        Suite("roundtrip", "inversion-set reconstruction round-trips", 7, 7, _run_roundtrip),
-        Suite("badsize", "d-bad words have at least d(d-1)/2 inversions", 8, 8, _run_badsize),
-        Suite("dilworth", "d-good counts stay under (d-1)^(2n)", 8, 8, _run_dilworth),
-        Suite("lgf", "left greedy form tiles the word and traps inversions", 7, 7, _run_lgf),
-        Suite("chunks", "chunk counts and lengths respect the word length", 7, 7, _run_chunks),
-        Suite("growth", "nontrivial rearrangements strictly grow", 6, 6, _run_growth),
-        Suite("classic", "dictionary-descent closure ends d-good", 7, 6, _run_classic),
-        Suite("main", "ball-escape closure ends outside the ball", 8, 7, _run_main),
+        Suite("metric", "word length equals Cayley BFS distance", 1, 6, 6, _sweep(_check_metric)),
+        Suite("roundtrip", "inversion-set reconstruction round-trips", 1, 7, 7, _sweep(_check_roundtrip)),
+        Suite("badsize", "d-bad words have at least d(d-1)/2 inversions", 1, 8, 8, _sweep(_check_badsize)),
+        Suite("dilworth", "d-good counts stay under (d-1)^(2n)", 2, 8, 8, _run_dilworth),
+        Suite("lgf", "left greedy form tiles the word and traps inversions", 1, 7, 7, _sweep(_check_lgf)),
+        Suite("chunks", "chunk counts and lengths respect the word length", 1, 7, 7, _sweep(_check_chunks)),
+        Suite("growth", "nontrivial rearrangements strictly grow", 2, 6, 6, _run_growth),
+        Suite("classic", "dictionary-descent closure ends d-good", 2, 7, 6, _run_classic),
+        Suite("main", "ball-escape closure ends outside the ball", 2, 8, 7, _run_main),
     )
 }
 
 
-def run_suite(name: str, n_max: int | None = None) -> SuiteResult:
-    """Run one registered suite at its default or a requested degree cap."""
+def check_request(name: str, n_max: int | None = None) -> int:
+    """The degree cap a run of suite name uses; ValueError for a bad request."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r} (known: {','.join(SUITES)})")
     suite = SUITES[name]
     if n_max is None:
-        n_max = min(suite.default_n, suite.cap)
-    if n_max < 1:
-        raise ValueError(f"suite {name} needs n_max at least 1, got {n_max}")
+        return min(suite.default_n, suite.cap)
+    if n_max < suite.min_n:
+        raise ValueError(f"suite {name} needs n_max at least {suite.min_n}, got {n_max}")
     if n_max > suite.cap:
         raise ValueError(f"suite {name} is capped at n <= {suite.cap}, got {n_max}")
-    return suite.runner(n_max)
+    return n_max
+
+
+def run_suite(name: str, n_max: int | None = None) -> SuiteResult:
+    """Run one registered suite at its default or a requested degree cap."""
+    n_max = check_request(name, n_max)
+    checked, failures, info = SUITES[name].runner(n_max)
+    return SuiteResult(name, n_max, checked, tuple(failures), tuple(info))

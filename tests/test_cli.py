@@ -111,12 +111,23 @@ def test_verify_cap_exceeded(capsys):
     assert "capped" in err
 
 
-@pytest.mark.parametrize("n_max", ["0", "-3"])
-def test_verify_rejects_degree_below_one(capsys, n_max):
-    code, out, err = run(capsys, "verify", "--n-max", n_max, "--suites", "metric")
+@pytest.mark.parametrize(
+    "suite, n_max, first",
+    [
+        ("metric", "0", 1),
+        ("metric", "-3", 1),
+        ("dilworth", "1", 2),
+        ("growth", "1", 2),
+        ("classic", "1", 2),
+        ("main", "1", 2),
+    ],
+    ids=["0", "-3", "dilworth-1", "growth-1", "classic-1", "main-1"],
+)
+def test_verify_rejects_degree_below_one(capsys, suite, n_max, first):
+    code, out, err = run(capsys, "verify", "--n-max", n_max, "--suites", suite)
     assert code == 2
     assert out == ""
-    assert "at least 1" in err
+    assert f"at least {first}" in err
 
 
 def test_verify_json_payload(capsys):

@@ -32,6 +32,41 @@ def permutations(draw, max_n=7):
     return Permutation(tuple(draw(st.permutations(tuple(range(1, n + 1))))))
 
 
+def _fixpoint_form(perm):
+    """Oracle for left_greedy_form: close each chunk under inversion partners.
+
+    From the dictionary-least inversion pair (i, j) of the remaining suffix,
+    extend the right end while some position of the block has an inversion
+    partner beyond it; repeat on the rest of the word.  Returns (chunks, gaps).
+    """
+    image, n = perm.image, perm.n
+    chunks, gaps = [], []
+    cursor = 1
+    while True:
+        pair = next(
+            ((i, j) for i in range(cursor, n + 1) for j in range(i + 1, n + 1)
+             if image[j - 1] < image[i - 1]),
+            None,
+        )
+        if pair is None:
+            break
+        start, end = pair
+        while True:
+            furthest = max(
+                [j for i in range(start, end + 1) for j in range(end + 1, n + 1)
+                 if image[j - 1] < image[i - 1]],
+                default=end,
+            )
+            if furthest == end:
+                break
+            end = furthest
+        gaps.append(Span(cursor, start - 1) if start > cursor else None)
+        chunks.append(Span(start, end))
+        cursor = end + 1
+    gaps.append(Span(cursor, n) if cursor <= n else None)
+    return tuple(chunks), tuple(gaps)
+
+
 def test_span_validation():
     with pytest.raises(ValueError):
         Span(3, 2)
@@ -44,7 +79,7 @@ def test_initial_chunk_examples():
     assert initial_chunk(identity(4)) == (Span(1, 4), None, None)
     assert initial_chunk(Permutation((1, 3, 2, 4))) == (Span(1, 1), Span(2, 3), Span(4, 4))
     assert initial_chunk(reversal(4)) == (None, Span(1, 4), None)
-    # extension ratchets: position 1 keeps a partner beyond the first pair
+    # the first prefix holding {1, ..., j} is the whole word
     assert initial_chunk(Permutation((3, 1, 2))) == (None, Span(1, 3), None)
 
 
@@ -60,6 +95,13 @@ def test_left_greedy_form_examples():
     form = left_greedy_form(identity(3))
     assert form.chunks == ()
     assert form.gaps == (Span(1, 3),)
+
+
+def test_left_greedy_form_equals_fixpoint_oracle_exhaustively():
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            form = left_greedy_form(p)
+            assert (form.chunks, form.gaps) == _fixpoint_form(p), p
 
 
 def test_annotated_rendering():

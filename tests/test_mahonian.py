@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from codimgeo.errors import ScaleError
 from codimgeo.mahonian import (
     ball_complement_count,
-    ball_complement_via_subtraction,
     ball_count,
     brute_force_row,
     mahonian_knuth,
@@ -115,16 +114,8 @@ def test_complement_examples():
     assert ball_complement_count(4, Fraction(5, 2)) == 15
     assert ball_complement_count(6, 1) == 719
     assert ball_complement_count(4, 0) == 24
-
-
-def test_subtraction_variant_differs_at_integer_radii():
-    # the subtraction form also drops the sphere at an integer radius
+    # an integer radius keeps its own sphere: 24 - I_4(0) - I_4(1) = 20
     assert ball_complement_count(4, 2) == 20
-    assert ball_complement_via_subtraction(4, 2) == 15
-    assert ball_complement_count(4, 2) - ball_complement_via_subtraction(4, 2) == 5
-    assert ball_complement_via_subtraction(4, Fraction(5, 2)) == ball_complement_count(
-        4, Fraction(5, 2)
-    )
 
 
 def test_serializers():
