@@ -267,7 +267,7 @@ def check_request(name: str, n_max: int | None = None) -> int:
         raise ValueError(f"unknown suite {name!r} (known: {','.join(SUITES)})")
     suite = SUITES[name]
     if n_max is None:
-        return min(suite.default_n, suite.cap)
+        n_max = min(suite.default_n, suite.cap)
     if n_max < suite.min_n:
         raise ValueError(f"suite {name} needs n_max at least {suite.min_n}, got {n_max}")
     if n_max > suite.cap:

@@ -284,6 +284,11 @@ def test_env_cap_lowers_limits(capsys, monkeypatch):
     assert "capped" in err
     code, _, _ = run(capsys, "verify", "--n-max", "5", "--suites", "metric")
     assert code == 0
+    # a default lowered below a suite's first degree would check nothing
+    monkeypatch.setenv("CODIM_MAX_N", "1")
+    code, out, err = run(capsys, "verify", "--suites", "main")
+    assert code == 2 and out == ""
+    assert "at least 2" in err
 
 
 def test_env_cap_cannot_raise_limits(capsys, monkeypatch):
