@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 
@@ -303,3 +304,310 @@ def test_emit_rejects_missing_output(fmt, lines, payload):
     args = argparse.Namespace(format=fmt, meta=False, output=None)
     with pytest.raises(ValueError):
         _emit(args, lines, payload, "cmd")
+
+
+# One argument vector per command shape; each runs in all three formats.
+GOLDEN_SHAPES = {
+    "mahonian": ("mahonian", "--n", "4"),
+    "mahonian-check": ("mahonian", "--n", "6", "--check"),
+    "mahonian-check-closed": ("mahonian", "--n", "9", "--check"),
+    "bounds": ("bounds", "--d", "3", "--n-max", "9"),
+    "crossover": ("crossover", "--d-max", "6"),
+    "verify": ("verify", "--n-max", "5", "--suites", "metric,lgf"),
+    "verify-info": ("verify", "--n-max", "4", "--suites", "dilworth,main"),
+    "greedy-gaps": ("greedy", "--perm", "1,3,2,4,6,5,7"),
+    "greedy-no-chunks": ("greedy", "--perm", "1,2,3"),
+    "greedy-one-chunk": ("greedy", "--perm", "4,3,2,1"),
+    "reduce-classic": ("reduce", "--perm", "3,2,1", "--d", "3", "--mode", "classic"),
+    "reduce-main": ("reduce", "--perm", "1,3,2,4,5,6", "--d", "3", "--mode", "main"),
+    "closure-classic": ("reduce", "--n", "4", "--d", "3", "--mode", "classic", "--closure"),
+    "closure-main": ("reduce", "--n", "6", "--d", "4", "--mode", "main", "--closure"),
+    "closure-summary": (
+        "reduce", "--n", "6", "--d", "4", "--mode", "main", "--closure", "--summary-only",
+    ),
+}
+
+# Expected stdout per (shape, format[, extra flag]); "sha256:" pins a long output
+# by the first 16 hex digits of its digest.
+GOLDEN = {
+    ("mahonian", "table"): (
+        "k  count\n"
+        "0  1\n"
+        "1  3\n"
+        "2  5\n"
+        "3  6\n"
+        "4  5\n"
+        "5  3\n"
+        "6  1\n"
+    ),
+    ("mahonian", "csv"): (
+        "n,k,count\n"
+        "4,0,1\n"
+        "4,1,3\n"
+        "4,2,5\n"
+        "4,3,6\n"
+        "4,4,5\n"
+        "4,5,3\n"
+        "4,6,1\n"
+    ),
+    ("mahonian", "json"): (
+        "{\n"
+        '  "n": 4,\n'
+        '  "coefficients": [\n'
+        '    "1",\n'
+        '    "3",\n'
+        '    "5",\n'
+        '    "6",\n'
+        '    "5",\n'
+        '    "3",\n'
+        '    "1"\n'
+        "  ]\n"
+        "}\n"
+    ),
+    ("mahonian-check", "table"): "sha256:adf0e5d7d21ea3ad",
+    ("mahonian-check", "csv"): "sha256:f9209ab59fc55fbf",
+    ("mahonian-check", "json"): "sha256:168ae18da23fe548",
+    ("mahonian-check-closed", "table"): "sha256:1d82bcba88baeb02",
+    ("mahonian-check-closed", "csv"): "sha256:e4ef4b8a3501f199",
+    ("mahonian-check-closed", "json"): "sha256:fc63203180ebb492",
+    ("bounds", "table"): (
+        "n  classic  theorem  phi     factorial  winner\n"
+        "3  64       6        -54     6          theorem\n"
+        "4  256      23       -224    24         theorem\n"
+        "5  1024     119      -376    120        theorem\n"
+        "6  4096     714      -1296   720        theorem\n"
+        "7  16384    5033     1008    5040       theorem\n"
+        "8  65536    40285    24064   40320      theorem\n"
+        "9  262144   362836   330368  362880     classic\n"
+    ),
+    ("bounds", "csv"): (
+        "n,classic,theorem,phi,factorial,winner\n"
+        "3,64,6,-54,6,theorem\n"
+        "4,256,23,-224,24,theorem\n"
+        "5,1024,119,-376,120,theorem\n"
+        "6,4096,714,-1296,720,theorem\n"
+        "7,16384,5033,1008,5040,theorem\n"
+        "8,65536,40285,24064,40320,theorem\n"
+        "9,262144,362836,330368,362880,classic\n"
+    ),
+    ("bounds", "json"): "sha256:a80065357f1d9c63",
+    ("crossover", "table"): (
+        "d  n\n"
+        "2  2\n"
+        "3  9\n"
+        "4  22\n"
+        "5  41\n"
+        "6  65\n"
+    ),
+    ("crossover", "csv"): (
+        "d,n\n"
+        "2,2\n"
+        "3,9\n"
+        "4,22\n"
+        "5,41\n"
+        "6,65\n"
+    ),
+    ("crossover", "json"): "sha256:89ce6e23cb5823b5",
+    ("verify", "table"): (
+        "suite   n_max  checked  status\n"
+        "metric  5      153      PASS\n"
+        "lgf     5      153      PASS\n"
+    ),
+    ("verify", "csv"): (
+        "suite,n_max,checked,status\n"
+        "metric,5,153,PASS\n"
+        "lgf,5,153,PASS\n"
+    ),
+    ("verify", "json"): "sha256:d17ece9ae5262128",
+    ("verify-info", "table"): "sha256:2d7f013f874cc214",
+    ("verify-info", "csv"): (
+        "suite,n_max,checked,status\n"
+        "dilworth,4,6,PASS\n"
+        "main,4,10,PASS\n"
+    ),
+    ("verify-info", "json"): "sha256:569748fcc6fa502c",
+    ("greedy-gaps", "table"): (
+        "word: 1,3,2,4,6,5,7\n"
+        "form: (1) [3 2] (4) [6 5] (7)\n"
+        "kind  index  start  end\n"
+        "y     0      1      1\n"
+        "c     1      2      3\n"
+        "y     1      4      4\n"
+        "c     2      5      6\n"
+        "y     2      7      7\n"
+        "chunks: 2  chunk letters: 4  word length: 2\n"
+    ),
+    ("greedy-gaps", "csv"): (
+        "kind,index,start,end\n"
+        "y,0,1,1\n"
+        "c,1,2,3\n"
+        "y,1,4,4\n"
+        "c,2,5,6\n"
+        "y,2,7,7\n"
+    ),
+    ("greedy-gaps", "json"): "sha256:48dbaf77878b42bc",
+    ("greedy-no-chunks", "table"): (
+        "word: 1,2,3\n"
+        "form: (1 2 3)\n"
+        "kind  index  start  end\n"
+        "y     0      1      3\n"
+        "chunks: 0  chunk letters: 0  word length: 0\n"
+    ),
+    ("greedy-no-chunks", "csv"): (
+        "kind,index,start,end\n"
+        "y,0,1,3\n"
+    ),
+    ("greedy-no-chunks", "json"): "sha256:935afaef76fb2358",
+    ("greedy-one-chunk", "table"): (
+        "word: 4,3,2,1\n"
+        "form: [4 3 2 1]\n"
+        "kind  index  start  end\n"
+        "c     1      1      4\n"
+        "chunks: 1  chunk letters: 4  word length: 6\n"
+    ),
+    ("greedy-one-chunk", "csv"): (
+        "kind,index,start,end\n"
+        "c,1,1,4\n"
+    ),
+    ("greedy-one-chunk", "json"): "sha256:49cccc51ea33184e",
+    ("reduce-classic", "table"): (
+        "parent: 3,2,1  |sigma| = 3\n"
+        "child  word_length\n"
+        "3,1,2  2\n"
+        "2,3,1  2\n"
+        "2,1,3  1\n"
+        "1,3,2  1\n"
+        "1,2,3  0\n"
+    ),
+    ("reduce-classic", "csv"): (
+        "child,word_length\n"
+        "3,1,2,2\n"
+        "2,3,1,2\n"
+        "2,1,3,1\n"
+        "1,3,2,1\n"
+        "1,2,3,0\n"
+    ),
+    ("reduce-classic", "json"): "sha256:5e0c7e6e69570b5d",
+    ("reduce-main", "table"): (
+        "parent: 1,3,2,4,5,6  |sigma| = 1\n"
+        "child        word_length\n"
+        "1,4,5,6,3,2  7\n"
+        "3,2,1,4,5,6  3\n"
+        "3,2,4,5,6,1  6\n"
+        "4,5,6,1,3,2  10\n"
+        "4,5,6,3,2,1  12\n"
+    ),
+    ("reduce-main", "csv"): (
+        "child,word_length\n"
+        "1,4,5,6,3,2,7\n"
+        "3,2,1,4,5,6,3\n"
+        "3,2,4,5,6,1,6\n"
+        "4,5,6,1,3,2,10\n"
+        "4,5,6,3,2,1,12\n"
+    ),
+    ("reduce-main", "json"): "sha256:4f564f25798efd7e",
+    ("closure-classic", "table"): (
+        "key            value\n"
+        "sources        10\n"
+        "visited        24\n"
+        "max_depth      5\n"
+        "terminal_size  14\n"
+    ),
+    ("closure-classic", "csv"): (
+        "key,value\n"
+        "sources,10\n"
+        "visited,24\n"
+        "max_depth,5\n"
+        "terminal_size,14\n"
+    ),
+    ("closure-classic", "json"): "sha256:8e2319a06df9c05d",
+    ("closure-main", "table"): (
+        "key              value\n"
+        "sources          1\n"
+        "visited          24\n"
+        "max_depth        1\n"
+        "terminal_size    23\n"
+        "complement_size  719\n"
+    ),
+    ("closure-main", "csv"): (
+        "key,value\n"
+        "sources,1\n"
+        "visited,24\n"
+        "max_depth,1\n"
+        "terminal_size,23\n"
+        "complement_size,719\n"
+    ),
+    ("closure-main", "json"): "sha256:ce7ecfb9bf4a543b",
+    ("closure-summary", "table"): (
+        "key              value\n"
+        "sources          1\n"
+        "visited          24\n"
+        "max_depth        1\n"
+        "terminal_size    23\n"
+        "complement_size  719\n"
+    ),
+    ("closure-summary", "csv"): (
+        "key,value\n"
+        "sources,1\n"
+        "visited,24\n"
+        "max_depth,1\n"
+        "terminal_size,23\n"
+        "complement_size,719\n"
+    ),
+    ("closure-summary", "json"): (
+        "{\n"
+        '  "mode": "main",\n'
+        '  "n": 6,\n'
+        '  "d": 4,\n'
+        '  "summary": {\n'
+        '    "visited": 24,\n'
+        '    "max_depth": 1,\n'
+        '    "terminal_size": 23,\n'
+        '    "complement_size": 719\n'
+        "  }\n"
+        "}\n"
+    ),
+    ("mahonian-check", "json", "--meta"): "sha256:9318de8ff9422f6d",
+    ("crossover", "csv", "--meta"): (
+        "# tool: codimgeo 0.1.0\n"
+        "# command: crossover --d-max 6\n"
+        "d,n\n"
+        "2,2\n"
+        "3,9\n"
+        "4,22\n"
+        "5,41\n"
+        "6,65\n"
+    ),
+    ("bounds", "csv", "--output"): "sha256:79209fbca0b581a3",
+    ("reduce-main", "table", "--meta"): (
+        "# tool: codimgeo 0.1.0\n"
+        "# command: reduce --perm 1,3,2,4,5,6 --d 3 --mode main\n"
+        "parent: 1,3,2,4,5,6  |sigma| = 1\n"
+        "child        word_length\n"
+        "1,4,5,6,3,2  7\n"
+        "3,2,1,4,5,6  3\n"
+        "3,2,4,5,6,1  6\n"
+        "4,5,6,1,3,2  10\n"
+        "4,5,6,3,2,1  12\n"
+    ),
+}
+
+
+def _digest(text):
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("key", list(GOLDEN), ids="-".join)
+def test_golden_output(capsys, tmp_path, key):
+    shape, fmt, *extra = key
+    target = tmp_path / "out"
+    argv = [*GOLDEN_SHAPES[shape], "--format", fmt, *extra]
+    if extra == ["--output"]:
+        argv.append(str(target))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if extra == ["--output"]:
+        assert out == ""
+        out = target.read_text()
+    expected = GOLDEN[key]
+    assert (_digest(out) if expected.startswith("sha256:") else out) == expected
