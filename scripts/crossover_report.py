@@ -12,7 +12,7 @@ the results can be plotted or diffed directly.
 import argparse
 import sys
 
-from codimgeo.bounds import compare_bounds, crossover_n, report_csv_lines
+from codimgeo.bounds import compare_bounds, crossover_n
 
 
 def crossover_lines(d_max):
@@ -24,7 +24,10 @@ def crossover_lines(d_max):
 
 def detail_lines(d):
     n_max = crossover_n(d) + 2
-    return report_csv_lines(compare_bounds(d, n_max))
+    lines = ["n,classic,theorem,phi,factorial,winner"]
+    for r in compare_bounds(d, n_max).rows:
+        lines.append(f"{r.n},{r.classic},{r.theorem},{r.phi},{r.factorial},{r.winner}")
+    return lines
 
 
 def main(argv=None):

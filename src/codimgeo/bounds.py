@@ -222,30 +222,3 @@ def compare_bounds(d: int, n_max: int) -> BoundReport:
             )
         )
     return BoundReport(d, tuple(rows))
-
-
-REPORT_CSV_HEADER = "n,classic,theorem,phi,factorial,winner"
-
-
-def report_csv_lines(report: BoundReport) -> list[str]:
-    lines = [REPORT_CSV_HEADER]
-    for r in report.rows:
-        lines.append(f"{r.n},{r.classic},{r.theorem},{r.phi},{r.factorial},{r.winner}")
-    return lines
-
-
-def report_json(report: BoundReport) -> dict:
-    return {
-        "d": report.d,
-        "rows": [
-            {
-                "n": r.n,
-                "classic": str(r.classic),
-                "theorem": str(r.theorem),
-                "phi": str(r.phi),
-                "factorial": str(r.factorial),
-                "winner": r.winner,
-            }
-            for r in report.rows
-        ],
-    }

@@ -1,30 +1,27 @@
 """Command-line surface: mahonian, bounds, crossover, verify, greedy, reduce.
 
-Formats: human table (default), CSV (header always present, comma-delimited,
-no quoting needed), and JSON.  Output is byte-deterministic; --meta prepends
-provenance comment lines (a "meta" object in JSON).  Exit codes: 0 success,
-1 verification or falsification failure, 2 usage or precondition error.
+Each command's handler computes one Result and does no output; _render alone
+writes it as a human table (default), CSV (header always present,
+comma-delimited, no quoting needed) or JSON.  Output is byte-deterministic;
+--meta prepends provenance comment lines (a "meta" object in JSON).  Exit
+codes: 0 success, 1 verification or falsification failure, 2 usage or
+precondition error.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .bounds import compare_bounds, crossover_n, report_csv_lines, report_json
+from .bounds import compare_bounds, crossover_n
 from .errors import FalsificationError, ScaleError
-from .greedy import annotated, chunk_stats, greedy_form_json, left_greedy_form
-from .mahonian import (
-    brute_force_row,
-    mahonian_knuth,
-    mahonian_row,
-    row_csv_lines,
-    row_json,
-)
+from .greedy import chunk_stats, left_greedy_form
+from .mahonian import brute_force_row, mahonian_knuth, mahonian_row
 from .perm import parse_permutation, word_length
-from .reduction import classic_step, main_closure, main_step, classic_closure, trace_json
+from .reduction import classic_step, main_closure, main_step, classic_closure
 from .verify import SUITES, check_request, run_suite
 
 EXIT_OK = 0
@@ -32,102 +29,110 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _render_table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for idx, cell in enumerate(row):
-            widths[idx] = max(widths[idx], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    return lines
+@dataclass(frozen=True)
+class Result:
+    """What one command produced, before it is rendered in the chosen format.
+
+    Table and CSV show columns and rows (raw cell values, printed with str);
+    JSON shows payload.  The table leaves out the first csv_only columns and
+    adds the lines before and after it.  failed marks a falsified claim.
+    """
+
+    command: str
+    columns: tuple[str, ...]
+    rows: list[tuple]
+    payload: dict
+    before: tuple[str, ...] = ()
+    after: tuple[str, ...] = ()
+    csv_only: int = 0
+    failed: bool = False
 
 
-def _emit(args, lines: list[str] | None, payload: dict | None, command: str) -> None:
-    """Render the chosen format with optional provenance and write it out."""
+def _render(args, result: Result) -> None:
+    """Write the result as a table, CSV or JSON, with optional provenance."""
     if args.format == "json":
-        if payload is None:
-            raise ValueError(f"{command}: no JSON payload to write")
+        payload = result.payload
         if args.meta:
-            payload = {"meta": {"tool": "codimgeo", "version": __version__, "command": command}, **payload}
+            meta = {"tool": "codimgeo", "version": __version__, "command": result.command}
+            payload = {"meta": meta, **payload}
         text = json.dumps(payload, indent=2)
     else:
-        if lines is None:
-            raise ValueError(f"{command}: no {args.format} lines to write")
-        prefix = []
+        lines = []
         if args.meta:
-            prefix = [f"# tool: codimgeo {__version__}", f"# command: {command}"]
-        text = "\n".join(prefix + lines)
+            lines += [f"# tool: codimgeo {__version__}", f"# command: {result.command}"]
+        if args.format == "csv":
+            lines.append(",".join(result.columns))
+            lines += [",".join(map(str, row)) for row in result.rows]
+        else:
+            skip = result.csv_only
+            cells = [result.columns[skip:]] + [[str(c) for c in row[skip:]] for row in result.rows]
+            widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
+            lines += result.before
+            lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
+            lines += result.after
+        text = "\n".join(lines)
     if args.output:
         Path(args.output).write_text(text + "\n")
     else:
         print(text)
 
 
-def _cmd_mahonian(args) -> int:
+def _cmd_mahonian(args) -> Result:
     if args.n < 1:
-        print("error: --n must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--n must be at least 1")
     row = mahonian_row(args.n)
-    check_note = None
+    after = ()
     if args.check:
         for k in range(0, args.n + 1):
             if mahonian_knuth(args.n, k) != row.coefficient(k):
-                print(f"error: closed form disagrees at k={k}", file=sys.stderr)
-                return EXIT_FAIL
-        if args.n <= 8:
-            if brute_force_row(args.n).coefficients != row.coefficients:
-                print("error: brute-force histogram disagrees", file=sys.stderr)
-                return EXIT_FAIL
-            check_note = "check: OK (closed form k <= n; brute force)"
-        else:
-            check_note = "check: OK (closed form k <= n)"
-    command = f"mahonian --n {args.n}" + (" --check" if args.check else "")
-    if args.format == "csv":
-        lines = ["n,k,count"] + row_csv_lines(row)
-    else:
-        lines = _render_table(
-            ["k", "count"], [[str(k), str(c)] for k, c in enumerate(row.coefficients)]
-        )
-        if check_note:
-            lines.append(check_note)
-    payload = row_json(row)
+                raise FalsificationError(f"closed form disagrees at k={k}")
+        brute = args.n <= 8
+        if brute and brute_force_row(args.n).coefficients != row.coefficients:
+            raise FalsificationError("brute-force histogram disagrees")
+        after = ("check: OK (closed form k <= n" + ("; brute force)" if brute else ")"),)
+    counts = [str(c) for c in row.coefficients]
+    payload = {"n": row.n, "coefficients": counts}
     if args.check:
         payload["check"] = "ok"
-    _emit(args, lines, payload, command)
-    return EXIT_OK
+    return Result(
+        command=f"mahonian --n {args.n}" + (" --check" if args.check else ""),
+        columns=("n", "k", "count"),
+        rows=[(row.n, k, c) for k, c in enumerate(counts)],
+        payload=payload,
+        after=after,
+        csv_only=1,
+    )
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> Result:
     report = compare_bounds(args.d, args.n_max)
-    command = f"bounds --d {args.d} --n-max {args.n_max}"
-    csv_lines = report_csv_lines(report)
-    if args.format == "csv":
-        lines = csv_lines
-    else:
-        header = csv_lines[0].split(",")
-        rows = [line.split(",") for line in csv_lines[1:]]
-        lines = _render_table(header, rows)
-    _emit(args, lines, report_json(report), command)
-    return EXIT_OK
+    columns = ("n", "classic", "theorem", "phi", "factorial", "winner")
+    rows = [
+        (r.n, str(r.classic), str(r.theorem), str(r.phi), str(r.factorial), r.winner)
+        for r in report.rows
+    ]
+    return Result(
+        command=f"bounds --d {args.d} --n-max {args.n_max}",
+        columns=columns,
+        rows=rows,
+        payload={"d": report.d, "rows": [dict(zip(columns, row)) for row in rows]},
+    )
 
 
-def _cmd_crossover(args) -> int:
+def _cmd_crossover(args) -> Result:
     if args.d_max < 2:
-        print("error: --d-max must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
-    pairs = [(d, crossover_n(d)) for d in range(2, args.d_max + 1)]
-    command = f"crossover --d-max {args.d_max}"
-    if args.format == "csv":
-        lines = ["d,n"] + [f"{d},{n}" for d, n in pairs]
-    else:
-        lines = _render_table(["d", "n"], [[str(d), str(n)] for d, n in pairs])
-    payload = {"rows": [{"d": d, "n": n} for d, n in pairs]}
-    _emit(args, lines, payload, command)
-    return EXIT_OK
+        raise ValueError("--d-max must be at least 2")
+    columns = ("d", "n")
+    rows = [(d, crossover_n(d)) for d in range(2, args.d_max + 1)]
+    return Result(
+        command=f"crossover --d-max {args.d_max}",
+        columns=columns,
+        rows=rows,
+        payload={"rows": [dict(zip(columns, row)) for row in rows]},
+    )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Result:
     names = [s.strip() for s in args.suites.split(",")] if args.suites else list(SUITES)
     for name in names:
         check_request(name, args.n_max)  # reject a bad request before any work
@@ -135,116 +140,103 @@ def _cmd_verify(args) -> int:
     command = "verify" + (f" --n-max {args.n_max}" if args.n_max is not None else "")
     if args.suites:
         command += f" --suites {args.suites}"
-    rows = []
-    failing = False
+    after = []
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        failing = failing or not r.passed
-        rows.append([r.name, str(r.n_max), str(r.checked), status])
-    if args.format == "csv":
-        lines = ["suite,n_max,checked,status"]
-        for row in rows:
-            lines.append(",".join(row))
-    else:
-        lines = _render_table(["suite", "n_max", "checked", "status"], rows)
-        for r in results:
-            for note in r.info:
-                lines.append(f"  {r.name}: {note}")
-            for failure in r.failures[:20]:
-                lines.append(f"  {r.name} counterexample: {failure}")
-    payload = {
-        "suites": [
-            {
-                "name": r.name,
-                "n_max": r.n_max,
-                "checked": r.checked,
-                "passed": r.passed,
-                "failures": list(r.failures),
-                "info": list(r.info),
-            }
-            for r in results
-        ]
-    }
-    _emit(args, lines, payload, command)
-    return EXIT_FAIL if failing else EXIT_OK
+        after += [f"  {r.name}: {note}" for note in r.info]
+        after += [f"  {r.name} counterexample: {failure}" for failure in r.failures[:20]]
+    suites = [
+        {"name": r.name, "n_max": r.n_max, "checked": r.checked, "passed": r.passed,
+         "failures": list(r.failures), "info": list(r.info)}
+        for r in results
+    ]
+    return Result(
+        command=command,
+        columns=("suite", "n_max", "checked", "status"),
+        rows=[(r.name, r.n_max, r.checked, "PASS" if r.passed else "FAIL") for r in results],
+        payload={"suites": suites},
+        after=tuple(after),
+        failed=not all(r.passed for r in results),
+    )
 
 
-def _cmd_greedy(args) -> int:
+def _cmd_greedy(args) -> Result:
     perm = parse_permutation(args.perm)
     form = left_greedy_form(perm)
     stats = chunk_stats(perm)
-    command = f"greedy --perm {args.perm}"
-    span_rows = []
-    for idx, chunk in enumerate(form.chunks):
-        gap = form.gaps[idx]
+    tiles = []  # (kind, index, span) in word order: y_0 c_1 y_1 ... c_k y_k
+    for idx, gap in enumerate(form.gaps):
         if gap is not None:
-            span_rows.append(["y", str(idx), str(gap.start), str(gap.end)])
-        span_rows.append(["c", str(idx + 1), str(chunk.start), str(chunk.end)])
-    if form.gaps[-1] is not None:
-        last = form.gaps[-1]
-        span_rows.append(["y", str(form.k), str(last.start), str(last.end)])
-    if args.format == "csv":
-        lines = ["kind,index,start,end"] + [",".join(r) for r in span_rows]
-    else:
-        lines = [f"word: {perm}", f"form: {annotated(form)}"]
-        lines += _render_table(["kind", "index", "start", "end"], span_rows)
-        lines.append(
-            f"chunks: {stats.chunk_count}  chunk letters: {stats.total_chunk_length}  "
-            f"word length: {stats.word_length}"
-        )
-    payload = greedy_form_json(form)
-    payload["stats"] = {
-        "chunk_count": stats.chunk_count,
-        "total_chunk_length": stats.total_chunk_length,
-        "word_length": stats.word_length,
+            tiles.append(("y", idx, gap))
+        if idx < form.k:
+            tiles.append(("c", idx + 1, form.chunks[idx]))
+    shown = []  # gaps in parentheses, chunks in brackets: "(1) [3 2] (4)"
+    for kind, _, span in tiles:
+        letters = " ".join(str(perm.image[i - 1]) for i in span.positions())
+        shown.append(f"({letters})" if kind == "y" else f"[{letters}]")
+    payload = {
+        "perm": str(perm),
+        "chunks": [[c.start, c.end] for c in form.chunks],
+        "gaps": [None if g is None else [g.start, g.end] for g in form.gaps],
+        "stats": asdict(stats),
     }
-    _emit(args, lines, payload, command)
-    return EXIT_OK
+    return Result(
+        command=f"greedy --perm {args.perm}",
+        columns=("kind", "index", "start", "end"),
+        rows=[(kind, idx, span.start, span.end) for kind, idx, span in tiles],
+        payload=payload,
+        before=(f"word: {perm}", f"form: {' '.join(shown) or '()'}"),
+        after=(
+            f"chunks: {stats.chunk_count}  chunk letters: {stats.total_chunk_length}  "
+            f"word length: {stats.word_length}",
+        ),
+    )
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> Result:
     if args.closure:
         if args.n is None or args.perm is not None:
-            print("error: --closure takes --n, not --perm", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--closure takes --n, not --perm")
         closure = classic_closure if args.mode == "classic" else main_closure
         trace = closure(args.n, args.d)
-        command = f"reduce --n {args.n} --d {args.d} --mode {args.mode} --closure"
-        summary = [
-            ("sources", str(len(trace.sources))),
-            ("visited", str(trace.visited)),
-            ("max_depth", str(trace.max_depth)),
-            ("terminal_size", str(len(trace.terminal_support))),
+        rows = [
+            ("sources", len(trace.sources)),
+            ("visited", trace.visited),
+            ("max_depth", trace.max_depth),
+            ("terminal_size", len(trace.terminal_support)),
         ]
         if trace.complement_size is not None:
-            summary.append(("complement_size", str(trace.complement_size)))
-        if args.format == "csv":
-            lines = ["key,value"] + [f"{k},{v}" for k, v in summary]
-        else:
-            lines = _render_table(["key", "value"], [[k, v] for k, v in summary])
-        _emit(args, lines, trace_json(trace, summary_only=args.summary_only), command)
-        return EXIT_OK
+            rows.append(("complement_size", trace.complement_size))
+        payload = {"mode": trace.mode, "n": trace.n, "d": trace.d, "summary": dict(rows[1:])}
+        if not args.summary_only:
+            payload["sources"] = [str(p) for p in trace.sources]
+            payload["steps"] = {
+                str(parent): [str(c) for c in children] for parent, children in trace.steps
+            }
+            payload["terminal"] = sorted(str(p) for p in trace.terminal_support)
+        return Result(
+            command=f"reduce --n {args.n} --d {args.d} --mode {args.mode} --closure",
+            columns=("key", "value"),
+            rows=rows,
+            payload=payload,
+        )
     if args.perm is None:
-        print("error: need --perm for a single step (or --closure with --n)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("need --perm for a single step (or --closure with --n)")
     perm = parse_permutation(args.perm)
     step = classic_step if args.mode == "classic" else main_step
-    children = step(perm, args.d)
-    command = f"reduce --perm {args.perm} --d {args.d} --mode {args.mode}"
-    rows = [[str(c), str(word_length(c))] for c in children]
-    if args.format == "csv":
-        lines = ["child,word_length"] + [",".join(r) for r in rows]
-    else:
-        lines = [f"parent: {perm}  |sigma| = {word_length(perm)}"]
-        lines += _render_table(["child", "word_length"], rows)
+    rows = [(str(c), word_length(c)) for c in step(perm, args.d)]
     payload = {
         "mode": args.mode,
         "d": args.d,
         "parent": str(perm),
-        "children": [{"perm": str(c), "word_length": word_length(c)} for c in children],
+        "children": [{"perm": c, "word_length": length} for c, length in rows],
     }
-    _emit(args, lines, payload, command)
-    return EXIT_OK
+    return Result(
+        command=f"reduce --perm {args.perm} --d {args.d} --mode {args.mode}",
+        columns=("child", "word_length"),
+        rows=rows,
+        payload=payload,
+        before=(f"parent: {perm}  |sigma| = {word_length(perm)}",),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,13 +294,15 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        result = args.handler(args)
     except FalsificationError as exc:
         print(f"falsification: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (ScaleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _render(args, result)
+    return EXIT_FAIL if result.failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -316,40 +316,3 @@ def chunk_stats(perm: Permutation) -> ChunkStats:
     form = left_greedy_form(perm)
     total = sum(chunk.length for chunk in form.chunks)
     return ChunkStats(form.k, total, word_length(perm))
-
-
-def annotated(form: GreedyForm) -> str:
-    """Render gaps in parentheses and chunks in brackets, e.g. "(1) [3 2] (4)"."""
-    image = form.perm.image
-
-    def values(span: Span) -> str:
-        return " ".join(str(image[i - 1]) for i in span.positions())
-
-    parts: list[str] = []
-    for idx, chunk in enumerate(form.chunks):
-        gap = form.gaps[idx]
-        if gap is not None:
-            parts.append(f"({values(gap)})")
-        parts.append(f"[{values(chunk)}]")
-    last = form.gaps[-1]
-    if last is not None:
-        parts.append(f"({values(last)})")
-    return " ".join(parts) if parts else "()"
-
-
-def greedy_form_json(form: GreedyForm) -> dict:
-    return {
-        "perm": str(form.perm),
-        "chunks": [[c.start, c.end] for c in form.chunks],
-        "gaps": [None if g is None else [g.start, g.end] for g in form.gaps],
-    }
-
-
-def decomposition_json(dec: PieceDecomposition) -> dict:
-    pieces = []
-    for piece in dec.pieces:
-        entry: dict = {"kind": piece.kind, "start": piece.span.start, "end": piece.span.end}
-        if piece.chunk_index is not None:
-            entry["chunk"] = piece.chunk_index
-        pieces.append(entry)
-    return {"perm": str(dec.perm), "pieces": pieces}

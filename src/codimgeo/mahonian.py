@@ -160,12 +160,3 @@ def ball_complement_count(n: int, radius: Radius) -> int:
     row = mahonian_row(n)
     lo = math.ceil(radius)
     return sum(row.coefficient(k) for k in range(max(lo, 0), row.max_inversions + 1))
-
-
-def row_csv_lines(row: MahonianRow) -> list[str]:
-    """Data lines "n,k,count" for one row."""
-    return [f"{row.n},{k},{c}" for k, c in enumerate(row.coefficients)]
-
-
-def row_json(row: MahonianRow) -> dict:
-    return {"n": row.n, "coefficients": [str(c) for c in row.coefficients]}

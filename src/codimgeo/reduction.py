@@ -214,23 +214,3 @@ def main_closure(n: int, d: int) -> ReductionTrace:
         step=main_step,
         complement_size=ball_complement_count(n, threshold),
     )
-
-
-def trace_json(trace: ReductionTrace, summary_only: bool = False) -> dict:
-    """Serialize a trace; summary_only suppresses edges and node lists."""
-    summary = {
-        "visited": trace.visited,
-        "max_depth": trace.max_depth,
-        "terminal_size": len(trace.terminal_support),
-    }
-    if trace.complement_size is not None:
-        summary["complement_size"] = trace.complement_size
-    out: dict = {"mode": trace.mode, "n": trace.n, "d": trace.d, "summary": summary}
-    if not summary_only:
-        out["sources"] = [str(p) for p in trace.sources]
-        out["steps"] = {
-            str(parent): [str(c) for c in children]
-            for parent, children in trace.steps
-        }
-        out["terminal"] = sorted(str(p) for p in trace.terminal_support)
-    return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .errors import effective_cap
+from .errors import FalsificationError, effective_cap
 from .greedy import (
     check_growth,
     chunk_stats,
@@ -203,7 +203,7 @@ def _run_main(n_max: int) -> _Outcome:
             threshold = Fraction(n - d, 2)
             try:
                 trace = main_closure(n, d)
-            except Exception as exc:  # falsification must surface, not crash
+            except FalsificationError as exc:  # a counterexample, reported as a failure
                 failures.append(f"n={n} d={d}: closure raised {exc}")
                 continue
             info.append(

@@ -10,8 +10,6 @@ from codimgeo.bounds import (
     crossover_n,
     mahonian_asymptotic,
     q_constant,
-    report_csv_lines,
-    report_json,
     tensor_identity_degree,
     theorem_bound,
     threshold_radius,
@@ -172,16 +170,3 @@ def test_compare_bounds_boundary_row():
 def test_compare_bounds_classic_wins_eventually():
     report = compare_bounds(3, 15)
     assert report.rows[-1].winner == "classic"
-
-
-def test_report_serialization_roundtrip():
-    report = compare_bounds(3, 9)
-    lines = report_csv_lines(report)
-    assert lines[0] == "n,classic,theorem,phi,factorial,winner"
-    for line, row in zip(lines[1:], report.rows):
-        n, classic, theorem, phi, factorial, winner = line.split(",")
-        assert (int(n), int(classic), int(theorem)) == (row.n, row.classic, row.theorem)
-        assert (int(phi), int(factorial), winner) == (row.phi, row.factorial, row.winner)
-    payload = report_json(report)
-    assert payload["d"] == 3
-    assert payload["rows"][0]["classic"] == str(report.rows[0].classic)

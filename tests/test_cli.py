@@ -1,11 +1,14 @@
-import argparse
 import hashlib
 import json
 import math
 
 import pytest
 
-from codimgeo.cli import _emit, main
+from codimgeo.bounds import compare_bounds
+from codimgeo.cli import main
+from codimgeo.errors import FalsificationError
+from codimgeo.mahonian import mahonian_knuth
+from codimgeo.reduction import main_closure
 
 
 def run(capsys, *argv):
@@ -44,6 +47,16 @@ def test_mahonian_json(capsys):
     assert payload == {"n": 3, "coefficients": ["1", "2", "2", "1"]}
 
 
+def test_mahonian_check_disagreement(capsys, monkeypatch):
+    def wrong_at_3(n, k):
+        return mahonian_knuth(n, k) + (k == 3)
+
+    monkeypatch.setattr("codimgeo.cli.mahonian_knuth", wrong_at_3)
+    code, out, err = run(capsys, "mahonian", "--n", "6", "--check")
+    assert (code, out) == (1, "")
+    assert err == "falsification: closed form disagrees at k=3\n"
+
+
 def test_mahonian_rejects_bad_degree(capsys):
     code, _, err = run(capsys, "mahonian", "--n", "0")
     assert code == 2
@@ -76,6 +89,26 @@ def test_bounds_boundary_row(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[2] == "24"
+
+
+def test_bounds_output_matches_report(capsys):
+    report = compare_bounds(3, 9)
+    argv = ("bounds", "--d", "3", "--n-max", "9", "--format")
+    lines = run(capsys, *argv, "csv")[1].splitlines()
+    payload = json.loads(run(capsys, *argv, "json")[1])
+    assert lines[0] == "n,classic,theorem,phi,factorial,winner"
+    assert payload["d"] == 3
+    for line, entry, row in zip(lines[1:], payload["rows"], report.rows, strict=True):
+        values = (row.n, row.classic, row.theorem, row.phi, row.factorial, row.winner)
+        assert line == ",".join(map(str, values))
+        assert entry == {
+            "n": row.n,
+            "classic": str(row.classic),
+            "theorem": str(row.theorem),
+            "phi": str(row.phi),
+            "factorial": str(row.factorial),
+            "winner": row.winner,
+        }
 
 
 def test_bounds_usage_error(capsys):
@@ -141,6 +174,27 @@ def test_verify_json_payload(capsys):
     assert suite["info"]
 
 
+def test_verify_main_reports_falsification(capsys, monkeypatch):
+    def falsified(p, d):
+        raise FalsificationError(f"no decomposition of {p}")
+
+    monkeypatch.setattr("codimgeo.reduction.main_step", falsified)
+    code, out, _ = run(capsys, "verify", "--n-max", "4", "--suites", "main")
+    assert code == 1
+    assert "FAIL" in out
+    assert "  main counterexample: n=3 d=2: closure raised no decomposition of 1,2,3\n" in out
+
+
+def test_verify_main_propagates_other_errors(monkeypatch):
+    # a programming error is not a counterexample
+    def broken(p, d):
+        raise TypeError("broken step")
+
+    monkeypatch.setattr("codimgeo.reduction.main_step", broken)
+    with pytest.raises(TypeError, match="broken step"):
+        main(["verify", "--n-max", "4", "--suites", "main"])
+
+
 def test_greedy_annotation(capsys):
     code, out, _ = run(capsys, "greedy", "--perm", "1,3,2,4")
     assert code == 0
@@ -150,7 +204,7 @@ def test_greedy_annotation(capsys):
 def test_greedy_no_chunks(capsys):
     code, out, _ = run(capsys, "greedy", "--perm", "1,2,3")
     assert code == 0
-    assert "chunks: 0" in out
+    assert "form: (1 2 3)" in out and "chunks: 0" in out
 
 
 def test_greedy_single_chunk(capsys):
@@ -163,7 +217,9 @@ def test_greedy_json(capsys):
     code, out, _ = run(capsys, "greedy", "--perm", "1,3,2,4", "--format", "json")
     assert code == 0
     payload = json.loads(out)
+    assert payload["perm"] == "1,3,2,4"
     assert payload["chunks"] == [[2, 3]]
+    assert payload["gaps"] == [[1, 1], [4, 4]]
     assert payload["stats"]["word_length"] == 1
 
 
@@ -236,6 +292,32 @@ def test_reduce_closure_json_summary_only(capsys):
     assert payload["summary"]["complement_size"] == 719
 
 
+def test_reduce_closure_json_shapes(capsys):
+    trace = main_closure(6, 4)
+    argv = ("reduce", "--n", "6", "--d", "4", "--mode", "main", "--closure", "--format", "json")
+    full = json.loads(run(capsys, *argv)[1])
+    assert (full["mode"], full["n"], full["d"]) == ("main", 6, 4)
+    assert full["summary"] == {
+        "visited": trace.visited,
+        "max_depth": trace.max_depth,
+        "terminal_size": len(trace.terminal_support),
+        "complement_size": 719,
+    }
+    assert full["sources"] == ["1,2,3,4,5,6"]
+    assert list(full["steps"]) == ["1,2,3,4,5,6"]
+    assert len(full["steps"]["1,2,3,4,5,6"]) == 23
+    assert full["terminal"] == sorted(str(p) for p in trace.terminal_support)
+    summary = json.loads(run(capsys, *argv, "--summary-only")[1])
+    assert summary == {key: full[key] for key in ("mode", "n", "d", "summary")}
+
+    classic = json.loads(
+        run(capsys, "reduce", "--n", "3", "--d", "2", "--mode", "classic", "--closure",
+            "--format", "json")[1]
+    )
+    assert "complement_size" not in classic["summary"]
+    assert classic["terminal"] == ["1,2,3"]
+
+
 def test_reduce_closure_requires_n(capsys):
     code, _, err = run(capsys, "reduce", "--perm", "2,1", "--d", "2", "--mode", "classic", "--closure")
     assert code == 2
@@ -296,14 +378,6 @@ def test_env_cap_cannot_raise_limits(capsys, monkeypatch):
     monkeypatch.setenv("CODIM_MAX_N", "50")
     code, _, err = run(capsys, "verify", "--n-max", "8", "--suites", "metric")
     assert code == 2
-
-
-@pytest.mark.parametrize("fmt, lines, payload", [("json", ["x"], None), ("table", None, {})])
-def test_emit_rejects_missing_output(fmt, lines, payload):
-    # explicit checks, so they hold under python -O as well
-    args = argparse.Namespace(format=fmt, meta=False, output=None)
-    with pytest.raises(ValueError):
-        _emit(args, lines, payload, "cmd")
 
 
 # One argument vector per command shape; each runs in all three formats.

@@ -5,14 +5,11 @@ from codimgeo.greedy import (
     Piece,
     PieceDecomposition,
     Span,
-    annotated,
     apply_rearrangement,
     check_growth,
     chunk_stats,
-    decomposition_json,
     enumerate_chunk_preserving,
     first_chunk_preserving,
-    greedy_form_json,
     initial_chunk,
     left_greedy_form,
 )
@@ -102,12 +99,6 @@ def test_left_greedy_form_equals_fixpoint_oracle_exhaustively():
         for p in all_permutations(n):
             form = left_greedy_form(p)
             assert (form.chunks, form.gaps) == _fixpoint_form(p), p
-
-
-def test_annotated_rendering():
-    assert annotated(left_greedy_form(Permutation((1, 3, 2, 4)))) == "(1) [3 2] (4)"
-    assert annotated(left_greedy_form(identity(3))) == "(1 2 3)"
-    assert annotated(left_greedy_form(reversal(3))) == "[3 2 1]"
 
 
 @given(permutations())
@@ -320,24 +311,6 @@ def test_growth_holds_exhaustively_for_small_degrees():
             for pieces in range(2, n + 1):
                 for dec in enumerate_chunk_preserving(form, pieces):
                     assert check_growth(dec), (p, pieces)
-
-
-def test_json_serializers():
-    form = left_greedy_form(Permutation((1, 3, 2, 4)))
-    assert greedy_form_json(form) == {
-        "perm": "1,3,2,4",
-        "chunks": [[2, 3]],
-        "gaps": [[1, 1], [4, 4]],
-    }
-    dec = enumerate_chunk_preserving(form, 3)[0]
-    assert decomposition_json(dec) == {
-        "perm": "1,3,2,4",
-        "pieces": [
-            {"kind": "y", "start": 1, "end": 1},
-            {"kind": "c", "start": 2, "end": 3, "chunk": 1},
-            {"kind": "y", "start": 4, "end": 4},
-        ],
-    }
 
 
 @given(permutations(max_n=6))

@@ -12,8 +12,6 @@ from codimgeo.mahonian import (
     mahonian_knuth,
     mahonian_row,
     pentagonal,
-    row_csv_lines,
-    row_json,
 )
 
 KNOWN_ROWS = {
@@ -116,9 +114,3 @@ def test_complement_examples():
     assert ball_complement_count(4, 0) == 24
     # an integer radius keeps its own sphere: 24 - I_4(0) - I_4(1) = 20
     assert ball_complement_count(4, 2) == 20
-
-
-def test_serializers():
-    row = mahonian_row(3)
-    assert row_csv_lines(row) == ["3,0,1", "3,1,2", "3,2,2", "3,3,1"]
-    assert row_json(row) == {"n": 3, "coefficients": ["1", "2", "2", "1"]}

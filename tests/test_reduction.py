@@ -20,7 +20,6 @@ from codimgeo.reduction import (
     classic_step,
     main_closure,
     main_step,
-    trace_json,
 )
 
 
@@ -195,21 +194,3 @@ def test_every_ball_member_rewrites_without_falsification():
                     continue
                 children = main_step(p, d)  # would raise on falsification
                 assert len(children) == math.factorial(d) - 1
-
-
-def test_trace_json_shapes():
-    trace = main_closure(6, 4)
-    full = trace_json(trace)
-    assert full["mode"] == "main"
-    assert full["summary"]["visited"] == trace.visited
-    assert full["summary"]["complement_size"] == 719
-    assert full["sources"] == ["1,2,3,4,5,6"]
-    assert set(full["steps"]) == {"1,2,3,4,5,6"}
-    assert len(full["steps"]["1,2,3,4,5,6"]) == 23
-    summary = trace_json(trace, summary_only=True)
-    assert "steps" not in summary and "sources" not in summary and "terminal" not in summary
-    assert summary["summary"]["terminal_size"] == len(trace.terminal_support)
-
-    classic = trace_json(classic_closure(3, 2))
-    assert "complement_size" not in classic["summary"]
-    assert classic["terminal"] == ["1,2,3"]
