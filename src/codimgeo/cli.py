@@ -145,8 +145,14 @@ def _cmd_verify(args) -> Result:
         after += [f"  {r.name}: {note}" for note in r.info]
         after += [f"  {r.name} counterexample: {failure}" for failure in r.failures[:20]]
     suites = [
-        {"name": r.name, "n_max": r.n_max, "checked": r.checked, "passed": r.passed,
-         "failures": list(r.failures), "info": list(r.info)}
+        {
+            "name": r.name,
+            "n_max": r.n_max,
+            "checked": r.checked,
+            "passed": r.passed,
+            "failures": list(r.failures),
+            "info": list(r.info),
+        }
         for r in results
     ]
     return Result(
@@ -206,6 +212,7 @@ def _cmd_reduce(args) -> Result:
         ]
         if trace.complement_size is not None:
             rows.append(("complement_size", trace.complement_size))
+        # the JSON summary has no source count; the full payload lists the sources
         payload = {"mode": trace.mode, "n": trace.n, "d": trace.d, "summary": dict(rows[1:])}
         if not args.summary_only:
             payload["sources"] = [str(p) for p in trace.sources]
