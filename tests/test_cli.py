@@ -310,10 +310,8 @@ def test_reduce_closure_json_shapes(capsys):
     summary = json.loads(run(capsys, *argv, "--summary-only")[1])
     assert summary == {key: full[key] for key in ("mode", "n", "d", "summary")}
 
-    classic = json.loads(
-        run(capsys, "reduce", "--n", "3", "--d", "2", "--mode", "classic", "--closure",
-            "--format", "json")[1]
-    )
+    argv = ("reduce", "--n", "3", "--d", "2", "--mode", "classic", "--closure", "--format", "json")
+    classic = json.loads(run(capsys, *argv)[1])
     assert "complement_size" not in classic["summary"]
     assert classic["terminal"] == ["1,2,3"]
 
