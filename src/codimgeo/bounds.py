@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .mahonian import ball_complement_count
@@ -34,13 +33,20 @@ def classic_bound(n: int, d: int) -> int:
     return (d - 1) ** (2 * n)
 
 
-def threshold_radius(n: int, d: int) -> Fraction:
-    """The exact word-metric threshold K = (n - d)/2."""
+def ball_radius(n: int, d: int) -> int:
+    """The threshold K = (n - d)/2 as the integer ceil(K).
+
+    Word lengths are integers, so a length is below K exactly when it is
+    below ceil(K).
+
+    >>> ball_radius(7, 4), ball_radius(6, 4)
+    (2, 1)
+    """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     if n < d:
         raise ValueError(f"threshold needs n >= d, got n = {n}, d = {d}")
-    return Fraction(n - d, 2)
+    return (n - d + 1) // 2
 
 
 def theorem_bound(n: int, d: int) -> int:
@@ -49,7 +55,7 @@ def theorem_bound(n: int, d: int) -> int:
     >>> theorem_bound(6, 4)
     719
     """
-    return ball_complement_count(n, threshold_radius(n, d))
+    return ball_complement_count(n, ball_radius(n, d))
 
 
 def _least_factorial_dominance(base: int) -> int:

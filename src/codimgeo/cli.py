@@ -5,7 +5,8 @@ writes it as a human table (default), CSV (header always present,
 comma-delimited, no quoting needed) or JSON.  Output is byte-deterministic;
 --meta prepends provenance comment lines (a "meta" object in JSON).  Exit
 codes: 0 success, 1 verification or falsification failure, 2 usage or
-precondition error.
+precondition error (an unwritable --output included).  A --perm argument is
+validated once, as a Permutation; everything past that takes its image tuple.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .bounds import compare_bounds, crossover_n
 from .errors import FalsificationError, ScaleError
 from .greedy import chunk_stats, left_greedy_form
 from .mahonian import brute_force_row, mahonian_knuth, mahonian_row
-from .perm import parse_permutation, word_length
+from .perm import one_line, parse_permutation, word_length
 from .reduction import classic_step, main_closure, main_step, classic_closure
 from .verify import SUITES, check_request, run_suite
 
@@ -72,7 +73,10 @@ def _render(args, result: Result) -> None:
             lines += result.after
         text = "\n".join(lines)
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        try:
+            Path(args.output).write_text(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         print(text)
 
@@ -166,7 +170,7 @@ def _cmd_verify(args) -> Result:
 
 
 def _cmd_greedy(args) -> Result:
-    perm = parse_permutation(args.perm)
+    perm = parse_permutation(args.perm).image
     form = left_greedy_form(perm)
     stats = chunk_stats(perm)
     tiles = []  # (kind, index, span) in word order: y_0 c_1 y_1 ... c_k y_k
@@ -177,10 +181,10 @@ def _cmd_greedy(args) -> Result:
             tiles.append(("c", idx + 1, form.chunks[idx]))
     shown = []  # gaps in parentheses, chunks in brackets: "(1) [3 2] (4)"
     for kind, _, span in tiles:
-        letters = " ".join(str(perm.image[i - 1]) for i in span.positions())
+        letters = " ".join(str(perm[i - 1]) for i in span.positions())
         shown.append(f"({letters})" if kind == "y" else f"[{letters}]")
     payload = {
-        "perm": str(perm),
+        "perm": one_line(perm),
         "chunks": [[c.start, c.end] for c in form.chunks],
         "gaps": [None if g is None else [g.start, g.end] for g in form.gaps],
         "stats": asdict(stats),
@@ -190,7 +194,7 @@ def _cmd_greedy(args) -> Result:
         columns=("kind", "index", "start", "end"),
         rows=[(kind, idx, span.start, span.end) for kind, idx, span in tiles],
         payload=payload,
-        before=(f"word: {perm}", f"form: {' '.join(shown) or '()'}"),
+        before=(f"word: {one_line(perm)}", f"form: {' '.join(shown) or '()'}"),
         after=(
             f"chunks: {stats.chunk_count}  chunk letters: {stats.total_chunk_length}  "
             f"word length: {stats.word_length}",
@@ -215,11 +219,12 @@ def _cmd_reduce(args) -> Result:
         # the JSON summary has no source count; the full payload lists the sources
         payload = {"mode": trace.mode, "n": trace.n, "d": trace.d, "summary": dict(rows[1:])}
         if not args.summary_only:
-            payload["sources"] = [str(p) for p in trace.sources]
+            payload["sources"] = [one_line(p) for p in trace.sources]
             payload["steps"] = {
-                str(parent): [str(c) for c in children] for parent, children in trace.steps
+                one_line(parent): [one_line(c) for c in children]
+                for parent, children in trace.steps
             }
-            payload["terminal"] = sorted(str(p) for p in trace.terminal_support)
+            payload["terminal"] = sorted(one_line(p) for p in trace.terminal_support)
         return Result(
             command=f"reduce --n {args.n} --d {args.d} --mode {args.mode} --closure",
             columns=("key", "value"),
@@ -228,13 +233,13 @@ def _cmd_reduce(args) -> Result:
         )
     if args.perm is None:
         raise ValueError("need --perm for a single step (or --closure with --n)")
-    perm = parse_permutation(args.perm)
+    perm = parse_permutation(args.perm).image
     step = classic_step if args.mode == "classic" else main_step
-    rows = [(str(c), word_length(c)) for c in step(perm, args.d)]
+    rows = [(one_line(c), word_length(c)) for c in step(perm, args.d)]
     payload = {
         "mode": args.mode,
         "d": args.d,
-        "parent": str(perm),
+        "parent": one_line(perm),
         "children": [{"perm": c, "word_length": length} for c, length in rows],
     }
     return Result(
@@ -242,7 +247,7 @@ def _cmd_reduce(args) -> Result:
         columns=("child", "word_length"),
         rows=rows,
         payload=payload,
-        before=(f"parent: {perm}  |sigma| = {word_length(perm)}",),
+        before=(f"parent: {one_line(perm)}  |sigma| = {word_length(perm)}",),
     )
 
 
@@ -302,13 +307,13 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         result = args.handler(args)
+        _render(args, result)
     except FalsificationError as exc:
         print(f"falsification: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (ScaleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _render(args, result)
     return EXIT_FAIL if result.failed else EXIT_OK
 
 

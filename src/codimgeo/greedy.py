@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .perm import Permutation, word_length
+from .perm import Image, word_length
 
 GAP = "y"
 CHUNK = "c"
@@ -54,7 +54,7 @@ class Span:
 class GreedyForm:
     """The tiling w = y_0 c_1 y_1 ... c_k y_k; gaps[i] is None when empty."""
 
-    perm: Permutation
+    perm: Image
     chunks: tuple[Span, ...]
     gaps: tuple[Span | None, ...]
 
@@ -67,38 +67,22 @@ class GreedyForm:
         return len(self.chunks)
 
 
-def initial_chunk(perm: Permutation) -> tuple[Span | None, Span | None, Span | None]:
-    """Split the word as (leading gap, initial chunk, remaining suffix).
-
-    For the identity the whole word is a gap: (Span(1, n), None, None).
-
-    >>> initial_chunk(Permutation((1, 3, 2, 4)))
-    (Span(start=1, end=1), Span(start=2, end=3), Span(start=4, end=4))
-    """
-    form = left_greedy_form(perm)
-    if not form.chunks:
-        return (Span(1, perm.n), None, None)
-    chunk = form.chunks[0]
-    after = Span(chunk.end + 1, perm.n) if chunk.end < perm.n else None
-    return (form.gaps[0], chunk, after)
-
-
-def left_greedy_form(perm: Permutation) -> GreedyForm:
+def left_greedy_form(perm: Image) -> GreedyForm:
     """Cut the word where max sigma(1..j) = j; longer blocks are the chunks.
 
-    >>> gf = left_greedy_form(Permutation((2, 1, 4, 3)))
+    >>> gf = left_greedy_form((2, 1, 4, 3))
     >>> gf.chunks
     (Span(start=1, end=2), Span(start=3, end=4))
     >>> gf.gaps
     (None, None, None)
     """
-    n = perm.n
+    n = len(perm)
     chunks: list[Span] = []
     gaps: list[Span | None] = []
     cursor = 1  # first position not yet in a chunk or a gap
     block = 1  # first position of the current sum component
     high = 0
-    for j, value in enumerate(perm.image, 1):
+    for j, value in enumerate(perm, 1):
         high = max(high, value)
         if high == j:
             if j > block:
@@ -129,7 +113,7 @@ class Piece:
 class PieceDecomposition:
     """A tiling of the word into consecutive nonempty pieces."""
 
-    perm: Permutation
+    perm: Image
     pieces: tuple[Piece, ...]
 
     def __post_init__(self):
@@ -138,23 +122,19 @@ class PieceDecomposition:
             if piece.span.start != cursor:
                 raise ValueError("pieces must tile the word consecutively")
             cursor = piece.span.end + 1
-        if cursor != self.perm.n + 1:
+        if cursor != len(self.perm) + 1:
             raise ValueError("pieces must cover every position")
 
     @property
     def p(self) -> int:
         return len(self.pieces)
 
-    @property
-    def chunk_piece_count(self) -> int:
-        return sum(1 for piece in self.pieces if piece.kind == CHUNK)
-
 
 def _classify_pieces(form: GreedyForm, spans: list[Span]) -> tuple[Piece, ...] | None:
     """Label spans as gap or chunk pieces, or None if not chunk-preserving."""
     chunks = form.chunks
     k = len(chunks)
-    n = form.perm.n
+    n = len(form.perm)
     pieces: list[Piece] = []
     t = 0  # next chunk not yet covered
     for span in spans:
@@ -186,13 +166,13 @@ def enumerate_chunk_preserving(form: GreedyForm, pieces: int) -> list[PieceDecom
     decomposition into 2 pieces.  first_chunk_preserving builds element [0]
     directly; this full listing serves the growth checks and is its oracle.
 
-    >>> form = left_greedy_form(Permutation((1, 3, 2, 4)))
+    >>> form = left_greedy_form((1, 3, 2, 4))
     >>> [len(d.pieces) for d in enumerate_chunk_preserving(form, 3)]
     [3]
     """
     if pieces < 1:
         raise ValueError(f"need at least one piece, got {pieces}")
-    n = form.perm.n
+    n = len(form.perm)
     if pieces > n:
         return []
     found: list[PieceDecomposition] = []
@@ -221,14 +201,14 @@ def first_chunk_preserving(form: GreedyForm, pieces: int) -> PieceDecomposition 
     that leaves a feasible suffix, which yields the lexicographically least
     boundary tuple.
 
-    >>> first_chunk_preserving(left_greedy_form(Permutation((1, 3, 2, 4))), 3).p
+    >>> first_chunk_preserving(left_greedy_form((1, 3, 2, 4)), 3).p
     3
-    >>> first_chunk_preserving(left_greedy_form(Permutation((3, 2, 1))), 2) is None
+    >>> first_chunk_preserving(left_greedy_form((3, 2, 1)), 2) is None
     True
     """
     if pieces < 1:
         raise ValueError(f"need at least one piece, got {pieces}")
-    n = form.perm.n
+    n = len(form.perm)
     chunk_at = {chunk.start: (index, chunk.end) for index, chunk in enumerate(form.chunks, 1)}
     atoms = [0] * (n + 2)
     low = [0] * (n + 2)
@@ -259,22 +239,30 @@ def first_chunk_preserving(form: GreedyForm, pieces: int) -> PieceDecomposition 
     return PieceDecomposition(form.perm, tuple(out))
 
 
-def apply_rearrangement(dec: PieceDecomposition, tau: Permutation) -> Permutation:
-    """Concatenate the pieces in the order tau: piece tau(i) lands in slot i.
+def nonidentity_orders(p: int):
+    """The p! - 1 nontrivial 0-based orders of p pieces, in dictionary order.
 
-    >>> form = left_greedy_form(Permutation((1, 3, 2, 4)))
+    >>> list(nonidentity_orders(2))
+    [(1, 0)]
+    """
+    return itertools.islice(itertools.permutations(range(p)), 1, None)
+
+
+def apply_rearrangement(dec: PieceDecomposition, order: tuple[int, ...]) -> Image:
+    """Concatenate the pieces in a 0-based order: piece order[i] lands in slot i.
+
+    >>> form = left_greedy_form((1, 3, 2, 4))
     >>> dec = enumerate_chunk_preserving(form, 3)[0]
-    >>> apply_rearrangement(dec, Permutation((2, 3, 1))).image
+    >>> apply_rearrangement(dec, (1, 2, 0))
     (3, 2, 4, 1)
     """
-    if tau.n != dec.p:
-        raise ValueError(f"tau must permute {dec.p} pieces, got degree {tau.n}")
-    image = dec.perm.image
+    if sorted(order) != list(range(dec.p)):
+        raise ValueError(f"order must permute the {dec.p} pieces, got {order}")
     out: list[int] = []
-    for slot in range(1, tau.n + 1):
-        span = dec.pieces[tau.value_at(slot) - 1].span
-        out.extend(image[span.start - 1:span.end])
-    return Permutation(tuple(out))
+    for t in order:
+        span = dec.pieces[t].span
+        out.extend(dec.perm[span.start - 1:span.end])
+    return tuple(out)
 
 
 def check_growth(dec: PieceDecomposition) -> bool:
@@ -285,17 +273,13 @@ def check_growth(dec: PieceDecomposition) -> bool:
     if dec.p < 2:
         raise ValueError("growth needs at least two pieces")
     form = left_greedy_form(dec.perm)
-    if form.k == 1 and form.chunks[0].length == dec.perm.n:
+    if form.k == 1 and form.chunks[0].length == len(dec.perm):
         raise ValueError("word is a single chunk; growth does not apply")
     base = word_length(dec.perm)
-    slots = range(1, dec.p + 1)
-    for images in itertools.permutations(slots):
-        tau = Permutation(images)
-        if tau.image == tuple(slots):
-            continue
-        if word_length(apply_rearrangement(dec, tau)) <= base:
-            return False
-    return True
+    return all(
+        word_length(apply_rearrangement(dec, order)) > base
+        for order in nonidentity_orders(dec.p)
+    )
 
 
 @dataclass(frozen=True)
@@ -307,10 +291,10 @@ class ChunkStats:
     word_length: int
 
 
-def chunk_stats(perm: Permutation) -> ChunkStats:
+def chunk_stats(perm: Image) -> ChunkStats:
     """Summary triple (k, sum of chunk lengths, |sigma|).
 
-    >>> chunk_stats(Permutation((2, 1, 4, 3)))
+    >>> chunk_stats((2, 1, 4, 3))
     ChunkStats(chunk_count=2, total_chunk_length=4, word_length=2)
     """
     form = left_greedy_form(perm)

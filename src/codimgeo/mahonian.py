@@ -7,22 +7,19 @@ The generating function is the q-factorial
 computed exactly by iterated sliding-window convolution.  A closed form due
 to Knuth expresses I_n(k) as an alternating sum of binomials indexed by the
 generalized pentagonal numbers.  Ball counts in the word metric reduce to
-prefix and suffix sums of a row; radii may be half-integers, entering through
-their ceiling.
+prefix and suffix sums of a row.  Radii are integers: word lengths are, so a
+real radius K acts as ceil(K).
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import check_scale
 
 BRUTE_FORCE_MAX_N = 9
-
-Radius = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -130,33 +127,31 @@ def mahonian_knuth(n: int, k: int) -> int:
         j += 1
 
 
-def ball_count(n: int, radius: Radius) -> int:
+def ball_count(n: int, radius: int) -> int:
     """Number of permutations with word length strictly below the radius.
 
-    #B(K) = sum_{k < K} I_n(k); half-integer radii enter via ceil(K) - 1.
+    #B(K) = sum_{k < K} I_n(k).
 
-    >>> ball_count(4, Fraction(5, 2))
+    >>> ball_count(4, 3)
     9
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
     row = mahonian_row(n)
-    top = math.ceil(radius) - 1
-    return sum(row.coefficient(k) for k in range(0, top + 1))
+    return sum(row.coefficient(k) for k in range(0, radius))
 
 
-def ball_complement_count(n: int, radius: Radius) -> int:
-    """Number of permutations with word length at least ceil(K).
+def ball_complement_count(n: int, radius: int) -> int:
+    """Number of permutations with word length at least the radius.
 
     Canonical form of the complement count:
 
-        #B^(K) = sum_{k = ceil(K)}^{C(n,2)} I_n(k)
+        #B^(K) = sum_{k = K}^{C(n,2)} I_n(k)
 
-    >>> ball_complement_count(4, Fraction(5, 2))
+    >>> ball_complement_count(4, 3)
     15
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
     row = mahonian_row(n)
-    lo = math.ceil(radius)
-    return sum(row.coefficient(k) for k in range(max(lo, 0), row.max_inversions + 1))
+    return sum(row.coefficient(k) for k in range(max(radius, 0), row.max_inversions + 1))

@@ -1,7 +1,9 @@
 """Permutations in one-line notation and their inversion geometry.
 
 Positions and values are 1-based throughout: a permutation of degree n is
-stored as the tuple (sigma(1), ..., sigma(n)).  The inversion set of sigma is
+the image tuple (sigma(1), ..., sigma(n)), and every function here takes and
+returns such tuples.  Permutation validates one that comes from outside the
+library; its .image is what gets passed in.  The inversion set of sigma is
 
     R(sigma) = {(i, j) : i < j and sigma(j) < sigma(i)}
 
@@ -24,39 +26,43 @@ CAYLEY_BFS_MAX_N = 6
 COUNT_GOOD_MAX_N = 9
 
 
+Image = tuple[int, ...]
+
+
+def one_line(image: Image) -> str:
+    """Comma-separated one-line notation.
+
+    >>> one_line((2, 1, 4, 3))
+    '2,1,4,3'
+    """
+    return ",".join(map(str, image))
+
+
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of {1, ..., n} in one-line notation.
+    """A validated permutation of {1, ..., n}, for input from outside the library.
 
-    >>> Permutation((2, 1, 4, 3)).n
-    4
+    >>> Permutation([2, 1, 4, 3]).image
+    (2, 1, 4, 3)
     >>> str(Permutation((2, 1, 4, 3)))
     '2,1,4,3'
     """
 
-    image: tuple[int, ...]
+    image: Image
 
     def __post_init__(self):
-        n = len(self.image)
+        image = tuple(self.image)
+        object.__setattr__(self, "image", image)
+        n = len(image)
         if n < 1:
             raise ValueError("degree must be at least 1")
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.image}")
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    def value_at(self, i: int) -> int:
-        """sigma(i) for a 1-based position i."""
-        return self.image[i - 1]
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in image):
+            raise ValueError(f"entries must be integers: {image}")
+        if sorted(image) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {image}")
 
     def __str__(self) -> str:
-        return ",".join(str(v) for v in self.image)
-
-
-def make_permutation(values) -> Permutation:
-    return Permutation(tuple(values))
+        return one_line(self.image)
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -72,19 +78,18 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(values)
 
 
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
+def identity(n: int) -> Image:
+    return tuple(range(1, n + 1))
 
 
-def reversal(n: int) -> Permutation:
+def reversal(n: int) -> Image:
     """The order-reversing permutation, the unique longest element."""
-    return Permutation(tuple(range(n, 0, -1)))
+    return tuple(range(n, 0, -1))
 
 
 def all_permutations(n: int):
-    """Yield all n! permutations of degree n in dictionary order."""
-    for image in itertools.permutations(range(1, n + 1)):
-        yield Permutation(image)
+    """All n! permutations of degree n, in dictionary order."""
+    return itertools.permutations(range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -102,18 +107,14 @@ class InversionSet:
             if not (1 <= i < j <= self.n):
                 raise ValueError(f"pair {(i, j)} out of range for n = {self.n}")
 
-    def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
 
-
-def inversion_set(perm: Permutation) -> InversionSet:
+def inversion_set(image: Image) -> InversionSet:
     """All pairs of positions holding values out of order.
 
-    >>> sorted(inversion_set(Permutation((2, 1, 4, 3))).pairs)
+    >>> sorted(inversion_set((2, 1, 4, 3)).pairs)
     [(1, 2), (3, 4)]
     """
-    image = perm.image
-    n = perm.n
+    n = len(image)
     pairs = frozenset(
         (i, j)
         for i in range(1, n + 1)
@@ -123,13 +124,12 @@ def inversion_set(perm: Permutation) -> InversionSet:
     return InversionSet(n, pairs)
 
 
-def word_length(perm: Permutation) -> int:
+def word_length(image: Image) -> int:
     """The word metric |sigma| = number of inversions.
 
     >>> word_length(reversal(4))
     6
     """
-    image = perm.image
     # Insertion count: each value adds one inversion per larger value before it.
     seen: list[int] = []
     total = 0
@@ -156,13 +156,13 @@ def _cayley_distances(n: int) -> dict[tuple[int, ...], int]:
     return dist
 
 
-def cayley_distance_bfs(perm: Permutation) -> int:
+def cayley_distance_bfs(image: Image) -> int:
     """Distance to the identity in the adjacent-transposition Cayley graph.
 
     Independent BFS oracle for word_length; exhaustive, so capped at n <= 6.
     """
-    check_scale(perm.n, CAYLEY_BFS_MAX_N, "cayley_distance_bfs")
-    return _cayley_distances(perm.n)[perm.image]
+    check_scale(len(image), CAYLEY_BFS_MAX_N, "cayley_distance_bfs")
+    return _cayley_distances(len(image))[image]
 
 
 def validate_inversion_set(candidate: InversionSet) -> None:
@@ -184,7 +184,7 @@ def validate_inversion_set(candidate: InversionSet) -> None:
                     raise InvalidInversionSetError("interpolation", (i, j, k))
 
 
-def from_inversion_set(candidate: InversionSet) -> Permutation:
+def from_inversion_set(candidate: InversionSet) -> Image:
     """Reconstruct the unique permutation with the given inversion set.
 
     The value at position i is determined by counting, among the other
@@ -192,7 +192,7 @@ def from_inversion_set(candidate: InversionSet) -> Permutation:
 
         sigma(i) = 1 + #{j > i : (i,j) in R} + #{j < i : (j,i) not in R}
 
-    >>> from_inversion_set(InversionSet(3, frozenset({(1, 2)}))).image
+    >>> from_inversion_set(InversionSet(3, frozenset({(1, 2)})))
     (2, 1, 3)
     """
     validate_inversion_set(candidate)
@@ -203,19 +203,19 @@ def from_inversion_set(candidate: InversionSet) -> Permutation:
         after = sum(1 for j in range(i + 1, n + 1) if (i, j) in pairs)
         before = sum(1 for j in range(1, i) if (j, i) not in pairs)
         image.append(1 + after + before)
-    return Permutation(tuple(image))
+    return tuple(image)
 
 
-def longest_decreasing(perm: Permutation) -> int:
+def longest_decreasing(image: Image) -> int:
     """Length of the longest strictly decreasing value subsequence.
 
     Patience sorting on negated values, O(n log n).
 
-    >>> longest_decreasing(Permutation((4, 1, 3, 2)))
+    >>> longest_decreasing((4, 1, 3, 2))
     3
     """
     tails: list[int] = []
-    for v in perm.image:
+    for v in image:
         pos = bisect_left(tails, -v)
         if pos == len(tails):
             tails.append(-v)
@@ -224,30 +224,29 @@ def longest_decreasing(perm: Permutation) -> int:
     return len(tails)
 
 
-def is_d_good(perm: Permutation, d: int) -> bool:
+def is_d_good(image: Image, d: int) -> bool:
     """True when no strictly decreasing subsequence of length d exists.
 
     Any d > n is vacuously good.  Requires d >= 2.
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    return longest_decreasing(perm) < d
+    return longest_decreasing(image) < d
 
 
-def find_d_bad_witness(perm: Permutation, d: int) -> tuple[int, ...] | None:
+def find_d_bad_witness(image: Image, d: int) -> tuple[int, ...] | None:
     """Dictionary-least increasing positions carrying strictly decreasing values.
 
-    Returns None when perm is d-good.  Among all witnesses (i_1 < ... < i_d
+    Returns None when the permutation is d-good.  Among all witnesses (i_1 < ... < i_d
     with sigma(i_1) > ... > sigma(i_d)) the returned tuple is least in the
     dictionary order on position tuples.
 
-    >>> find_d_bad_witness(Permutation((4, 1, 3, 2)), 3)
+    >>> find_d_bad_witness((4, 1, 3, 2), 3)
     (1, 3, 4)
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    image = perm.image
-    n = perm.n
+    n = len(image)
     if d > n:
         return None
     # drop[i] = longest strictly decreasing subsequence starting at position i.
@@ -273,17 +272,6 @@ def find_d_bad_witness(perm: Permutation, d: int) -> tuple[int, ...] | None:
     return tuple(witness)
 
 
-def dictionary_compare(a: Permutation, b: Permutation) -> int:
-    """-1, 0, or 1 comparing one-line images lexicographically."""
-    if a.n != b.n:
-        raise ValueError(f"degree mismatch: {a.n} vs {b.n}")
-    if a.image < b.image:
-        return -1
-    if a.image > b.image:
-        return 1
-    return 0
-
-
 def count_d_good(n: int, d: int) -> int:
     """Exhaustive count of d-good permutations of degree n.  Capped at n <= 9.
 
@@ -297,17 +285,4 @@ def count_d_good(n: int, d: int) -> int:
     if n < 1:
         raise ValueError("degree must be at least 1")
     check_scale(n, COUNT_GOOD_MAX_N, "count_d_good")
-    count = 0
-    for image in itertools.permutations(range(1, n + 1)):
-        tails: list[int] = []
-        for v in image:
-            pos = bisect_left(tails, -v)
-            if pos == len(tails):
-                tails.append(-v)
-            else:
-                tails[pos] = -v
-            if len(tails) >= d:
-                break
-        if len(tails) < d:
-            count += 1
-    return count
+    return sum(1 for image in all_permutations(n) if longest_decreasing(image) < d)

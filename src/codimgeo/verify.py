@@ -5,16 +5,16 @@ structural claims: the word-metric identity, inversion-set round-trips, the
 d-bad length floor, the good-count ceiling, greedy-form structure, chunk size
 accounting, rearrangement growth, and the two rewriting closures.  The
 per-permutation suites share one sweep and state only their check, which
-maps a permutation to its failures.  Failures are collected as printable
+maps an image tuple to its failures.  Failures are collected as printable
 counterexample strings, never raised.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
+from .bounds import ball_radius
 from .errors import FalsificationError, effective_cap
 from .greedy import (
     check_growth,
@@ -24,15 +24,15 @@ from .greedy import (
 )
 from .mahonian import ball_complement_count
 from .perm import (
-    Permutation,
+    Image,
     all_permutations,
     cayley_distance_bfs,
     count_d_good,
-    dictionary_compare,
     from_inversion_set,
     inversion_set,
     is_d_good,
     longest_decreasing,
+    one_line,
     validate_inversion_set,
     word_length,
 )
@@ -56,7 +56,7 @@ class SuiteResult:
 _Outcome = tuple[int, list[str], list[str]]
 
 
-def _sweep(check: Callable[[Permutation], list[str]]) -> Callable[[int], _Outcome]:
+def _sweep(check: Callable[[Image], list[str]]) -> Callable[[int], _Outcome]:
     """A runner applying check to every permutation of degree 1 through n_max."""
 
     def run(n_max: int) -> _Outcome:
@@ -71,28 +71,28 @@ def _sweep(check: Callable[[Permutation], list[str]]) -> Callable[[int], _Outcom
     return run
 
 
-def _check_metric(p: Permutation) -> list[str]:
+def _check_metric(p: Image) -> list[str]:
     if word_length(p) != cayley_distance_bfs(p):
-        return [f"{p}: word_length != BFS distance"]
+        return [f"{one_line(p)}: word_length != BFS distance"]
     return []
 
 
-def _check_roundtrip(p: Permutation) -> list[str]:
+def _check_roundtrip(p: Image) -> list[str]:
     r = inversion_set(p)
     try:
         validate_inversion_set(r)
     except ValueError as exc:
-        return [f"{p}: inversion set violates axioms ({exc})"]
+        return [f"{one_line(p)}: inversion set violates axioms ({exc})"]
     if from_inversion_set(r) != p:
-        return [f"{p}: round-trip mismatch"]
+        return [f"{one_line(p)}: round-trip mismatch"]
     return []
 
 
-def _check_badsize(p: Permutation) -> list[str]:
+def _check_badsize(p: Image) -> list[str]:
     # |sigma| >= L(L-1)/2 for L the longest decreasing run covers every d <= L
     longest = longest_decreasing(p)
     if word_length(p) < longest * (longest - 1) // 2:
-        return [f"{p}: length below the {longest}-bad floor"]
+        return [f"{one_line(p)}: length below the {longest}-bad floor"]
     return []
 
 
@@ -111,7 +111,7 @@ def _run_dilworth(n_max: int) -> _Outcome:
     return checked, failures, info
 
 
-def _check_lgf(p: Permutation) -> list[str]:
+def _check_lgf(p: Image) -> list[str]:
     form = left_greedy_form(p)
     covered = []
     for idx, chunk in enumerate(form.chunks):
@@ -121,8 +121,8 @@ def _check_lgf(p: Permutation) -> list[str]:
         covered.extend(chunk.positions())
     if form.gaps[-1] is not None:
         covered.extend(form.gaps[-1].positions())
-    if covered != list(range(1, p.n + 1)):
-        return [f"{p}: spans do not tile the word"]
+    if covered != list(range(1, len(p) + 1)):
+        return [f"{one_line(p)}: spans do not tile the word"]
     chunk_of = {}
     for idx, chunk in enumerate(form.chunks):
         for pos in chunk.positions():
@@ -130,22 +130,22 @@ def _check_lgf(p: Permutation) -> list[str]:
     failures = []
     for i, j in inversion_set(p).pairs:
         if i not in chunk_of:
-            failures.append(f"{p}: gap position {i} starts inversion ({i},{j})")
+            failures.append(f"{one_line(p)}: gap position {i} starts inversion ({i},{j})")
         elif j not in chunk_of or chunk_of[i] != chunk_of[j]:
-            failures.append(f"{p}: inversion ({i},{j}) crosses a chunk border")
+            failures.append(f"{one_line(p)}: inversion ({i},{j}) crosses a chunk border")
     return failures
 
 
-def _check_chunks(p: Permutation) -> list[str]:
+def _check_chunks(p: Image) -> list[str]:
     stats = chunk_stats(p)
     failures = []
     if stats.chunk_count > stats.word_length:
-        failures.append(f"{p}: more chunks than inversions")
+        failures.append(f"{one_line(p)}: more chunks than inversions")
     if stats.total_chunk_length > stats.word_length + stats.chunk_count:
-        failures.append(f"{p}: chunk letters exceed |sigma| + k")
+        failures.append(f"{one_line(p)}: chunk letters exceed |sigma| + k")
     for i, j in inversion_set(p).pairs:
         if stats.word_length < j - i:
-            failures.append(f"{p}: inversion ({i},{j}) longer than |sigma|")
+            failures.append(f"{one_line(p)}: inversion ({i},{j}) longer than |sigma|")
     return failures
 
 
@@ -162,7 +162,7 @@ def _run_growth(n_max: int) -> _Outcome:
                     checked += 1
                     if not check_growth(dec):
                         failures.append(
-                            f"{p}: some rearrangement of {pieces} pieces fails to grow"
+                            f"{one_line(p)}: some rearrangement of {pieces} pieces fails to grow"
                         )
     return checked, failures, []
 
@@ -181,14 +181,14 @@ def _run_classic(n_max: int) -> _Outcome:
             for p in trace.terminal_support:
                 checked += 1
                 if not is_d_good(p, d):
-                    failures.append(f"n={n} d={d}: terminal {p} is {d}-bad")
+                    failures.append(f"n={n} d={d}: terminal {one_line(p)} is {d}-bad")
             expected = math.factorial(d) - 1
             for parent, children in trace.steps:
                 checked += 1
                 if len(children) != expected or len(set(children)) != expected:
-                    failures.append(f"n={n} d={d}: {parent} has wrong child count")
-                if any(dictionary_compare(c, parent) >= 0 for c in children):
-                    failures.append(f"n={n} d={d}: {parent} has non-descending child")
+                    failures.append(f"n={n} d={d}: {one_line(parent)} has wrong child count")
+                if any(c >= parent for c in children):
+                    failures.append(f"n={n} d={d}: {one_line(parent)} has non-descending child")
             if len(trace.terminal_support) > count_d_good(n, d):
                 failures.append(f"n={n} d={d}: terminal support exceeds good count")
     return checked, failures, info
@@ -200,7 +200,7 @@ def _run_main(n_max: int) -> _Outcome:
     info = []
     for n in range(2, n_max + 1):
         for d in range(2, n + 1):
-            threshold = Fraction(n - d, 2)
+            radius = ball_radius(n, d)
             try:
                 trace = main_closure(n, d)
             except FalsificationError as exc:  # a counterexample, reported as a failure
@@ -212,21 +212,21 @@ def _run_main(n_max: int) -> _Outcome:
             )
             for p in trace.terminal_support:
                 checked += 1
-                if word_length(p) < threshold:
-                    failures.append(f"n={n} d={d}: terminal {p} is inside the ball")
+                if word_length(p) < radius:
+                    failures.append(f"n={n} d={d}: terminal {one_line(p)} is inside the ball")
             expected = math.factorial(d) - 1
             for parent, children in trace.steps:
                 checked += 1
                 if len(children) != expected:
-                    failures.append(f"n={n} d={d}: {parent} has wrong child count")
+                    failures.append(f"n={n} d={d}: {one_line(parent)} has wrong child count")
                 base = word_length(parent)
                 if any(word_length(c) <= base for c in children):
-                    failures.append(f"n={n} d={d}: {parent} has non-growing child")
+                    failures.append(f"n={n} d={d}: {one_line(parent)} has non-growing child")
             if len(trace.steps) != len(trace.sources):
                 failures.append(f"n={n} d={d}: some ball member was not rewritten")
             if trace.max_depth > n * (n - 1) // 2:
                 failures.append(f"n={n} d={d}: depth exceeds C(n,2)")
-            if trace.complement_size != ball_complement_count(n, threshold):
+            if trace.complement_size != ball_complement_count(n, radius):
                 failures.append(f"n={n} d={d}: complement cross-reference mismatch")
     return checked, failures, info
 

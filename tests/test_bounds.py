@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from codimgeo.bounds import (
+    ball_radius,
     classic_bound,
     compare_bounds,
     complement_lower_bound,
@@ -12,7 +13,6 @@ from codimgeo.bounds import (
     q_constant,
     tensor_identity_degree,
     theorem_bound,
-    threshold_radius,
 )
 from codimgeo.mahonian import mahonian_row
 
@@ -26,11 +26,19 @@ def test_classic_bound_values():
         classic_bound(3, 1)
 
 
-def test_threshold_radius_is_exact():
-    assert threshold_radius(7, 4) == Fraction(3, 2)
-    assert threshold_radius(6, 4) == 1
+def test_ball_radius_is_exact():
+    # a word length is below (n - d)/2 exactly when it is below the ceiling
+    for d in range(2, 9):
+        for n in range(d, 16):
+            radius = ball_radius(n, d)
+            assert isinstance(radius, int)
+            assert all((k < Fraction(n - d, 2)) == (k < radius) for k in range(0, n * n))
+    assert ball_radius(7, 4) == 2
+    assert ball_radius(6, 4) == 1
     with pytest.raises(ValueError):
-        threshold_radius(3, 4)
+        ball_radius(3, 4)
+    with pytest.raises(ValueError):
+        ball_radius(3, 1)
 
 
 def test_theorem_bound_values():

@@ -8,6 +8,7 @@ from codimgeo.bounds import compare_bounds
 from codimgeo.cli import main
 from codimgeo.errors import FalsificationError
 from codimgeo.mahonian import mahonian_knuth
+from codimgeo.perm import one_line
 from codimgeo.reduction import main_closure
 
 
@@ -176,7 +177,7 @@ def test_verify_json_payload(capsys):
 
 def test_verify_main_reports_falsification(capsys, monkeypatch):
     def falsified(p, d):
-        raise FalsificationError(f"no decomposition of {p}")
+        raise FalsificationError(f"no decomposition of {one_line(p)}")
 
     monkeypatch.setattr("codimgeo.reduction.main_step", falsified)
     code, out, _ = run(capsys, "verify", "--n-max", "4", "--suites", "main")
@@ -306,7 +307,7 @@ def test_reduce_closure_json_shapes(capsys):
     assert full["sources"] == ["1,2,3,4,5,6"]
     assert list(full["steps"]) == ["1,2,3,4,5,6"]
     assert len(full["steps"]["1,2,3,4,5,6"]) == 23
-    assert full["terminal"] == sorted(str(p) for p in trace.terminal_support)
+    assert full["terminal"] == sorted(one_line(p) for p in trace.terminal_support)
     summary = json.loads(run(capsys, *argv, "--summary-only")[1])
     assert summary == {key: full[key] for key in ("mode", "n", "d", "summary")}
 
@@ -334,6 +335,14 @@ def test_output_writes_file(tmp_path, capsys):
     assert out == ""
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "n,k,count" and lines[1] == "4,0,1"
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "row.csv"
+    code, out, err = run(capsys, "mahonian", "--n", "3", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_meta_adds_comment_headers(capsys):

@@ -10,11 +10,10 @@ from codimgeo.greedy import (
     chunk_stats,
     enumerate_chunk_preserving,
     first_chunk_preserving,
-    initial_chunk,
     left_greedy_form,
+    nonidentity_orders,
 )
 from codimgeo.perm import (
-    Permutation,
     all_permutations,
     identity,
     inversion_set,
@@ -26,7 +25,7 @@ from codimgeo.perm import (
 @st.composite
 def permutations(draw, max_n=7):
     n = draw(st.integers(min_value=1, max_value=max_n))
-    return Permutation(tuple(draw(st.permutations(tuple(range(1, n + 1))))))
+    return tuple(draw(st.permutations(tuple(range(1, n + 1)))))
 
 
 def _fixpoint_form(perm):
@@ -36,7 +35,7 @@ def _fixpoint_form(perm):
     extend the right end while some position of the block has an inversion
     partner beyond it; repeat on the rest of the word.  Returns (chunks, gaps).
     """
-    image, n = perm.image, perm.n
+    image, n = perm, len(perm)
     chunks, gaps = [], []
     cursor = 1
     while True:
@@ -72,20 +71,12 @@ def test_span_validation():
     assert Span(2, 5).length == 4
 
 
-def test_initial_chunk_examples():
-    assert initial_chunk(identity(4)) == (Span(1, 4), None, None)
-    assert initial_chunk(Permutation((1, 3, 2, 4))) == (Span(1, 1), Span(2, 3), Span(4, 4))
-    assert initial_chunk(reversal(4)) == (None, Span(1, 4), None)
-    # the first prefix holding {1, ..., j} is the whole word
-    assert initial_chunk(Permutation((3, 1, 2))) == (None, Span(1, 3), None)
-
-
 def test_left_greedy_form_examples():
-    form = left_greedy_form(Permutation((2, 1, 4, 3)))
+    form = left_greedy_form((2, 1, 4, 3))
     assert form.chunks == (Span(1, 2), Span(3, 4))
     assert form.gaps == (None, None, None)
 
-    form = left_greedy_form(Permutation((1, 3, 2, 4)))
+    form = left_greedy_form((1, 3, 2, 4))
     assert form.chunks == (Span(2, 3),)
     assert form.gaps == (Span(1, 1), Span(4, 4))
 
@@ -111,7 +102,7 @@ def test_greedy_form_tiles_word(p):
         covered.extend(chunk.positions())
     if form.gaps[-1] is not None:
         covered.extend(form.gaps[-1].positions())
-    assert covered == list(range(1, p.n + 1))
+    assert covered == list(range(1, len(p) + 1))
 
 
 @given(permutations())
@@ -143,7 +134,7 @@ def test_piece_validation():
 
 
 def test_decomposition_must_tile():
-    p = Permutation((2, 1, 3))
+    p = (2, 1, 3)
     with pytest.raises(ValueError):
         PieceDecomposition(p, (Piece(Span(1, 2), "c", 1),))
     with pytest.raises(ValueError):
@@ -160,7 +151,7 @@ def test_enumerate_identity_all_gap_splits():
 
 
 def test_enumerate_respects_chunks():
-    form = left_greedy_form(Permutation((1, 3, 2, 4)))
+    form = left_greedy_form((1, 3, 2, 4))
     two = enumerate_chunk_preserving(form, 2)
     assert [[(pc.span.start, pc.span.end, pc.kind) for pc in d.pieces] for d in two] == [
         [(1, 1, "y"), (2, 4, "c")]
@@ -174,7 +165,7 @@ def test_enumerate_respects_chunks():
 
 def test_enumerate_absorbing_tail():
     # two chunks; a final piece may swallow the second one
-    form = left_greedy_form(Permutation((2, 1, 4, 3)))
+    form = left_greedy_form((2, 1, 4, 3))
     assert form.k == 2
     one = enumerate_chunk_preserving(form, 1)
     assert len(one) == 1
@@ -214,7 +205,7 @@ def test_enumerated_decompositions_are_chunk_preserving(p, pieces):
                 assert lead is not None and piece.span.end >= lead.end
                 if len(held) > 1:
                     assert piece is dec.pieces[-1]
-                    assert piece.span.end == p.n
+                    assert piece.span.end == len(p)
 
 
 def test_enumeration_is_nonempty_exactly_between_low_and_atoms():
@@ -231,7 +222,7 @@ def test_enumeration_is_nonempty_exactly_between_low_and_atoms():
 
 
 def test_first_chunk_preserving_examples():
-    form = left_greedy_form(Permutation((1, 3, 2, 4, 6, 5, 7)))
+    form = left_greedy_form((1, 3, 2, 4, 6, 5, 7))
     first = first_chunk_preserving(form, 3)
     assert [(pc.span.start, pc.span.end, pc.kind, pc.chunk_index) for pc in first.pieces] == [
         (1, 1, "y", None), (2, 4, "c", 1), (5, 7, "c", 2)
@@ -253,22 +244,31 @@ def test_first_chunk_preserving_equals_first_enumerated_exhaustively():
 
 
 def test_apply_rearrangement_example():
-    form = left_greedy_form(Permutation((1, 3, 2, 4)))
+    form = left_greedy_form((1, 3, 2, 4))
     dec = enumerate_chunk_preserving(form, 3)[0]
-    assert apply_rearrangement(dec, Permutation((2, 3, 1))).image == (3, 2, 4, 1)
-    assert apply_rearrangement(dec, identity(3)) == dec.perm
+    assert apply_rearrangement(dec, (1, 2, 0)) == (3, 2, 4, 1)
+    assert apply_rearrangement(dec, (0, 1, 2)) == dec.perm
     with pytest.raises(ValueError):
-        apply_rearrangement(dec, identity(2))
+        apply_rearrangement(dec, (0, 1))
+    with pytest.raises(ValueError):
+        apply_rearrangement(dec, (0, 0, 1))
+
+
+def test_nonidentity_orders_skip_only_the_identity():
+    orders = list(nonidentity_orders(3))
+    assert orders == sorted(orders)
+    assert len(set(orders)) == 5 and (0, 1, 2) not in orders
+    assert list(nonidentity_orders(1)) == []
 
 
 def test_transposing_pieces_can_reverse_word():
-    form = left_greedy_form(Permutation((1, 3, 2, 4)))
+    form = left_greedy_form((1, 3, 2, 4))
     dec = enumerate_chunk_preserving(form, 3)[0]
-    assert apply_rearrangement(dec, Permutation((3, 2, 1))).image == (4, 3, 2, 1)
+    assert apply_rearrangement(dec, (2, 1, 0)) == (4, 3, 2, 1)
 
 
 def test_check_growth_examples():
-    form = left_greedy_form(Permutation((1, 3, 2, 4)))
+    form = left_greedy_form((1, 3, 2, 4))
     dec = enumerate_chunk_preserving(form, 3)[0]
     assert check_growth(dec)
     two_letters = enumerate_chunk_preserving(left_greedy_form(identity(2)), 2)[0]
@@ -280,16 +280,16 @@ def test_check_growth_preconditions():
     with pytest.raises(ValueError):
         check_growth(whole)  # fewer than two pieces
     fake = PieceDecomposition(
-        Permutation((2, 1)), (Piece(Span(1, 1), "y"), Piece(Span(2, 2), "y"))
+        (2, 1), (Piece(Span(1, 1), "y"), Piece(Span(2, 2), "y"))
     )
     with pytest.raises(ValueError):
         check_growth(fake)  # the whole word is one chunk
-    split = enumerate_chunk_preserving(left_greedy_form(Permutation((2, 1, 3))), 2)
+    split = enumerate_chunk_preserving(left_greedy_form((2, 1, 3)), 2)
     assert split and check_growth(split[0])
 
 
 def test_chunk_stats_examples():
-    stats = chunk_stats(Permutation((2, 1, 4, 3)))
+    stats = chunk_stats((2, 1, 4, 3))
     assert (stats.chunk_count, stats.total_chunk_length, stats.word_length) == (2, 4, 2)
     stats = chunk_stats(reversal(4))
     assert (stats.chunk_count, stats.total_chunk_length, stats.word_length) == (1, 4, 6)
@@ -316,4 +316,4 @@ def test_growth_holds_exhaustively_for_small_degrees():
 @given(permutations(max_n=6))
 def test_word_length_of_reversal_dominates(p):
     # any rearrangement of single letters is bounded by the reversal length
-    assert word_length(p) <= p.n * (p.n - 1) // 2
+    assert word_length(p) <= len(p) * (len(p) - 1) // 2

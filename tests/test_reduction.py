@@ -1,15 +1,13 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codimgeo.bounds import ball_radius
 from codimgeo.errors import FalsificationError, ScaleError
 from codimgeo.mahonian import ball_complement_count
 from codimgeo.perm import (
-    Permutation,
     all_permutations,
-    dictionary_compare,
     identity,
     is_d_good,
     reversal,
@@ -28,51 +26,49 @@ def test_classic_step_on_reversal():
     assert len(children) == 5
     assert len(set(children)) == 5
     for child in children:
-        assert dictionary_compare(child, reversal(3)) == -1
+        assert child < reversal(3)
     assert identity(3) in children
 
 
 def test_classic_step_d2_swaps_blocks():
-    children = classic_step(Permutation((2, 1)), 2)
-    assert [c.image for c in children] == [(1, 2)]
-    children = classic_step(Permutation((2, 1, 3)), 2)
-    assert [c.image for c in children] == [(1, 3, 2)]
+    assert classic_step((2, 1), 2) == ((1, 2),)
+    assert classic_step((2, 1, 3), 2) == ((1, 3, 2),)
 
 
 def test_classic_step_uses_least_witness():
     # witness (1, 3, 4): blocks split at positions 1, 3, 4
-    children = classic_step(Permutation((4, 1, 3, 2)), 3)
+    children = classic_step((4, 1, 3, 2), 3)
     assert len(children) == 5
-    assert Permutation((3, 2, 4, 1)) in children  # blocks reordered 2,3,1
+    assert (3, 2, 4, 1) in children  # blocks reordered 2,3,1
     for child in children:
-        assert dictionary_compare(child, Permutation((4, 1, 3, 2))) == -1
+        assert child < (4, 1, 3, 2)
 
 
 def test_classic_step_keeps_prefix_fixed():
     # witness starts at position 2; position 1 never moves
-    p = Permutation((1, 4, 3, 2))
+    p = (1, 4, 3, 2)
     for child in classic_step(p, 3):
-        assert child.value_at(1) == 1
+        assert child[0] == 1
 
 
 def test_classic_step_rejects_good_input():
     with pytest.raises(ValueError):
         classic_step(identity(3), 2)
     with pytest.raises(ValueError):
-        classic_step(Permutation((2, 1)), 3)
+        classic_step((2, 1), 3)
 
 
 @given(st.permutations(tuple(range(1, 7))), st.integers(min_value=2, max_value=6))
 @settings(max_examples=200, deadline=None)
 def test_classic_step_properties(image, d):
-    p = Permutation(tuple(image))
+    p = tuple(image)
     if is_d_good(p, d):
         return
     children = classic_step(p, d)
     assert len(children) == math.factorial(d) - 1
     assert len(set(children)) == len(children)
     for child in children:
-        assert dictionary_compare(child, p) == -1
+        assert child < p
 
 
 def test_classic_closure_small():
@@ -83,7 +79,7 @@ def test_classic_closure_small():
     assert trace.visited == 6
     for parent, children in trace.steps:
         for child in children:
-            assert dictionary_compare(child, parent) == -1
+            assert child < parent
 
 
 def test_classic_closure_terminal_is_good():
@@ -111,7 +107,7 @@ def test_classic_closure_rejects_out_of_range():
 
 
 def test_main_step_inside_ball():
-    p = Permutation((1, 3, 2, 4, 5, 6))
+    p = (1, 3, 2, 4, 5, 6)
     assert word_length(p) == 1
     children = main_step(p, 3)
     assert len(children) == 5
@@ -127,7 +123,7 @@ def test_main_step_identity_gap_pieces():
 
 def test_main_step_domain_errors():
     with pytest.raises(ValueError):
-        main_step(Permutation((2, 1, 4, 3, 5, 6)), 3)  # |sigma| = 2 >= 1.5
+        main_step((2, 1, 4, 3, 5, 6), 3)  # |sigma| = 2 >= ceil(1.5)
     with pytest.raises(ValueError):
         main_step(identity(4), 4)  # threshold 0: nothing is inside the ball
     with pytest.raises(ValueError):
@@ -140,9 +136,8 @@ def test_main_closure_small():
     assert trace.sources == (identity(6),)
     assert trace.max_depth == 1
     assert trace.complement_size == ball_complement_count(6, 1) == 719
-    threshold = Fraction(1)
     for p in trace.terminal_support:
-        assert word_length(p) >= threshold
+        assert word_length(p) >= 1
 
 
 def test_main_closure_empty_ball():
@@ -156,7 +151,7 @@ def test_main_closure_empty_ball():
 
 def test_main_closure_drives_ball_out():
     trace = main_closure(7, 3)
-    threshold = Fraction(7 - 3, 2)
+    threshold = ball_radius(7, 3)
     assert len(trace.sources) == 7  # identity plus the six adjacent swaps
     assert all(word_length(p) >= threshold for p in trace.terminal_support)
     assert all(word_length(p) < threshold for p in trace.sources)
@@ -188,7 +183,7 @@ def test_closure_is_deterministic():
 def test_every_ball_member_rewrites_without_falsification():
     for n in range(2, 8):
         for d in range(2, n + 1):
-            threshold = Fraction(n - d, 2)
+            threshold = ball_radius(n, d)
             for p in all_permutations(n):
                 if word_length(p) >= threshold:
                     continue
