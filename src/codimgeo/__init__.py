@@ -28,8 +28,6 @@ from .errors import FalsificationError, InvalidInversionSetError, ScaleError
 from .greedy import (
     ChunkStats,
     GreedyForm,
-    Piece,
-    PieceDecomposition,
     Span,
     apply_rearrangement,
     check_growth,
@@ -86,8 +84,6 @@ __all__ = [
     "InversionSet",
     "MahonianRow",
     "Permutation",
-    "Piece",
-    "PieceDecomposition",
     "ReductionTrace",
     "ScaleError",
     "Span",

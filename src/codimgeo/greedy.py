@@ -15,7 +15,9 @@ A decomposition of the word into consecutive nonempty pieces is
 chunk-preserving when each piece either contains no chunk positions (a gap
 piece) or starts exactly at some chunk's start and covers that chunk; only
 the final piece may run on into later chunks, in which case it extends to the
-end of the word.
+end of the word.  A decomposition into p pieces is its tuple of cuts
+1 <= c_1 < ... < c_{p-1} <= n - 1: piece i ends at position c_i and the last
+piece ends at n.
 """
 from __future__ import annotations
 
@@ -23,9 +25,6 @@ import itertools
 from dataclasses import dataclass
 
 from .perm import Image, word_length
-
-GAP = "y"
-CHUNK = "c"
 
 
 @dataclass(frozen=True)
@@ -94,149 +93,93 @@ def left_greedy_form(perm: Image) -> GreedyForm:
     return GreedyForm(perm, tuple(chunks), tuple(gaps))
 
 
-@dataclass(frozen=True)
-class Piece:
-    """One consecutive piece of a decomposition; chunk pieces carry their index."""
+def _chunk_preserving(form: GreedyForm, cuts: tuple[int, ...]) -> bool:
+    """Are the pieces ending at cuts[0], cuts[1], ... and n chunk-preserving?
 
-    span: Span
-    kind: str
-    chunk_index: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in (GAP, CHUNK):
-            raise ValueError(f"kind must be {GAP!r} or {CHUNK!r}")
-        if (self.kind == CHUNK) != (self.chunk_index is not None):
-            raise ValueError("chunk pieces and only chunk pieces carry an index")
-
-
-@dataclass(frozen=True)
-class PieceDecomposition:
-    """A tiling of the word into consecutive nonempty pieces."""
-
-    perm: Image
-    pieces: tuple[Piece, ...]
-
-    def __post_init__(self):
-        cursor = 1
-        for piece in self.pieces:
-            if piece.span.start != cursor:
-                raise ValueError("pieces must tile the word consecutively")
-            cursor = piece.span.end + 1
-        if cursor != len(self.perm) + 1:
-            raise ValueError("pieces must cover every position")
-
-    @property
-    def p(self) -> int:
-        return len(self.pieces)
-
-
-def _classify_pieces(form: GreedyForm, spans: list[Span]) -> tuple[Piece, ...] | None:
-    """Label spans as gap or chunk pieces, or None if not chunk-preserving."""
+    The cuts must be strictly increasing inside 1..n-1.  No cut falls
+    strictly inside a chunk, a piece holding a chunk start begins at one, and
+    only the last piece may hold two or more.
+    """
     chunks = form.chunks
-    k = len(chunks)
-    n = len(form.perm)
-    pieces: list[Piece] = []
     t = 0  # next chunk not yet covered
-    for span in spans:
-        if t < k and span.end >= chunks[t].start:
-            # span contains chunk t's start, so it must be the chunk piece
-            if span.start != chunks[t].start or span.end < chunks[t].end:
-                return None
-            if t + 1 < k and span.end >= chunks[t + 1].start:
-                # runs into a later chunk: only legal as the final piece
-                if span.end != n:
-                    return None
-                pieces.append(Piece(span, CHUNK, t + 1))
-                t = k
-            else:
-                pieces.append(Piece(span, CHUNK, t + 1))
-                t += 1
-        else:
-            pieces.append(Piece(span, GAP))
-    return tuple(pieces)
+    begin = 1
+    for end in cuts:
+        # a piece that also holds chunk t + 1's start leaves that chunk
+        # starting before the next piece, which fails below or at the return
+        if t < len(chunks) and chunks[t].start <= end:
+            if chunks[t].start != begin or end < chunks[t].end:
+                return False
+            t += 1
+        begin = end + 1
+    return t == len(chunks) or chunks[t].start == begin
 
 
-def enumerate_chunk_preserving(form: GreedyForm, pieces: int) -> list[PieceDecomposition]:
-    """All chunk-preserving decompositions into the given number of pieces.
+def enumerate_chunk_preserving(form: GreedyForm, pieces: int) -> list[tuple[int, ...]]:
+    """The cut tuples of all chunk-preserving decompositions into p pieces.
 
-    Ordered lexicographically by the tuple of piece boundaries.  Counting each
-    gap position and each chunk as one atom, the list is nonempty iff
-    low <= p <= (number of atoms), where low is 1 if the word starts with a
-    chunk or has none, else 2.  So reversal(3), a single chunk, has no
-    decomposition into 2 pieces.  first_chunk_preserving builds element [0]
-    directly; this full listing serves the growth checks and is its oracle.
+    Ordered lexicographically.  Counting each gap position and each chunk as
+    one atom, the list is nonempty iff low <= p <= (number of atoms), where
+    low is 1 if the word starts with a chunk or has none, else 2.  So
+    reversal(3), a single chunk, has no decomposition into 2 pieces.
+    first_chunk_preserving builds element [0] directly; this full listing
+    serves the growth checks and is its oracle.
 
-    >>> form = left_greedy_form((1, 3, 2, 4))
-    >>> [len(d.pieces) for d in enumerate_chunk_preserving(form, 3)]
-    [3]
+    >>> enumerate_chunk_preserving(left_greedy_form((1, 3, 2, 4)), 3)
+    [(1, 3)]
     """
     if pieces < 1:
         raise ValueError(f"need at least one piece, got {pieces}")
-    n = len(form.perm)
-    if pieces > n:
-        return []
-    found: list[PieceDecomposition] = []
-    for boundaries in itertools.combinations(range(1, n), pieces - 1):
-        ends = list(boundaries) + [n]
-        spans = []
-        cursor = 1
-        for end in ends:
-            spans.append(Span(cursor, end))
-            cursor = end + 1
-        labeled = _classify_pieces(form, spans)
-        if labeled is not None:
-            found.append(PieceDecomposition(form.perm, labeled))
-    return found
+    return [
+        cuts
+        for cuts in itertools.combinations(range(1, len(form.perm)), pieces - 1)
+        if _chunk_preserving(form, cuts)
+    ]
 
 
-def first_chunk_preserving(form: GreedyForm, pieces: int) -> PieceDecomposition | None:
-    """The first decomposition enumerate_chunk_preserving would list, or None.
+def first_chunk_preserving(form: GreedyForm, pieces: int) -> tuple[int, ...] | None:
+    """The first cut tuple enumerate_chunk_preserving would list, or None.
 
-    Builds it in O(n + p) steps instead of trying all C(n-1, p-1) boundary
-    sets.  Count atoms: each gap position is one atom and each chunk is one.
-    The suffix starting at position s (never strictly inside a chunk) splits
-    into exactly r chunk-preserving pieces iff low(s) <= r <= atoms(s), where
+    Builds it in O(n + p) steps instead of trying all C(n-1, p-1) cut sets.
+    Count atoms: each gap position is one atom and each chunk is one.  The
+    suffix starting at position s (never strictly inside a chunk) splits into
+    exactly r chunk-preserving pieces iff low(s) <= r <= atoms(s), where
     atoms(s) counts the atoms in [s, n] and low(s) is 1 when s starts a chunk
     or no chunk lies ahead, else 2.  Each piece takes its smallest legal end
-    that leaves a feasible suffix, which yields the lexicographically least
-    boundary tuple.
+    that leaves a feasible suffix, which yields the least cut tuple.
 
-    >>> first_chunk_preserving(left_greedy_form((1, 3, 2, 4)), 3).p
-    3
+    >>> first_chunk_preserving(left_greedy_form((1, 3, 2, 4, 6, 5, 7)), 3)
+    (1, 4)
     >>> first_chunk_preserving(left_greedy_form((3, 2, 1)), 2) is None
     True
     """
     if pieces < 1:
         raise ValueError(f"need at least one piece, got {pieces}")
     n = len(form.perm)
-    chunk_at = {chunk.start: (index, chunk.end) for index, chunk in enumerate(form.chunks, 1)}
+    chunk_end = {chunk.start: chunk.end for chunk in form.chunks}
     atoms = [0] * (n + 2)
     low = [0] * (n + 2)
     chunk_ahead = False
     for s in range(n, 0, -1):
-        if s in chunk_at:
+        if s in chunk_end:
             chunk_ahead = True
-            atoms[s] = 1 + atoms[chunk_at[s][1] + 1]
+            atoms[s] = 1 + atoms[chunk_end[s] + 1]
             low[s] = 1
         else:
             atoms[s] = 1 + atoms[s + 1]
             low[s] = 2 if chunk_ahead else 1
     if not low[1] <= pieces <= atoms[1]:
         return None
-    out: list[Piece] = []
+    cuts: list[int] = []
     s = 1
-    for left in range(pieces - 1, -1, -1):  # pieces still to place after this one
-        # a chunk piece ends no earlier than its chunk, a gap piece at s or later
-        index, end = chunk_at.get(s, (None, s))
-        if left == 0:
-            end = n  # the last piece may run on through later chunks
-        else:
-            # the first feasible end never reaches past the next chunk's start
-            while not low[end + 1] <= left <= atoms[end + 1]:
-                end += 1
-        out.append(Piece(Span(s, end), GAP if index is None else CHUNK, index))
+    for left in range(pieces - 1, 0, -1):  # pieces still to place after this one
+        # a chunk piece ends no earlier than its chunk, a gap piece at s or later;
+        # the first feasible end never reaches past the next chunk's start
+        end = chunk_end.get(s, s)
+        while not low[end + 1] <= left <= atoms[end + 1]:
+            end += 1
+        cuts.append(end)
         s = end + 1
-    return PieceDecomposition(form.perm, tuple(out))
+    return tuple(cuts)
 
 
 def nonidentity_orders(p: int):
@@ -248,37 +191,35 @@ def nonidentity_orders(p: int):
     return itertools.islice(itertools.permutations(range(p)), 1, None)
 
 
-def apply_rearrangement(dec: PieceDecomposition, order: tuple[int, ...]) -> Image:
-    """Concatenate the pieces in a 0-based order: piece order[i] lands in slot i.
+def apply_rearrangement(perm: Image, cuts: tuple[int, ...], order: tuple[int, ...]) -> Image:
+    """Cut the word after each position in cuts; piece order[i] lands in slot i.
 
-    >>> form = left_greedy_form((1, 3, 2, 4))
-    >>> dec = enumerate_chunk_preserving(form, 3)[0]
-    >>> apply_rearrangement(dec, (1, 2, 0))
+    >>> apply_rearrangement((1, 3, 2, 4), (1, 3), (1, 2, 0))
     (3, 2, 4, 1)
     """
-    if sorted(order) != list(range(dec.p)):
-        raise ValueError(f"order must permute the {dec.p} pieces, got {order}")
+    bounds = (0, *cuts, len(perm))
+    if any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError(f"cuts must increase strictly inside 1..{len(perm) - 1}, got {cuts}")
+    if sorted(order) != list(range(len(bounds) - 1)):
+        raise ValueError(f"order must permute the {len(bounds) - 1} pieces, got {order}")
     out: list[int] = []
     for t in order:
-        span = dec.pieces[t].span
-        out.extend(dec.perm[span.start - 1:span.end])
+        out.extend(perm[bounds[t]:bounds[t + 1]])
     return tuple(out)
 
 
-def check_growth(dec: PieceDecomposition) -> bool:
+def check_growth(perm: Image, cuts: tuple[int, ...]) -> bool:
     """Does every nonidentity rearrangement strictly increase word length?
 
-    Requires at least two pieces and a word that is not one single chunk.
+    Requires cuts to be a chunk-preserving decomposition into at least two
+    pieces.
     """
-    if dec.p < 2:
-        raise ValueError("growth needs at least two pieces")
-    form = left_greedy_form(dec.perm)
-    if form.k == 1 and form.chunks[0].length == len(dec.perm):
-        raise ValueError("word is a single chunk; growth does not apply")
-    base = word_length(dec.perm)
+    if not cuts or not _chunk_preserving(left_greedy_form(perm), cuts):
+        raise ValueError(f"{cuts} is not a chunk-preserving cut tuple of at least two pieces")
+    base = word_length(perm)
     return all(
-        word_length(apply_rearrangement(dec, order)) > base
-        for order in nonidentity_orders(dec.p)
+        word_length(apply_rearrangement(perm, cuts, order)) > base
+        for order in nonidentity_orders(len(cuts) + 1)
     )
 
 

@@ -109,7 +109,7 @@ def main_step(p: Image, d: int) -> tuple[Image, ...]:
         )
     children = []
     for order in nonidentity_orders(d):
-        child = apply_rearrangement(first, order)
+        child = apply_rearrangement(p, first, order)
         length = word_length(child)
         if length <= base:
             raise FalsificationError(

@@ -2,8 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from codimgeo.greedy import (
-    Piece,
-    PieceDecomposition,
     Span,
     apply_rearrangement,
     check_growth,
@@ -124,42 +122,17 @@ def test_greedy_form_is_canonical_under_recomputation(p):
     assert form.chunks == again.chunks and form.gaps == again.gaps
 
 
-def test_piece_validation():
-    with pytest.raises(ValueError):
-        Piece(Span(1, 2), "x")
-    with pytest.raises(ValueError):
-        Piece(Span(1, 2), "c")  # chunk pieces carry their index
-    with pytest.raises(ValueError):
-        Piece(Span(1, 2), "y", chunk_index=1)
-
-
-def test_decomposition_must_tile():
-    p = (2, 1, 3)
-    with pytest.raises(ValueError):
-        PieceDecomposition(p, (Piece(Span(1, 2), "c", 1),))
-    with pytest.raises(ValueError):
-        PieceDecomposition(p, (Piece(Span(2, 3), "y"), Piece(Span(1, 1), "y")))
-
-
 def test_enumerate_identity_all_gap_splits():
     form = left_greedy_form(identity(3))
-    assert len(enumerate_chunk_preserving(form, 1)) == 1
-    assert len(enumerate_chunk_preserving(form, 2)) == 2
-    decs = enumerate_chunk_preserving(form, 3)
-    assert len(decs) == 1
-    assert all(piece.kind == "y" for piece in decs[0].pieces)
+    assert enumerate_chunk_preserving(form, 1) == [()]
+    assert enumerate_chunk_preserving(form, 2) == [(1,), (2,)]
+    assert enumerate_chunk_preserving(form, 3) == [(1, 2)]
 
 
 def test_enumerate_respects_chunks():
     form = left_greedy_form((1, 3, 2, 4))
-    two = enumerate_chunk_preserving(form, 2)
-    assert [[(pc.span.start, pc.span.end, pc.kind) for pc in d.pieces] for d in two] == [
-        [(1, 1, "y"), (2, 4, "c")]
-    ]
-    three = enumerate_chunk_preserving(form, 3)
-    assert [[(pc.span.start, pc.span.end, pc.kind) for pc in d.pieces] for d in three] == [
-        [(1, 1, "y"), (2, 3, "c"), (4, 4, "y")]
-    ]
+    assert enumerate_chunk_preserving(form, 2) == [(1,)]  # gap [1,1], then chunk [2,4]
+    assert enumerate_chunk_preserving(form, 3) == [(1, 3)]  # gap, chunk [2,3], gap
     assert enumerate_chunk_preserving(form, 5) == []
 
 
@@ -167,45 +140,38 @@ def test_enumerate_absorbing_tail():
     # two chunks; a final piece may swallow the second one
     form = left_greedy_form((2, 1, 4, 3))
     assert form.k == 2
-    one = enumerate_chunk_preserving(form, 1)
-    assert len(one) == 1
-    piece = one[0].pieces[0]
-    assert piece.kind == "c" and piece.span == Span(1, 4)
-    two = enumerate_chunk_preserving(form, 2)
-    assert [[(pc.span.start, pc.span.end) for pc in d.pieces] for d in two] == [
-        [(1, 2), (3, 4)]
-    ]
+    assert enumerate_chunk_preserving(form, 1) == [()]
+    assert enumerate_chunk_preserving(form, 2) == [(2,)]
 
 
 def test_enumerate_ordering_is_lexicographic_by_boundaries():
     form = left_greedy_form(identity(4))
-    boundary_lists = [
-        tuple(piece.span.end for piece in dec.pieces[:-1])
-        for dec in enumerate_chunk_preserving(form, 2)
-    ]
-    assert boundary_lists == sorted(boundary_lists) == [(1,), (2,), (3,)]
+    assert enumerate_chunk_preserving(form, 2) == [(1,), (2,), (3,)]
+    cut_tuples = enumerate_chunk_preserving(form, 3)
+    assert cut_tuples == sorted(cut_tuples) == [(1, 2), (1, 3), (2, 3)]
 
 
 @given(permutations(max_n=6), st.integers(min_value=1, max_value=6))
 def test_enumerated_decompositions_are_chunk_preserving(p, pieces):
+    # the definition restated: a piece holding no chunk start is a gap piece and
+    # holds no chunk position; one holding a chunk start begins at the first it
+    # holds and covers that chunk; only the last piece may hold two starts
     form = left_greedy_form(p)
-    chunk_spans = set(form.chunks)
-    for dec in enumerate_chunk_preserving(form, pieces):
-        assert dec.p == pieces
-        starts = {c.start: c for c in form.chunks}
-        for idx, piece in enumerate(dec.pieces):
-            held = [
-                c for c in chunk_spans
-                if piece.span.start <= c.start <= piece.span.end
-            ]
-            if piece.kind == "y":
-                assert not held
+    n = len(p)
+    in_chunk = {pos for c in form.chunks for pos in c.positions()}
+    for cuts in enumerate_chunk_preserving(form, pieces):
+        assert len(cuts) == pieces - 1
+        assert list(cuts) == sorted(set(cuts)) and all(1 <= c < n for c in cuts)
+        bounds = (0, *cuts, n)
+        for idx in range(pieces):
+            start, end = bounds[idx] + 1, bounds[idx + 1]
+            held = [c for c in form.chunks if start <= c.start <= end]
+            if not held:
+                assert not in_chunk & set(range(start, end + 1))
             else:
-                lead = starts.get(piece.span.start)
-                assert lead is not None and piece.span.end >= lead.end
+                assert held[0].start == start and end >= held[0].end
                 if len(held) > 1:
-                    assert piece is dec.pieces[-1]
-                    assert piece.span.end == len(p)
+                    assert idx == pieces - 1 and end == n
 
 
 def test_enumeration_is_nonempty_exactly_between_low_and_atoms():
@@ -223,10 +189,8 @@ def test_enumeration_is_nonempty_exactly_between_low_and_atoms():
 
 def test_first_chunk_preserving_examples():
     form = left_greedy_form((1, 3, 2, 4, 6, 5, 7))
-    first = first_chunk_preserving(form, 3)
-    assert [(pc.span.start, pc.span.end, pc.kind, pc.chunk_index) for pc in first.pieces] == [
-        (1, 1, "y", None), (2, 4, "c", 1), (5, 7, "c", 2)
-    ]
+    # gap [1,1], chunk [2,4] with its trailing gap letter, chunk [5,7]
+    assert first_chunk_preserving(form, 3) == (1, 4)
     assert first_chunk_preserving(left_greedy_form(reversal(3)), 2) is None
     assert first_chunk_preserving(left_greedy_form(identity(3)), 4) is None
     with pytest.raises(ValueError):
@@ -244,14 +208,21 @@ def test_first_chunk_preserving_equals_first_enumerated_exhaustively():
 
 
 def test_apply_rearrangement_example():
-    form = left_greedy_form((1, 3, 2, 4))
-    dec = enumerate_chunk_preserving(form, 3)[0]
-    assert apply_rearrangement(dec, (1, 2, 0)) == (3, 2, 4, 1)
-    assert apply_rearrangement(dec, (0, 1, 2)) == dec.perm
+    p = (1, 3, 2, 4)
+    assert apply_rearrangement(p, (1, 3), (1, 2, 0)) == (3, 2, 4, 1)
+    assert apply_rearrangement(p, (1, 3), (0, 1, 2)) == p
     with pytest.raises(ValueError):
-        apply_rearrangement(dec, (0, 1))
+        apply_rearrangement(p, (1, 3), (0, 1))
     with pytest.raises(ValueError):
-        apply_rearrangement(dec, (0, 0, 1))
+        apply_rearrangement(p, (1, 3), (0, 0, 1))
+
+
+def test_decomposition_must_tile():
+    # cuts increase strictly inside 1..n-1, so every piece is nonempty
+    p = (2, 1, 3)
+    for cuts, order in [((0,), (1, 0)), ((3,), (1, 0)), ((2, 1), (2, 1, 0)), ((1, 1), (2, 1, 0))]:
+        with pytest.raises(ValueError):
+            apply_rearrangement(p, cuts, order)
 
 
 def test_nonidentity_orders_skip_only_the_identity():
@@ -262,30 +233,25 @@ def test_nonidentity_orders_skip_only_the_identity():
 
 
 def test_transposing_pieces_can_reverse_word():
-    form = left_greedy_form((1, 3, 2, 4))
-    dec = enumerate_chunk_preserving(form, 3)[0]
-    assert apply_rearrangement(dec, (2, 1, 0)) == (4, 3, 2, 1)
+    assert apply_rearrangement((1, 3, 2, 4), (1, 3), (2, 1, 0)) == (4, 3, 2, 1)
 
 
 def test_check_growth_examples():
-    form = left_greedy_form((1, 3, 2, 4))
-    dec = enumerate_chunk_preserving(form, 3)[0]
-    assert check_growth(dec)
-    two_letters = enumerate_chunk_preserving(left_greedy_form(identity(2)), 2)[0]
-    assert check_growth(two_letters)
+    assert check_growth((1, 3, 2, 4), (1, 3))
+    assert check_growth(identity(2), (1,))
 
 
 def test_check_growth_preconditions():
-    whole = enumerate_chunk_preserving(left_greedy_form(reversal(3)), 1)[0]
     with pytest.raises(ValueError):
-        check_growth(whole)  # fewer than two pieces
-    fake = PieceDecomposition(
-        (2, 1), (Piece(Span(1, 1), "y"), Piece(Span(2, 2), "y"))
-    )
+        check_growth(reversal(3), ())  # fewer than two pieces
     with pytest.raises(ValueError):
-        check_growth(fake)  # the whole word is one chunk
+        check_growth((2, 1), (1,))  # the whole word is one chunk
+    with pytest.raises(ValueError):
+        check_growth((1, 3, 2, 4), (2,))  # a cut inside the chunk [2,3]
+    with pytest.raises(ValueError):
+        check_growth((2, 1, 3), (3,))  # a cut at the end of the word
     split = enumerate_chunk_preserving(left_greedy_form((2, 1, 3)), 2)
-    assert split and check_growth(split[0])
+    assert split == [(2,)] and check_growth((2, 1, 3), split[0])
 
 
 def test_chunk_stats_examples():
@@ -309,8 +275,21 @@ def test_growth_holds_exhaustively_for_small_degrees():
             if form.k == 1 and form.chunks[0].length == n:
                 continue
             for pieces in range(2, n + 1):
-                for dec in enumerate_chunk_preserving(form, pieces):
-                    assert check_growth(dec), (p, pieces)
+                for cuts in enumerate_chunk_preserving(form, pieces):
+                    assert check_growth(p, cuts), (p, cuts)
+
+
+def test_every_cut_is_a_sum_cut():
+    # no inversion crosses a cut, so a rearrangement's length is structural
+    cut_tuples = [
+        (p, cuts)
+        for n in range(1, 8)
+        for p in all_permutations(n)
+        for pieces in range(1, n + 1)
+        for cuts in enumerate_chunk_preserving(left_greedy_form(p), pieces)
+    ]
+    assert len(cut_tuples) == 8270
+    assert all(max(p[:c]) == c for p, cuts in cut_tuples for c in cuts)
 
 
 @given(permutations(max_n=6))

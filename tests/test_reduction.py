@@ -19,6 +19,7 @@ from codimgeo.reduction import (
     main_closure,
     main_step,
 )
+from codimgeo.verify import run_suite
 
 
 def test_classic_step_on_reversal():
@@ -162,6 +163,19 @@ def test_main_closure_drives_ball_out():
             assert word_length(child) > base
     assert trace.max_depth <= 7 * 6 // 2
     assert trace.complement_size == ball_complement_count(7, threshold)
+
+
+def test_main_suite_catches_a_wrong_complement_count(monkeypatch):
+    # count the complement from one radius too far; the suite must not compare
+    # the closure's count with a second call that shares the same fault
+    def shifted(n, radius):
+        return ball_complement_count(n, radius + 1)
+
+    monkeypatch.setattr("codimgeo.reduction.ball_complement_count", shifted)
+    monkeypatch.setattr("codimgeo.verify.ball_complement_count", shifted, raising=False)
+    result = run_suite("main", 6)
+    assert not result.passed
+    assert result.failures[0].startswith("n=2 d=2:")
 
 
 def test_main_closure_rejects_out_of_range():
