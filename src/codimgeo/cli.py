@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .bounds import compare_bounds, crossover_n
+from .bounds import CROSSOVER_MAX_D, compare_bounds, crossover_n
 from .errors import FalsificationError, ScaleError
 from .greedy import chunk_stats, left_greedy_form
 from .mahonian import brute_force_row, mahonian_knuth, mahonian_row
@@ -126,6 +126,9 @@ def _cmd_bounds(args) -> Result:
 def _cmd_crossover(args) -> Result:
     if args.d_max < 2:
         raise ValueError("--d-max must be at least 2")
+    if args.d_max > CROSSOVER_MAX_D:
+        # crossover_n refuses it too, but only after every smaller degree has run
+        raise ValueError(f"--d-max must be at most {CROSSOVER_MAX_D}")
     columns = ("d", "n")
     rows = [(d, crossover_n(d)) for d in range(2, args.d_max + 1)]
     return Result(

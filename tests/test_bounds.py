@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from codimgeo.bounds import (
+    CROSSOVER_MAX_D,
     ball_radius,
     classic_bound,
     compare_bounds,
@@ -52,6 +53,35 @@ def test_theorem_bound_below_factorial_above_diagonal():
     for d in range(2, 7):
         for n in range(d + 1, 13):
             assert theorem_bound(n, d) < math.factorial(n)
+
+
+def incremental_dominance_oracle(base):
+    """Oracle for _least_factorial_dominance: walk m = 1, 2, ... with exact products."""
+    power = factorial = 1
+    m = 0
+    while True:
+        m += 1
+        power *= base
+        factorial *= m
+        if power < factorial:
+            return m
+
+
+def test_crossover_equals_incremental_oracle():
+    for d in range(2, 41):
+        assert crossover_n(d) == incremental_dominance_oracle((d - 1) ** 2)
+
+
+def test_tensor_identity_degree_equals_incremental_oracle():
+    for d1 in range(2, 7):
+        for d2 in range(2, 7):
+            base = ((d1 - 1) * (d2 - 1)) ** 2
+            assert tensor_identity_degree(d1, d2) == incremental_dominance_oracle(base)
+
+
+def test_crossover_cap():
+    with pytest.raises(ValueError, match=f"d <= {CROSSOVER_MAX_D}"):
+        crossover_n(CROSSOVER_MAX_D + 1)
 
 
 def test_crossover_values():

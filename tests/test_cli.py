@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from codimgeo.bounds import compare_bounds
+from codimgeo.bounds import CROSSOVER_MAX_D, compare_bounds
 from codimgeo.cli import main
 from codimgeo.errors import FalsificationError
-from codimgeo.mahonian import mahonian_knuth
+from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
 from codimgeo.perm import one_line
 from codimgeo.reduction import main_closure
 
@@ -62,6 +62,15 @@ def test_mahonian_rejects_bad_degree(capsys):
     code, _, err = run(capsys, "mahonian", "--n", "0")
     assert code == 2
     assert "error" in err
+
+
+def test_mahonian_row_limit(capsys, monkeypatch):
+    # the row limit is a cost guard of its own: CODIM_MAX_N caps exhaustive work only
+    monkeypatch.setenv("CODIM_MAX_N", "5")
+    assert run(capsys, "mahonian", "--n", "6")[0] == 0
+    code, out, err = run(capsys, "mahonian", "--n", str(ROW_MAX_N + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: a full row is capped at n <= {ROW_MAX_N}, got n = {ROW_MAX_N + 1}\n"
 
 
 def test_bounds_csv_roundtrip(capsys):
@@ -126,6 +135,14 @@ def test_crossover_table(capsys):
     values = [int(line.split(",")[1]) for line in lines[1:]]
     assert values[0] == 2 and values[1] == 9
     assert values == sorted(values)
+
+
+def test_crossover_degree_limit(capsys, monkeypatch):
+    # refused before any crossover is computed
+    monkeypatch.setattr("codimgeo.cli.crossover_n", lambda d: pytest.fail(f"computed d = {d}"))
+    code, out, err = run(capsys, "crossover", "--d-max", str(CROSSOVER_MAX_D + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: --d-max must be at most {CROSSOVER_MAX_D}\n"
 
 
 def test_verify_selected_suites(capsys):

@@ -3,8 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codimgeo import mahonian
+from codimgeo.bounds import ball_radius, theorem_bound
 from codimgeo.errors import ScaleError
 from codimgeo.mahonian import (
+    ROW_MAX_N,
     ball_complement_count,
     ball_count,
     brute_force_row,
@@ -20,6 +23,18 @@ KNOWN_ROWS = {
     4: (1, 3, 5, 6, 5, 3, 1),
     5: (1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1),
 }
+
+
+def full_row_oracle(n):
+    """Oracle for the truncated kernel: the whole q-factorial, one window sum per entry."""
+    coeffs = [1]
+    for i in range(1, n):
+        m = len(coeffs)
+        prefix = [0]
+        for c in coeffs:
+            prefix.append(prefix[-1] + c)
+        coeffs = [prefix[min(k, m - 1) + 1] - prefix[max(0, k - i)] for k in range(m + i)]
+    return coeffs
 
 
 def test_known_rows():
@@ -43,7 +58,7 @@ def test_coefficient_out_of_range_is_zero():
     assert row.coefficient(3) == 1
 
 
-def test_sliding_window_recurrence():
+def check_sliding_window_recurrence():
     # row n is row n-1 convolved with 1 + z + ... + z^(n-1)
     for n in range(2, 10):
         prev = mahonian_row(n - 1).coefficients
@@ -54,9 +69,37 @@ def test_sliding_window_recurrence():
         assert tuple(window) == mahonian_row(n).coefficients
 
 
-def test_brute_force_agrees():
+def check_brute_force_agrees():
     for n in range(1, 8):
         assert brute_force_row(n).coefficients == mahonian_row(n).coefficients
+
+
+def test_sliding_window_recurrence():
+    check_sliding_window_recurrence()
+
+
+def test_brute_force_agrees():
+    check_brute_force_agrees()
+
+
+def test_checks_catch_a_dropped_last_coefficient(monkeypatch):
+    # a kernel that loses the top of every head must fail both checks
+    head = mahonian._head
+    monkeypatch.setattr(mahonian, "_head", lambda n, length: head(n, length)[:-1])
+    with pytest.raises(AssertionError):
+        check_sliding_window_recurrence()
+    with pytest.raises(AssertionError):
+        check_brute_force_agrees()
+
+
+def test_row_equals_full_row_oracle():
+    for n in range(1, 40):
+        assert list(mahonian_row(n).coefficients) == full_row_oracle(n)
+
+
+def test_row_cap():
+    with pytest.raises(ValueError, match=f"n <= {ROW_MAX_N}"):
+        mahonian_row(ROW_MAX_N + 1)
 
 
 def test_brute_force_cap():
@@ -112,3 +155,19 @@ def test_complement_examples():
     assert ball_complement_count(4, 0) == 24
     # an integer radius keeps its own sphere: 24 - I_4(0) - I_4(1) = 20
     assert ball_complement_count(4, 2) == 20
+
+
+def test_ball_counts_equal_prefix_and_tail_sums_of_the_full_row():
+    for n in range(1, 21):
+        row = full_row_oracle(n)
+        for radius in range(-1, len(row) + 2):
+            cut = max(radius, 0)
+            assert ball_count(n, radius) == sum(row[:cut])
+            assert ball_complement_count(n, radius) == sum(row[cut:])
+
+
+def test_theorem_bound_equals_tail_sum_of_the_full_row():
+    for n in range(2, 40):
+        row = full_row_oracle(n)
+        for d in range(2, min(n, 8) + 1):
+            assert theorem_bound(n, d) == sum(row[ball_radius(n, d):])

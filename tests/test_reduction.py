@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codimgeo import mahonian
 from codimgeo.bounds import ball_radius
 from codimgeo.errors import FalsificationError, ScaleError
 from codimgeo.mahonian import ball_complement_count
@@ -173,6 +174,15 @@ def test_main_suite_catches_a_wrong_complement_count(monkeypatch):
 
     monkeypatch.setattr("codimgeo.reduction.ball_complement_count", shifted)
     monkeypatch.setattr("codimgeo.verify.ball_complement_count", shifted, raising=False)
+    result = run_suite("main", 6)
+    assert not result.passed
+    assert result.failures[0].startswith("n=2 d=2:")
+
+
+def test_main_suite_catches_a_wrong_ball_count(monkeypatch):
+    # the complement count is n! minus the ball count; a fault there must show too
+    count = mahonian.ball_count
+    monkeypatch.setattr(mahonian, "ball_count", lambda n, radius: count(n, radius) + 1)
     result = run_suite("main", 6)
     assert not result.passed
     assert result.failures[0].startswith("n=2 d=2:")
