@@ -22,6 +22,9 @@ WINNER_TIE = "tie"
 # crossover_n(d) compares integers of about e (d - 1)^2 log2((d - 1)^2) bits:
 # d = 120 takes about 0.1 s, and `codim crossover --d-max 120` about 3.5 s.
 CROSSOVER_MAX_D = 120
+# compare_bounds(d, n_max) costs about n_max^3 big-integer additions: n_max = 400
+# takes about 1.7 s, 1000 about 26 s, and from n = 1559 on n! is too long for str().
+BOUNDS_MAX_N = 400
 
 
 def classic_bound(n: int, d: int) -> int:
@@ -232,6 +235,8 @@ def compare_bounds(d: int, n_max: int) -> BoundReport:
         raise ValueError(f"d must be at least 2, got {d}")
     if n_max < d:
         raise ValueError(f"need n_max >= d, got n_max = {n_max}, d = {d}")
+    if n_max > BOUNDS_MAX_N:
+        raise ValueError(f"a bounds table is capped at n_max <= {BOUNDS_MAX_N}, got {n_max}")
     rows = []
     for n in range(d, n_max + 1):
         classic = classic_bound(n, d)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import CROSSOVER_MAX_D, compare_bounds, crossover_n
-from .errors import FalsificationError, ScaleError
+from .errors import FalsificationError, ScaleError, effective_cap
 from .greedy import chunk_stats, left_greedy_form
 from .mahonian import brute_force_row, mahonian_knuth, mahonian_row
 from .perm import one_line, parse_permutation, word_length
@@ -90,7 +90,7 @@ def _cmd_mahonian(args) -> Result:
         for k in range(0, args.n + 1):
             if mahonian_knuth(args.n, k) != row.coefficient(k):
                 raise FalsificationError(f"closed form disagrees at k={k}")
-        brute = args.n <= 8
+        brute = args.n <= effective_cap(8)  # CODIM_MAX_N caps brute_force_row too
         if brute and brute_force_row(args.n).coefficients != row.coefficients:
             raise FalsificationError("brute-force histogram disagrees")
         after = ("check: OK (closed form k <= n" + ("; brute force)" if brute else ")"),)

@@ -92,6 +92,28 @@ def all_permutations(n: int):
     return itertools.permutations(range(1, n + 1))
 
 
+def ball_layers(n: int, radius: int) -> list[list[Image]]:
+    """The words of each length l < radius, one dictionary-sorted layer per l.
+
+    Layer 0 is the identity.  Swapping an adjacent ascent adds exactly one
+    inversion, and every word of length l + 1 arises so from one of length l.
+
+    >>> ball_layers(3, 3)
+    [[(1, 2, 3)], [(1, 3, 2), (2, 1, 3)], [(2, 3, 1), (3, 1, 2)]]
+    """
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    layers = [[identity(n)]] if radius > 0 else []
+    while len(layers) < radius:
+        layers.append(sorted({
+            p[:i] + (p[i + 1], p[i]) + p[i + 2:]
+            for p in layers[-1]
+            for i in range(n - 1)
+            if p[i] < p[i + 1]
+        }))
+    return layers
+
+
 @dataclass(frozen=True)
 class InversionSet:
     """A set of position pairs (i, j) with 1 <= i < j <= n."""

@@ -7,10 +7,11 @@ of length below the threshold K = (n - d)/2 (for integer lengths, below
 ceil(K)) into d chunk-preserving pieces and rearranges; every child is
 strictly longer, so iterating drives all support out of the ball B(K).
 
-Both closures are memoized multi-source worklists.  Traces record every
-expansion edge, and the recorded depth is the longest rewrite chain in the
-trace, bounded by C(n,2) in main mode (word length ascends) and by the
-dictionary order in classic mode (images descend).
+A closure's sources are every rewritable word, and it rewrites each once.
+Traces record every expansion edge, and the recorded depth is the longest
+rewrite chain, bounded by C(n,2) in main mode (word length ascends) and by
+the dictionary order in classic mode (images descend).  A step builds d! - 1
+children, so it is capped at d <= STEP_MAX_D.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .mahonian import ball_complement_count
 from .perm import (
     Image,
     all_permutations,
+    ball_layers,
     find_d_bad_witness,
     is_d_good,
     one_line,
@@ -39,6 +41,9 @@ MODE_MAIN = "main"
 
 CLASSIC_CLOSURE_MAX_N = 7
 MAIN_CLOSURE_MAX_N = 8
+# A step builds d! - 1 children: main_step(identity(40), 8) takes about 0.7 s,
+# d = 9 about 7 s.  Every closure at its cap needs d <= 8.
+STEP_MAX_D = 8
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,13 @@ class ReductionTrace:
     complement_size: int | None = None
 
 
+def _check_step_degree(n: int, d: int) -> None:
+    if not (2 <= d <= n):
+        raise ValueError(f"need 2 <= d <= n, got d = {d}, n = {n}")
+    if d > STEP_MAX_D:
+        raise ValueError(f"a step is capped at d <= {STEP_MAX_D}, got d = {d}")
+
+
 def classic_step(p: Image, d: int) -> tuple[Image, ...]:
     """Rearrange the d blocks cut at the dictionary-least d-bad witness.
 
@@ -67,8 +79,7 @@ def classic_step(p: Image, d: int) -> tuple[Image, ...]:
     ((1, 2),)
     """
     n = len(p)
-    if not (2 <= d <= n):
-        raise ValueError(f"need 2 <= d <= n, got d = {d}, n = {n}")
+    _check_step_degree(n, d)
     witness = find_d_bad_witness(p, d)
     if witness is None:
         raise ValueError(f"permutation {one_line(p)} is {d}-good; nothing to rewrite")
@@ -92,8 +103,7 @@ def main_step(p: Image, d: int) -> tuple[Image, ...]:
     is a falsification event, raised as FalsificationError rather than ignored.
     """
     n = len(p)
-    if not (2 <= d <= n):
-        raise ValueError(f"need 2 <= d <= n, got d = {d}, n = {n}")
+    _check_step_degree(n, d)
     radius = ball_radius(n, d)
     base = word_length(p)
     if base >= radius:
@@ -126,46 +136,31 @@ def _close(
     n: int,
     d: int,
     sources: list[Image],
-    expandable,
     step,
     complement_size: int | None,
 ) -> ReductionTrace:
-    """Memoized worklist closure; expandable nodes are rewritten exactly once."""
-    visited: set[Image] = set(sources)
+    """Rewrite each source once, recording every edge and the longest chain.
+
+    The sources must be every rewritable word of degree n, each listed after
+    all of its rewritable children; the descent that ends each closure gives
+    such an order.
+    """
     steps: dict[Image, tuple[Image, ...]] = {}
-    worklist = list(sources)
-    while worklist:
-        node = worklist.pop()
-        if not expandable(node) or node in steps:
-            continue
-        children = step(node, d)
-        steps[node] = children
-        for child in children:
-            if child not in visited:
-                visited.add(child)
-                worklist.append(child)
-    terminal = frozenset(p for p in visited if not expandable(p))
-
-    # longest rewrite chain: process parents after all their children
-    if mode == MODE_CLASSIC:
-        topo = sorted(steps)  # children are smaller
-    else:
-        topo = sorted(steps, key=lambda p: (word_length(p), p), reverse=True)
-    chain: dict[Image, int] = {}
-    for node in topo:
-        chain[node] = 1 + max((chain.get(c, 0) for c in steps[node]), default=0)
-    max_depth = max(chain.values(), default=0)
-
-    ordered_steps = tuple(sorted(steps.items()))
+    chain: dict[Image, int] = {}  # longest rewrite chain starting at a source
+    for p in sources:
+        children = step(p, d)
+        steps[p] = children
+        chain[p] = 1 + max(chain.get(c, 0) for c in children)
+    reached = set(steps).union(*steps.values())
     return ReductionTrace(
         mode=mode,
         n=n,
         d=d,
-        sources=tuple(sorted(sources)),
-        steps=ordered_steps,
-        visited=len(visited),
-        max_depth=max_depth,
-        terminal_support=terminal,
+        sources=tuple(sorted(steps)),
+        steps=tuple(sorted(steps.items())),
+        visited=len(reached),
+        max_depth=max(chain.values(), default=0),
+        terminal_support=frozenset(reached - steps.keys()),
         complement_size=complement_size,
     )
 
@@ -173,40 +168,28 @@ def _close(
 def classic_closure(n: int, d: int) -> ReductionTrace:
     """Rewrite every d-bad permutation of degree n down to d-good support.
 
-    Terminates by strict dictionary descent.  Capped at n <= 7.
+    Terminates by strict dictionary descent.  Capped at n <= 7.  The d-bad
+    words go in dictionary order, and every child is dictionary-smaller.
     """
     if not (2 <= d <= n):
         raise ValueError(f"need 2 <= d <= n, got d = {d}, n = {n}")
     check_scale(n, CLASSIC_CLOSURE_MAX_N, "classic_closure")
     sources = [p for p in all_permutations(n) if not is_d_good(p, d)]
-    return _close(
-        MODE_CLASSIC,
-        n,
-        d,
-        sources,
-        expandable=lambda p: not is_d_good(p, d),
-        step=classic_step,
-        complement_size=None,
-    )
+    return _close(MODE_CLASSIC, n, d, sources, classic_step, complement_size=None)
 
 
 def main_closure(n: int, d: int) -> ReductionTrace:
     """Rewrite every permutation inside the ball B((n - d)/2) out of the ball.
 
     Terminates because word length strictly increases, bounded by C(n,2).
-    Records the complement count for cross-reference.  Capped at n <= 8.
+    Records the complement count for cross-reference.  Capped at n <= 8.  The
+    ball goes longest layer first, and every child is longer than its parent.
     """
     if not (2 <= d <= n):
         raise ValueError(f"need 2 <= d <= n, got d = {d}, n = {n}")
     check_scale(n, MAIN_CLOSURE_MAX_N, "main_closure")
     radius = ball_radius(n, d)
-    sources = [p for p in all_permutations(n) if word_length(p) < radius]
+    sources = [p for layer in reversed(ball_layers(n, radius)) for p in layer]
     return _close(
-        MODE_MAIN,
-        n,
-        d,
-        sources,
-        expandable=lambda p: word_length(p) < radius,
-        step=main_step,
-        complement_size=ball_complement_count(n, radius),
+        MODE_MAIN, n, d, sources, main_step, complement_size=ball_complement_count(n, radius)
     )

@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from codimgeo.bounds import CROSSOVER_MAX_D, compare_bounds
+from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, compare_bounds
 from codimgeo.cli import main
 from codimgeo.errors import FalsificationError
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
 from codimgeo.perm import one_line
-from codimgeo.reduction import main_closure
+from codimgeo.reduction import STEP_MAX_D, main_closure
 
 
 def run(capsys, *argv):
@@ -73,6 +73,17 @@ def test_mahonian_row_limit(capsys, monkeypatch):
     assert err == f"error: a full row is capped at n <= {ROW_MAX_N}, got n = {ROW_MAX_N + 1}\n"
 
 
+def test_mahonian_check_under_env_cap(capsys, monkeypatch):
+    # a lowered cap skips the brute-force histogram instead of failing on it
+    monkeypatch.setenv("CODIM_MAX_N", "5")
+    code, out, err = run(capsys, "mahonian", "--n", "6", "--check")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "check: OK (closed form k <= n)"
+    code, out, _ = run(capsys, "mahonian", "--n", "5", "--check")
+    assert code == 0
+    assert out.splitlines()[-1] == "check: OK (closed form k <= n; brute force)"
+
+
 def test_bounds_csv_roundtrip(capsys):
     code, out, _ = run(capsys, "bounds", "--d", "3", "--n-max", "12", "--format", "csv")
     assert code == 0
@@ -125,6 +136,14 @@ def test_bounds_usage_error(capsys):
     code, _, err = run(capsys, "bounds", "--d", "4", "--n-max", "3")
     assert code == 2
     assert "error" in err
+
+
+def test_bounds_degree_limit(capsys, monkeypatch):
+    # refused before any row is computed
+    monkeypatch.setattr("codimgeo.bounds.theorem_bound", lambda n, d: pytest.fail(f"computed n = {n}"))
+    code, out, err = run(capsys, "bounds", "--d", "3", "--n-max", str(BOUNDS_MAX_N + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: a bounds table is capped at n_max <= {BOUNDS_MAX_N}, got {BOUNDS_MAX_N + 1}\n"
 
 
 def test_crossover_table(capsys):
@@ -289,6 +308,16 @@ def test_reduce_main_outside_ball_exit(capsys):
     code, _, err = run(capsys, "reduce", "--perm", "2,1,4,3,5,6", "--d", "3", "--mode", "main")
     assert code == 2
     assert "threshold" in err
+
+
+@pytest.mark.parametrize("mode", ["classic", "main"])
+def test_reduce_step_degree_limit(capsys, monkeypatch, mode):
+    # refused before any child is built
+    monkeypatch.setattr("codimgeo.reduction.nonidentity_orders", lambda d: pytest.fail("built children"))
+    perm = ",".join(map(str, range(40, 0, -1) if mode == "classic" else range(1, 41)))
+    code, out, err = run(capsys, "reduce", "--perm", perm, "--d", str(STEP_MAX_D + 1), "--mode", mode)
+    assert (code, out) == (2, "")
+    assert err == f"error: a step is capped at d <= {STEP_MAX_D}, got d = {STEP_MAX_D + 1}\n"
 
 
 def test_reduce_closure_summary(capsys):

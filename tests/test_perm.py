@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from codimgeo.errors import InvalidInversionSetError, ScaleError
+from codimgeo.mahonian import mahonian_row
 from codimgeo.perm import (
     InversionSet,
     Permutation,
     all_permutations,
+    ball_layers,
     cayley_distance_bfs,
     count_d_good,
     find_d_bad_witness,
@@ -174,3 +176,20 @@ def test_all_permutations_in_dictionary_order():
     assert len(perms) == 6
     assert perms[0] == identity(3)
     assert perms == sorted(perms)
+
+
+def test_ball_layers_equal_the_length_filter():
+    # the n! filter is the oracle; the layer sizes are the Mahonian row
+    for n in range(1, 8):
+        top = n * (n - 1) // 2
+        by_length = [[] for _ in range(top + 1)]
+        for p in all_permutations(n):
+            by_length[word_length(p)].append(p)  # dictionary order within a length
+        assert [len(layer) for layer in by_length] == list(mahonian_row(n).coefficients)
+        for radius in range(top + 2):
+            assert ball_layers(n, radius) == by_length[:radius]
+
+
+def test_ball_layers_rejects_bad_degree():
+    with pytest.raises(ValueError):
+        ball_layers(0, 1)

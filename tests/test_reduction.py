@@ -15,6 +15,7 @@ from codimgeo.perm import (
     word_length,
 )
 from codimgeo.reduction import (
+    ReductionTrace,
     classic_closure,
     classic_step,
     main_closure,
@@ -213,3 +214,60 @@ def test_every_ball_member_rewrites_without_falsification():
                     continue
                 children = main_step(p, d)  # would raise on falsification
                 assert len(children) == math.factorial(d) - 1
+
+
+def worklist_closure(mode, n, d):
+    """Oracle: a memoized worklist search from the words an n! filter marks rewritable.
+
+    It discovers the reachable words instead of assuming they are the sources,
+    and orders the depth pass by sorting rather than by the source order.
+    """
+    if mode == "classic":
+        step, complement = classic_step, None
+    else:
+        radius = ball_radius(n, d)
+        step, complement = main_step, ball_complement_count(n, radius)
+
+    def expandable(p):
+        return not is_d_good(p, d) if mode == "classic" else word_length(p) < radius
+
+    sources = [p for p in all_permutations(n) if expandable(p)]
+    visited = set(sources)
+    steps = {}
+    worklist = list(sources)
+    while worklist:
+        node = worklist.pop()
+        if not expandable(node) or node in steps:
+            continue
+        steps[node] = step(node, d)
+        for child in steps[node]:
+            if child not in visited:
+                visited.add(child)
+                worklist.append(child)
+    # longest rewrite chain: process parents after all their children
+    if mode == "classic":
+        topo = sorted(steps)  # children are smaller
+    else:
+        topo = sorted(steps, key=lambda p: (word_length(p), p), reverse=True)
+    chain = {}
+    for node in topo:
+        chain[node] = 1 + max((chain.get(c, 0) for c in steps[node]), default=0)
+    return ReductionTrace(
+        mode=mode,
+        n=n,
+        d=d,
+        sources=tuple(sorted(sources)),
+        steps=tuple(sorted(steps.items())),
+        visited=len(visited),
+        max_depth=max(chain.values(), default=0),
+        terminal_support=frozenset(p for p in visited if not expandable(p)),
+        complement_size=complement,
+    )
+
+
+@pytest.mark.parametrize("mode, closure", [("classic", classic_closure), ("main", main_closure)])
+def test_closure_equals_worklist_oracle(mode, closure):
+    for n in range(2, 7):
+        for d in range(2, n + 1):
+            assert closure(n, d) == worklist_closure(mode, n, d), (n, d)
+
