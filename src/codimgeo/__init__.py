@@ -27,8 +27,6 @@ from .bounds import (
 from .errors import FalsificationError, InvalidInversionSetError, ScaleError
 from .greedy import (
     ChunkStats,
-    GreedyForm,
-    Span,
     apply_rearrangement,
     check_growth,
     chunk_stats,
@@ -79,14 +77,12 @@ __all__ = [
     "BoundRow",
     "ChunkStats",
     "FalsificationError",
-    "GreedyForm",
     "InvalidInversionSetError",
     "InversionSet",
     "MahonianRow",
     "Permutation",
     "ReductionTrace",
     "ScaleError",
-    "Span",
     "SuiteResult",
     "SUITES",
     "TailEstimate",

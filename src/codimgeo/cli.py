@@ -140,7 +140,7 @@ def _cmd_crossover(args) -> Result:
 
 
 def _cmd_verify(args) -> Result:
-    names = [s.strip() for s in args.suites.split(",")] if args.suites else list(SUITES)
+    names = list(SUITES) if args.suites is None else [s.strip() for s in args.suites.split(",")]
     for name in names:
         check_request(name, args.n_max)  # reject a bad request before any work
     results = [run_suite(name, args.n_max) for name in names]
@@ -174,28 +174,32 @@ def _cmd_verify(args) -> Result:
 
 def _cmd_greedy(args) -> Result:
     perm = parse_permutation(args.perm).image
-    form = left_greedy_form(perm)
+    chunks = left_greedy_form(perm)
     stats = chunk_stats(perm)
-    tiles = []  # (kind, index, span) in word order: y_0 c_1 y_1 ... c_k y_k
-    for idx, gap in enumerate(form.gaps):
+    # gap y_i lies between chunk i's end (0 for y_0) and chunk i + 1's start (n + 1 for y_k)
+    ends = [0] + [end for _, end in chunks]
+    starts = [start for start, _ in chunks] + [len(perm) + 1]
+    gaps = [(end + 1, start - 1) if start - end > 1 else None for end, start in zip(ends, starts)]
+    tiles = []  # (kind, index, start, end) in word order: y_0 c_1 y_1 ... c_k y_k
+    for idx, gap in enumerate(gaps):
         if gap is not None:
-            tiles.append(("y", idx, gap))
-        if idx < form.k:
-            tiles.append(("c", idx + 1, form.chunks[idx]))
+            tiles.append(("y", idx, *gap))
+        if idx < len(chunks):
+            tiles.append(("c", idx + 1, *chunks[idx]))
     shown = []  # gaps in parentheses, chunks in brackets: "(1) [3 2] (4)"
-    for kind, _, span in tiles:
-        letters = " ".join(str(perm[i - 1]) for i in span.positions())
+    for kind, _, start, end in tiles:
+        letters = " ".join(map(str, perm[start - 1:end]))
         shown.append(f"({letters})" if kind == "y" else f"[{letters}]")
     payload = {
         "perm": one_line(perm),
-        "chunks": [[c.start, c.end] for c in form.chunks],
-        "gaps": [None if g is None else [g.start, g.end] for g in form.gaps],
+        "chunks": [list(chunk) for chunk in chunks],
+        "gaps": [None if gap is None else list(gap) for gap in gaps],
         "stats": asdict(stats),
     }
     return Result(
         command=f"greedy --perm {args.perm}",
         columns=("kind", "index", "start", "end"),
-        rows=[(kind, idx, span.start, span.end) for kind, idx, span in tiles],
+        rows=tiles,
         payload=payload,
         before=(f"word: {one_line(perm)}", f"form: {' '.join(shown) or '()'}"),
         after=(

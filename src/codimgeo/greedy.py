@@ -8,8 +8,10 @@ each single position is a gap letter.  Runs of gap letters form the gaps of
 
     w = y_0 c_1 y_1 c_2 ... c_k y_k
 
-(the left greedy form; gaps may be empty).  Gap positions are never the left
-element of an inversion, and every inversion lives inside a single chunk.
+(the left greedy form; gaps may be empty).  The form is carried as its tuple
+of chunk spans (start, end), 1-based and inclusive; the gaps are the positions
+outside them.  Gap positions are never the left element of an inversion, and
+every inversion lives inside a single chunk.
 
 A decomposition of the word into consecutive nonempty pieces is
 chunk-preserving when each piece either contains no chunk positions (a gap
@@ -27,94 +29,47 @@ from dataclasses import dataclass
 from .perm import Image, word_length
 
 
-@dataclass(frozen=True)
-class Span:
-    """A 1-based inclusive interval of positions."""
+def left_greedy_form(perm: Image) -> tuple[tuple[int, int], ...]:
+    """The chunks (start, end): cut where max sigma(1..j) = j, keep longer blocks.
 
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not (1 <= self.start <= self.end):
-            raise ValueError(f"bad span [{self.start}, {self.end}]")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
-    def positions(self) -> range:
-        return range(self.start, self.end + 1)
-
-    def __str__(self) -> str:
-        return f"[{self.start},{self.end}]"
-
-
-@dataclass(frozen=True)
-class GreedyForm:
-    """The tiling w = y_0 c_1 y_1 ... c_k y_k; gaps[i] is None when empty."""
-
-    perm: Image
-    chunks: tuple[Span, ...]
-    gaps: tuple[Span | None, ...]
-
-    def __post_init__(self):
-        if len(self.gaps) != len(self.chunks) + 1:
-            raise ValueError("need exactly one gap slot around each chunk")
-
-    @property
-    def k(self) -> int:
-        return len(self.chunks)
-
-
-def left_greedy_form(perm: Image) -> GreedyForm:
-    """Cut the word where max sigma(1..j) = j; longer blocks are the chunks.
-
-    >>> gf = left_greedy_form((2, 1, 4, 3))
-    >>> gf.chunks
-    (Span(start=1, end=2), Span(start=3, end=4))
-    >>> gf.gaps
-    (None, None, None)
+    >>> left_greedy_form((2, 1, 4, 3))
+    ((1, 2), (3, 4))
+    >>> left_greedy_form((1, 3, 2, 4))
+    ((2, 3),)
     """
-    n = len(perm)
-    chunks: list[Span] = []
-    gaps: list[Span | None] = []
-    cursor = 1  # first position not yet in a chunk or a gap
+    chunks = []
     block = 1  # first position of the current sum component
     high = 0
     for j, value in enumerate(perm, 1):
         high = max(high, value)
         if high == j:
             if j > block:
-                gaps.append(Span(cursor, block - 1) if block > cursor else None)
-                chunks.append(Span(block, j))
-                cursor = j + 1
+                chunks.append((block, j))
             block = j + 1
-    gaps.append(Span(cursor, n) if cursor <= n else None)
-    return GreedyForm(perm, tuple(chunks), tuple(gaps))
+    return tuple(chunks)
 
 
-def _chunk_preserving(form: GreedyForm, cuts: tuple[int, ...]) -> bool:
+def _chunk_preserving(chunks: tuple[tuple[int, int], ...], cuts: tuple[int, ...]) -> bool:
     """Are the pieces ending at cuts[0], cuts[1], ... and n chunk-preserving?
 
     The cuts must be strictly increasing inside 1..n-1.  No cut falls
     strictly inside a chunk, a piece holding a chunk start begins at one, and
     only the last piece may hold two or more.
     """
-    chunks = form.chunks
     t = 0  # next chunk not yet covered
     begin = 1
     for end in cuts:
         # a piece that also holds chunk t + 1's start leaves that chunk
         # starting before the next piece, which fails below or at the return
-        if t < len(chunks) and chunks[t].start <= end:
-            if chunks[t].start != begin or end < chunks[t].end:
+        if t < len(chunks) and chunks[t][0] <= end:
+            if chunks[t][0] != begin or end < chunks[t][1]:
                 return False
             t += 1
         begin = end + 1
-    return t == len(chunks) or chunks[t].start == begin
+    return t == len(chunks) or chunks[t][0] == begin
 
 
-def enumerate_chunk_preserving(form: GreedyForm, pieces: int) -> list[tuple[int, ...]]:
+def enumerate_chunk_preserving(perm: Image, pieces: int) -> list[tuple[int, ...]]:
     """The cut tuples of all chunk-preserving decompositions into p pieces.
 
     Ordered lexicographically.  Counting each gap position and each chunk as
@@ -124,19 +79,20 @@ def enumerate_chunk_preserving(form: GreedyForm, pieces: int) -> list[tuple[int,
     first_chunk_preserving builds element [0] directly; this full listing
     serves the growth checks and is its oracle.
 
-    >>> enumerate_chunk_preserving(left_greedy_form((1, 3, 2, 4)), 3)
+    >>> enumerate_chunk_preserving((1, 3, 2, 4), 3)
     [(1, 3)]
     """
     if pieces < 1:
         raise ValueError(f"need at least one piece, got {pieces}")
+    chunks = left_greedy_form(perm)
     return [
         cuts
-        for cuts in itertools.combinations(range(1, len(form.perm)), pieces - 1)
-        if _chunk_preserving(form, cuts)
+        for cuts in itertools.combinations(range(1, len(perm)), pieces - 1)
+        if _chunk_preserving(chunks, cuts)
     ]
 
 
-def first_chunk_preserving(form: GreedyForm, pieces: int) -> tuple[int, ...] | None:
+def first_chunk_preserving(perm: Image, pieces: int) -> tuple[int, ...] | None:
     """The first cut tuple enumerate_chunk_preserving would list, or None.
 
     Builds it in O(n + p) steps instead of trying all C(n-1, p-1) cut sets.
@@ -147,15 +103,15 @@ def first_chunk_preserving(form: GreedyForm, pieces: int) -> tuple[int, ...] | N
     or no chunk lies ahead, else 2.  Each piece takes its smallest legal end
     that leaves a feasible suffix, which yields the least cut tuple.
 
-    >>> first_chunk_preserving(left_greedy_form((1, 3, 2, 4, 6, 5, 7)), 3)
+    >>> first_chunk_preserving((1, 3, 2, 4, 6, 5, 7), 3)
     (1, 4)
-    >>> first_chunk_preserving(left_greedy_form((3, 2, 1)), 2) is None
+    >>> first_chunk_preserving((3, 2, 1), 2) is None
     True
     """
     if pieces < 1:
         raise ValueError(f"need at least one piece, got {pieces}")
-    n = len(form.perm)
-    chunk_end = {chunk.start: chunk.end for chunk in form.chunks}
+    n = len(perm)
+    chunk_end = dict(left_greedy_form(perm))
     atoms = [0] * (n + 2)
     low = [0] * (n + 2)
     chunk_ahead = False
@@ -238,6 +194,6 @@ def chunk_stats(perm: Image) -> ChunkStats:
     >>> chunk_stats((2, 1, 4, 3))
     ChunkStats(chunk_count=2, total_chunk_length=4, word_length=2)
     """
-    form = left_greedy_form(perm)
-    total = sum(chunk.length for chunk in form.chunks)
-    return ChunkStats(form.k, total, word_length(perm))
+    chunks = left_greedy_form(perm)
+    total = sum(end - start + 1 for start, end in chunks)
+    return ChunkStats(len(chunks), total, word_length(perm))

@@ -97,12 +97,14 @@ def ball_layers(n: int, radius: int) -> list[list[Image]]:
 
     Layer 0 is the identity.  Swapping an adjacent ascent adds exactly one
     inversion, and every word of length l + 1 arises so from one of length l.
+    No word is longer than C(n,2), so a radius past C(n,2) + 1 is clamped to it.
 
     >>> ball_layers(3, 3)
     [[(1, 2, 3)], [(1, 3, 2), (2, 1, 3)], [(2, 3, 1), (3, 1, 2)]]
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
+    radius = min(radius, n * (n - 1) // 2 + 1)
     layers = [[identity(n)]] if radius > 0 else []
     while len(layers) < radius:
         layers.append(sorted({

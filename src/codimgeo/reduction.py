@@ -22,7 +22,6 @@ from .errors import FalsificationError, check_scale
 from .greedy import (
     apply_rearrangement,
     first_chunk_preserving,
-    left_greedy_form,
     nonidentity_orders,
 )
 from .mahonian import ball_complement_count
@@ -111,7 +110,7 @@ def main_step(p: Image, d: int) -> tuple[Image, ...]:
             f"word length {base} is not below the threshold {radius}; "
             "the rewrite only applies inside the ball"
         )
-    first = first_chunk_preserving(left_greedy_form(p), d)
+    first = first_chunk_preserving(p, d)
     if first is None:
         raise FalsificationError(
             f"no chunk-preserving decomposition of {one_line(p)} into {d} pieces; "

@@ -111,20 +111,14 @@ def _run_dilworth(n_max: int) -> _Outcome:
 
 
 def _check_lgf(p: Image) -> list[str]:
-    form = left_greedy_form(p)
-    covered = []
-    for idx, chunk in enumerate(form.chunks):
-        gap = form.gaps[idx]
-        if gap is not None:
-            covered.extend(gap.positions())
-        covered.extend(chunk.positions())
-    if form.gaps[-1] is not None:
-        covered.extend(form.gaps[-1].positions())
-    if covered != list(range(1, len(p) + 1)):
-        return [f"{one_line(p)}: spans do not tile the word"]
+    chunks = left_greedy_form(p)
+    ends = [0] + [pos for chunk in chunks for pos in chunk] + [len(p) + 1]
+    # increasing, disjoint spans of length at least 2 inside 1..n
+    if any(a >= b for a, b in zip(ends, ends[1:])):
+        return [f"{one_line(p)}: chunks are not disjoint spans of length 2 or more"]
     chunk_of = {}
-    for idx, chunk in enumerate(form.chunks):
-        for pos in chunk.positions():
+    for idx, (start, end) in enumerate(chunks):
+        for pos in range(start, end + 1):
             chunk_of[pos] = idx
     failures = []
     for i, j in inversion_set(p).pairs:
@@ -153,11 +147,10 @@ def _run_growth(n_max: int) -> _Outcome:
     failures = []
     for n in range(2, n_max + 1):
         for p in all_permutations(n):
-            form = left_greedy_form(p)
-            if form.k == 1 and form.chunks[0].length == n:
+            if left_greedy_form(p) == ((1, n),):
                 continue  # single-chunk words are outside the growth claim
             for pieces in range(2, n + 1):
-                for cuts in enumerate_chunk_preserving(form, pieces):
+                for cuts in enumerate_chunk_preserving(p, pieces):
                     checked += 1
                     if not check_growth(p, cuts):
                         failures.append(
@@ -255,7 +248,7 @@ SUITES: dict[str, Suite] = {
         Suite("chunks", "chunk counts and lengths respect the word length", 1, 7, 7, _sweep(_check_chunks)),
         Suite("growth", "nontrivial rearrangements strictly grow", 2, 6, 6, _run_growth),
         Suite("classic", "dictionary-descent closure ends d-good", 2, 7, 6, _run_classic),
-        Suite("main", "ball-escape closure ends outside the ball", 2, 8, 7, _run_main),
+        Suite("main", "ball-escape closure ends outside the ball", 3, 8, 7, _run_main),
     )
 }
 

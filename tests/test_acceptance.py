@@ -14,7 +14,6 @@ from codimgeo.bounds import (
     complement_lower_bound,
     crossover_n,
     mahonian_asymptotic,
-    q_constant,
     theorem_bound,
 )
 from codimgeo.mahonian import brute_force_row, mahonian_knuth, mahonian_row
@@ -117,11 +116,10 @@ def test_criterion_09_crossover_reproduction():
 
 def test_criterion_10_asymptotic_bulk_regime():
     started = time.monotonic()
-    q = q_constant(1e-15).q
     rows = {n: mahonian_row(n) for n in (40, 64, 100)}
 
     def ratio(n, k):
-        return mahonian_asymptotic(n, k, q=q).value / rows[n].coefficient(n - k)
+        return mahonian_asymptotic(n, k).value / rows[n].coefficient(n - k)
 
     # The band applies where the estimate promises accuracy: k <= floor(sqrt(n)).
     outliers = []

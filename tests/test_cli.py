@@ -10,6 +10,7 @@ from codimgeo.errors import FalsificationError
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
 from codimgeo.perm import one_line
 from codimgeo.reduction import STEP_MAX_D, main_closure
+from codimgeo.verify import SUITES, run_suite
 
 
 def run(capsys, *argv):
@@ -176,6 +177,19 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("suites", ["", "metric,"])
+def test_verify_rejects_an_empty_suite_name(capsys, suites):
+    # an explicit empty list is not "all suites"
+    code, out, err = run(capsys, "verify", "--n-max", "2", "--suites", suites)
+    assert (code, out) == (2, "")
+    assert "unknown suite ''" in err
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_every_suite_checks_something_at_its_first_degree(name):
+    assert run_suite(name, SUITES[name].min_n).checked > 0
+
+
 def test_verify_cap_exceeded(capsys):
     code, _, err = run(capsys, "verify", "--n-max", "8", "--suites", "metric")
     assert code == 2
@@ -190,9 +204,10 @@ def test_verify_cap_exceeded(capsys):
         ("dilworth", "1", 2),
         ("growth", "1", 2),
         ("classic", "1", 2),
-        ("main", "1", 2),
+        ("main", "1", 3),
+        ("main", "2", 3),
     ],
-    ids=["0", "-3", "dilworth-1", "growth-1", "classic-1", "main-1"],
+    ids=["0", "-3", "dilworth-1", "growth-1", "classic-1", "main-1", "main-2"],
 )
 def test_verify_rejects_degree_below_one(capsys, suite, n_max, first):
     code, out, err = run(capsys, "verify", "--n-max", n_max, "--suites", suite)
@@ -424,7 +439,7 @@ def test_env_cap_lowers_limits(capsys, monkeypatch):
     monkeypatch.setenv("CODIM_MAX_N", "1")
     code, out, err = run(capsys, "verify", "--suites", "main")
     assert code == 2 and out == ""
-    assert "at least 2" in err
+    assert "at least 3" in err
 
 
 def test_env_cap_cannot_raise_limits(capsys, monkeypatch):

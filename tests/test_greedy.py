@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from codimgeo.greedy import (
-    Span,
     apply_rearrangement,
     check_growth,
     chunk_stats,
@@ -31,10 +30,10 @@ def _fixpoint_form(perm):
 
     From the dictionary-least inversion pair (i, j) of the remaining suffix,
     extend the right end while some position of the block has an inversion
-    partner beyond it; repeat on the rest of the word.  Returns (chunks, gaps).
+    partner beyond it; repeat on the rest of the word.  Returns the chunk pairs.
     """
     image, n = perm, len(perm)
-    chunks, gaps = [], []
+    chunks = []
     cursor = 1
     while True:
         pair = next(
@@ -54,61 +53,38 @@ def _fixpoint_form(perm):
             if furthest == end:
                 break
             end = furthest
-        gaps.append(Span(cursor, start - 1) if start > cursor else None)
-        chunks.append(Span(start, end))
+        chunks.append((start, end))
         cursor = end + 1
-    gaps.append(Span(cursor, n) if cursor <= n else None)
-    return tuple(chunks), tuple(gaps)
-
-
-def test_span_validation():
-    with pytest.raises(ValueError):
-        Span(3, 2)
-    with pytest.raises(ValueError):
-        Span(0, 1)
-    assert Span(2, 5).length == 4
+    return tuple(chunks)
 
 
 def test_left_greedy_form_examples():
-    form = left_greedy_form((2, 1, 4, 3))
-    assert form.chunks == (Span(1, 2), Span(3, 4))
-    assert form.gaps == (None, None, None)
-
-    form = left_greedy_form((1, 3, 2, 4))
-    assert form.chunks == (Span(2, 3),)
-    assert form.gaps == (Span(1, 1), Span(4, 4))
-
-    form = left_greedy_form(identity(3))
-    assert form.chunks == ()
-    assert form.gaps == (Span(1, 3),)
+    assert left_greedy_form((2, 1, 4, 3)) == ((1, 2), (3, 4))
+    assert left_greedy_form((1, 3, 2, 4)) == ((2, 3),)
+    assert left_greedy_form(identity(3)) == ()
+    assert left_greedy_form(reversal(4)) == ((1, 4),)
 
 
 def test_left_greedy_form_equals_fixpoint_oracle_exhaustively():
     for n in range(1, 8):
         for p in all_permutations(n):
-            form = left_greedy_form(p)
-            assert (form.chunks, form.gaps) == _fixpoint_form(p), p
+            assert left_greedy_form(p) == _fixpoint_form(p), p
 
 
 @given(permutations())
-def test_greedy_form_tiles_word(p):
-    form = left_greedy_form(p)
-    covered = []
-    for idx, chunk in enumerate(form.chunks):
-        if form.gaps[idx] is not None:
-            covered.extend(form.gaps[idx].positions())
-        covered.extend(chunk.positions())
-    if form.gaps[-1] is not None:
-        covered.extend(form.gaps[-1].positions())
-    assert covered == list(range(1, len(p) + 1))
+def test_chunks_are_increasing_disjoint_spans(p):
+    chunks = left_greedy_form(p)
+    assert all(type(start) is int and type(end) is int for start, end in chunks)
+    ends = [0] + [pos for chunk in chunks for pos in chunk] + [len(p) + 1]
+    # 0 < s_1 < e_1 < s_2 < ... < e_k < n + 1: each chunk has length at least 2
+    assert ends == sorted(set(ends))
 
 
 @given(permutations())
 def test_inversions_live_inside_single_chunks(p):
-    form = left_greedy_form(p)
     owner = {}
-    for idx, chunk in enumerate(form.chunks):
-        for pos in chunk.positions():
+    for idx, (start, end) in enumerate(left_greedy_form(p)):
+        for pos in range(start, end + 1):
             owner[pos] = idx
     for i, j in inversion_set(p).pairs:
         assert i in owner, "gap positions never start an inversion"
@@ -117,37 +93,35 @@ def test_inversions_live_inside_single_chunks(p):
 
 @given(permutations())
 def test_greedy_form_is_canonical_under_recomputation(p):
-    form = left_greedy_form(p)
-    again = left_greedy_form(p)
-    assert form.chunks == again.chunks and form.gaps == again.gaps
+    assert left_greedy_form(p) == left_greedy_form(p)
 
 
 def test_enumerate_identity_all_gap_splits():
-    form = left_greedy_form(identity(3))
-    assert enumerate_chunk_preserving(form, 1) == [()]
-    assert enumerate_chunk_preserving(form, 2) == [(1,), (2,)]
-    assert enumerate_chunk_preserving(form, 3) == [(1, 2)]
+    p = identity(3)
+    assert enumerate_chunk_preserving(p, 1) == [()]
+    assert enumerate_chunk_preserving(p, 2) == [(1,), (2,)]
+    assert enumerate_chunk_preserving(p, 3) == [(1, 2)]
 
 
 def test_enumerate_respects_chunks():
-    form = left_greedy_form((1, 3, 2, 4))
-    assert enumerate_chunk_preserving(form, 2) == [(1,)]  # gap [1,1], then chunk [2,4]
-    assert enumerate_chunk_preserving(form, 3) == [(1, 3)]  # gap, chunk [2,3], gap
-    assert enumerate_chunk_preserving(form, 5) == []
+    p = (1, 3, 2, 4)
+    assert enumerate_chunk_preserving(p, 2) == [(1,)]  # gap [1,1], then chunk [2,4]
+    assert enumerate_chunk_preserving(p, 3) == [(1, 3)]  # gap, chunk [2,3], gap
+    assert enumerate_chunk_preserving(p, 5) == []
 
 
 def test_enumerate_absorbing_tail():
     # two chunks; a final piece may swallow the second one
-    form = left_greedy_form((2, 1, 4, 3))
-    assert form.k == 2
-    assert enumerate_chunk_preserving(form, 1) == [()]
-    assert enumerate_chunk_preserving(form, 2) == [(2,)]
+    p = (2, 1, 4, 3)
+    assert len(left_greedy_form(p)) == 2
+    assert enumerate_chunk_preserving(p, 1) == [()]
+    assert enumerate_chunk_preserving(p, 2) == [(2,)]
 
 
 def test_enumerate_ordering_is_lexicographic_by_boundaries():
-    form = left_greedy_form(identity(4))
-    assert enumerate_chunk_preserving(form, 2) == [(1,), (2,), (3,)]
-    cut_tuples = enumerate_chunk_preserving(form, 3)
+    p = identity(4)
+    assert enumerate_chunk_preserving(p, 2) == [(1,), (2,), (3,)]
+    cut_tuples = enumerate_chunk_preserving(p, 3)
     assert cut_tuples == sorted(cut_tuples) == [(1, 2), (1, 3), (2, 3)]
 
 
@@ -156,55 +130,53 @@ def test_enumerated_decompositions_are_chunk_preserving(p, pieces):
     # the definition restated: a piece holding no chunk start is a gap piece and
     # holds no chunk position; one holding a chunk start begins at the first it
     # holds and covers that chunk; only the last piece may hold two starts
-    form = left_greedy_form(p)
+    chunks = left_greedy_form(p)
     n = len(p)
-    in_chunk = {pos for c in form.chunks for pos in c.positions()}
-    for cuts in enumerate_chunk_preserving(form, pieces):
+    in_chunk = {pos for start, end in chunks for pos in range(start, end + 1)}
+    for cuts in enumerate_chunk_preserving(p, pieces):
         assert len(cuts) == pieces - 1
         assert list(cuts) == sorted(set(cuts)) and all(1 <= c < n for c in cuts)
         bounds = (0, *cuts, n)
         for idx in range(pieces):
             start, end = bounds[idx] + 1, bounds[idx + 1]
-            held = [c for c in form.chunks if start <= c.start <= end]
+            held = [c for c in chunks if start <= c[0] <= end]
             if not held:
                 assert not in_chunk & set(range(start, end + 1))
             else:
-                assert held[0].start == start and end >= held[0].end
+                assert held[0][0] == start and end >= held[0][1]
                 if len(held) > 1:
                     assert idx == pieces - 1 and end == n
 
 
 def test_enumeration_is_nonempty_exactly_between_low_and_atoms():
     # one atom per gap position and per chunk; low is 2 when a gap leads into a chunk
-    assert enumerate_chunk_preserving(left_greedy_form(reversal(3)), 2) == []
+    assert enumerate_chunk_preserving(reversal(3), 2) == []
     for n in range(1, 8):
         for p in all_permutations(n):
-            form = left_greedy_form(p)
-            atoms = n - sum(chunk.length for chunk in form.chunks) + form.k
-            low = 1 if form.k == 0 or form.chunks[0].start == 1 else 2
+            chunks = left_greedy_form(p)
+            atoms = n - sum(end - start + 1 for start, end in chunks) + len(chunks)
+            low = 1 if not chunks or chunks[0][0] == 1 else 2
             for pieces in range(1, n + 1):
-                found = bool(enumerate_chunk_preserving(form, pieces))
+                found = bool(enumerate_chunk_preserving(p, pieces))
                 assert found == (low <= pieces <= atoms), (p, pieces)
 
 
 def test_first_chunk_preserving_examples():
-    form = left_greedy_form((1, 3, 2, 4, 6, 5, 7))
     # gap [1,1], chunk [2,4] with its trailing gap letter, chunk [5,7]
-    assert first_chunk_preserving(form, 3) == (1, 4)
-    assert first_chunk_preserving(left_greedy_form(reversal(3)), 2) is None
-    assert first_chunk_preserving(left_greedy_form(identity(3)), 4) is None
+    assert first_chunk_preserving((1, 3, 2, 4, 6, 5, 7), 3) == (1, 4)
+    assert first_chunk_preserving(reversal(3), 2) is None
+    assert first_chunk_preserving(identity(3), 4) is None
     with pytest.raises(ValueError):
-        first_chunk_preserving(left_greedy_form(identity(3)), 0)
+        first_chunk_preserving(identity(3), 0)
 
 
 def test_first_chunk_preserving_equals_first_enumerated_exhaustively():
     for n in range(1, 8):
         for p in all_permutations(n):
-            form = left_greedy_form(p)
             for pieces in range(1, n + 1):
-                enum = enumerate_chunk_preserving(form, pieces)
+                enum = enumerate_chunk_preserving(p, pieces)
                 expected = enum[0] if enum else None
-                assert first_chunk_preserving(form, pieces) == expected, (p, pieces)
+                assert first_chunk_preserving(p, pieces) == expected, (p, pieces)
 
 
 def test_apply_rearrangement_example():
@@ -250,7 +222,7 @@ def test_check_growth_preconditions():
         check_growth((1, 3, 2, 4), (2,))  # a cut inside the chunk [2,3]
     with pytest.raises(ValueError):
         check_growth((2, 1, 3), (3,))  # a cut at the end of the word
-    split = enumerate_chunk_preserving(left_greedy_form((2, 1, 3)), 2)
+    split = enumerate_chunk_preserving((2, 1, 3), 2)
     assert split == [(2,)] and check_growth((2, 1, 3), split[0])
 
 
@@ -271,11 +243,10 @@ def test_chunk_accounting_inequalities(p):
 def test_growth_holds_exhaustively_for_small_degrees():
     for n in range(2, 5):
         for p in all_permutations(n):
-            form = left_greedy_form(p)
-            if form.k == 1 and form.chunks[0].length == n:
+            if left_greedy_form(p) == ((1, n),):
                 continue
             for pieces in range(2, n + 1):
-                for cuts in enumerate_chunk_preserving(form, pieces):
+                for cuts in enumerate_chunk_preserving(p, pieces):
                     assert check_growth(p, cuts), (p, cuts)
 
 
@@ -286,7 +257,7 @@ def test_every_cut_is_a_sum_cut():
         for n in range(1, 8)
         for p in all_permutations(n)
         for pieces in range(1, n + 1)
-        for cuts in enumerate_chunk_preserving(left_greedy_form(p), pieces)
+        for cuts in enumerate_chunk_preserving(p, pieces)
     ]
     assert len(cut_tuples) == 8270
     assert all(max(p[:c]) == c for p, cuts in cut_tuples for c in cuts)

@@ -190,6 +190,11 @@ def test_ball_layers_equal_the_length_filter():
             assert ball_layers(n, radius) == by_length[:radius]
 
 
+def test_ball_layers_stop_at_the_longest_word():
+    # no word of degree 3 is longer than 3, so a larger radius adds no layer
+    assert ball_layers(3, 10**9) == ball_layers(3, 4)
+
+
 def test_ball_layers_rejects_bad_degree():
     with pytest.raises(ValueError):
         ball_layers(0, 1)
