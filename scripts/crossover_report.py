@@ -25,7 +25,7 @@ def crossover_lines(d_max):
 def detail_lines(d):
     n_max = crossover_n(d) + 2
     lines = ["n,classic,theorem,phi,factorial,winner"]
-    for r in compare_bounds(d, n_max).rows:
+    for r in compare_bounds(d, n_max):
         lines.append(f"{r.n},{r.classic},{r.theorem},{r.phi},{r.factorial},{r.winner}")
     return lines
 

@@ -16,12 +16,12 @@ from codimgeo.mahonian import mahonian_row
 
 
 def ratio_table(n, k_max):
-    q = q_constant(1e-15).q
+    q = q_constant()
     row = mahonian_row(n)
     print(f"# tail accuracy at n = {n} (q = {q:.13f})")
     print(f"{'k':>3}  {'exact':>24}  {'estimate':>14}  {'est/exact':>9}")
     for k in range(0, k_max + 1):
-        exact = row.coefficient(n - k)
+        exact = row[n - k]
         estimate = mahonian_asymptotic(n, k)
         shown = f"{estimate.value:.6e}" if not estimate.overflow else f"2^{estimate.log2_value:.1f}"
         print(f"{k:>3}  {exact:>24}  {shown:>14}  {estimate.value / exact:>9.4f}")

@@ -10,8 +10,6 @@ mechanisms at desk scale.
 __version__ = "0.1.0"
 
 from .bounds import (
-    AsymptoticConstants,
-    BoundReport,
     BoundRow,
     TailEstimate,
     ball_radius,
@@ -21,7 +19,6 @@ from .bounds import (
     crossover_n,
     mahonian_asymptotic,
     q_constant,
-    tensor_identity_degree,
     theorem_bound,
 )
 from .errors import FalsificationError, InvalidInversionSetError, ScaleError
@@ -36,13 +33,11 @@ from .greedy import (
     nonidentity_orders,
 )
 from .mahonian import (
-    MahonianRow,
     ball_complement_count,
     ball_count,
     brute_force_row,
     mahonian_knuth,
     mahonian_row,
-    pentagonal,
 )
 from .perm import (
     InversionSet,
@@ -72,14 +67,11 @@ from .reduction import (
 from .verify import SUITES, SuiteResult, run_suite
 
 __all__ = [
-    "AsymptoticConstants",
-    "BoundReport",
     "BoundRow",
     "ChunkStats",
     "FalsificationError",
     "InvalidInversionSetError",
     "InversionSet",
-    "MahonianRow",
     "Permutation",
     "ReductionTrace",
     "ScaleError",
@@ -119,11 +111,9 @@ __all__ = [
     "nonidentity_orders",
     "one_line",
     "parse_permutation",
-    "pentagonal",
     "q_constant",
     "reversal",
     "run_suite",
-    "tensor_identity_degree",
     "theorem_bound",
     "validate_inversion_set",
     "word_length",

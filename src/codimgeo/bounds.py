@@ -5,7 +5,8 @@ classic bound (d - 1)^(2n) and the ball-complement bound counting only the
 permutations at word-metric distance at least (n - d)/2.  Both eventually
 fall below n!; the crossover degree records when.  A closed-form lower bound
 on the complement count and a floating-point tail estimate for Mahonian
-numbers round out the toolkit.
+numbers round out the toolkit.  Results are plain values: compare_bounds
+returns a tuple of BoundRow, one per degree, and q_constant the float q.
 """
 from __future__ import annotations
 
@@ -110,50 +111,24 @@ def crossover_n(d: int) -> int:
     return _least_factorial_dominance((d - 1) ** 2)
 
 
-def tensor_identity_degree(d1: int, d2: int) -> int:
-    """Least m with ((d1 - 1)^2 (d2 - 1)^2)^m < m!.
+@lru_cache(maxsize=None)
+def q_constant() -> float:
+    """Evaluate q = prod_{j>=1} (1 - 2^-j) by partial products.
 
-    >>> tensor_identity_degree(3, 3)
-    41
-    """
-    if d1 < 2 or d2 < 2:
-        raise ValueError("both factors need d >= 2")
-    return _least_factorial_dominance(((d1 - 1) * (d2 - 1)) ** 2)
+    Multiplies factors until the change drops below 1e-15.  The partial
+    products decrease strictly and stay above 0.288.
 
-
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    """The infinite product q = prod_j (1 - 2^-j) and the terms used."""
-
-    q: float
-    terms: int
-
-
-def q_constant(tolerance: float = 1e-15) -> AsymptoticConstants:
-    """Evaluate prod_{j>=1} (1 - 2^-j) by partial products.
-
-    Multiplies factors until the change drops below the tolerance.  The
-    partial products decrease strictly and stay above 0.288.
-
-    >>> round(q_constant(1e-15).q, 10)
+    >>> round(q_constant(), 10)
     0.2887880951
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     q = 1.0
-    terms = 0
+    j = 0
     while True:
-        terms += 1
-        nxt = q * (1.0 - math.ldexp(1.0, -terms))
-        converged = q - nxt < tolerance
+        j += 1
+        nxt = q * (1.0 - math.ldexp(1.0, -j))
+        if q - nxt < 1e-15:
+            return nxt
         q = nxt
-        if converged:
-            return AsymptoticConstants(q=q, terms=terms)
-
-
-@lru_cache(maxsize=None)
-def _default_q() -> float:
-    return q_constant(1e-15).q
 
 
 @dataclass(frozen=True)
@@ -170,7 +145,7 @@ class TailEstimate:
 def mahonian_asymptotic(n: int, k: int) -> TailEstimate:
     """Estimate I_n(n - k) as 2^(2n - k - 1) q / sqrt(n pi).
 
-    q = prod_j (1 - 2^-j) is evaluated once, by q_constant(1e-15).
+    q = prod_j (1 - 2^-j) is evaluated once, by q_constant().
     Accurate in the bulk regime k = o(sqrt(n)); degrades toward the extreme
     tail.  For 40 <= n <= 100 and k <= floor(sqrt(n)) the ratio
     estimate/exact lies in [0.93, 1.07]; at n = 40, k = 10, outside that
@@ -182,7 +157,7 @@ def mahonian_asymptotic(n: int, k: int) -> TailEstimate:
     if not (0 <= k <= n):
         raise ValueError(f"estimate requires 0 <= k <= n, got k = {k}")
     exponent = 2 * n - k - 1
-    mantissa = _default_q() / math.sqrt(n * math.pi)
+    mantissa = q_constant() / math.sqrt(n * math.pi)
     log2_value = exponent + math.log2(mantissa)
     try:
         value = math.ldexp(mantissa, exponent)
@@ -220,16 +195,8 @@ class BoundRow:
     winner: str
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Side-by-side bound values for one d over a range of degrees."""
-
-    d: int
-    rows: tuple[BoundRow, ...]
-
-
-def compare_bounds(d: int, n_max: int) -> BoundReport:
-    """Tabulate both bounds, the closed-form lower bound, and n! for d <= n <= n_max."""
+def compare_bounds(d: int, n_max: int) -> tuple[BoundRow, ...]:
+    """One row per degree d <= n <= n_max: both bounds, the closed-form lower bound, n!."""
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     if n_max < d:
@@ -256,4 +223,4 @@ def compare_bounds(d: int, n_max: int) -> BoundReport:
                 winner=winner,
             )
         )
-    return BoundReport(d, tuple(rows))
+    return tuple(rows)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import CROSSOVER_MAX_D, compare_bounds, crossover_n
-from .errors import FalsificationError, ScaleError, effective_cap
+from .errors import FalsificationError, effective_cap
 from .greedy import chunk_stats, left_greedy_form
 from .mahonian import brute_force_row, mahonian_knuth, mahonian_row
 from .perm import one_line, parse_permutation, word_length
@@ -88,20 +88,21 @@ def _cmd_mahonian(args) -> Result:
     after = ()
     if args.check:
         for k in range(0, args.n + 1):
-            if mahonian_knuth(args.n, k) != row.coefficient(k):
+            # I_n(k) = 0 past C(n,2), which the closed form must match at n <= 2
+            if mahonian_knuth(args.n, k) != (row[k] if k < len(row) else 0):
                 raise FalsificationError(f"closed form disagrees at k={k}")
         brute = args.n <= effective_cap(8)  # CODIM_MAX_N caps brute_force_row too
-        if brute and brute_force_row(args.n).coefficients != row.coefficients:
+        if brute and brute_force_row(args.n) != row:
             raise FalsificationError("brute-force histogram disagrees")
         after = ("check: OK (closed form k <= n" + ("; brute force)" if brute else ")"),)
-    counts = [str(c) for c in row.coefficients]
-    payload = {"n": row.n, "coefficients": counts}
+    counts = [str(c) for c in row]
+    payload = {"n": args.n, "coefficients": counts}
     if args.check:
         payload["check"] = "ok"
     return Result(
         command=f"mahonian --n {args.n}" + (" --check" if args.check else ""),
         columns=("n", "k", "count"),
-        rows=[(row.n, k, c) for k, c in enumerate(counts)],
+        rows=[(args.n, k, c) for k, c in enumerate(counts)],
         payload=payload,
         after=after,
         csv_only=1,
@@ -109,17 +110,16 @@ def _cmd_mahonian(args) -> Result:
 
 
 def _cmd_bounds(args) -> Result:
-    report = compare_bounds(args.d, args.n_max)
     columns = ("n", "classic", "theorem", "phi", "factorial", "winner")
     rows = [
         (r.n, str(r.classic), str(r.theorem), str(r.phi), str(r.factorial), r.winner)
-        for r in report.rows
+        for r in compare_bounds(args.d, args.n_max)
     ]
     return Result(
         command=f"bounds --d {args.d} --n-max {args.n_max}",
         columns=columns,
         rows=rows,
-        payload={"d": report.d, "rows": [dict(zip(columns, row)) for row in rows]},
+        payload={"d": args.d, "rows": [dict(zip(columns, row)) for row in rows]},
     )
 
 
@@ -143,6 +143,8 @@ def _cmd_verify(args) -> Result:
     names = list(SUITES) if args.suites is None else [s.strip() for s in args.suites.split(",")]
     for name in names:
         check_request(name, args.n_max)  # reject a bad request before any work
+        if names.count(name) > 1:
+            raise ValueError(f"suite {name!r} is named twice")
     results = [run_suite(name, args.n_max) for name in names]
     command = "verify" + (f" --n-max {args.n_max}" if args.n_max is not None else "")
     if args.suites:
@@ -240,6 +242,8 @@ def _cmd_reduce(args) -> Result:
         )
     if args.perm is None:
         raise ValueError("need --perm for a single step (or --closure with --n)")
+    if args.n is not None or args.summary_only:
+        raise ValueError("a single step takes --perm, not --n or --summary-only")
     perm = parse_permutation(args.perm).image
     step = classic_step if args.mode == "classic" else main_step
     rows = [(one_line(c), word_length(c)) for c in step(perm, args.d)]
@@ -318,7 +322,7 @@ def main(argv=None) -> int:
     except FalsificationError as exc:
         print(f"falsification: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (ScaleError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_FAIL if result.failed else EXIT_OK

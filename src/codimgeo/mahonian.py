@@ -7,9 +7,9 @@ The generating function is the q-factorial
 One kernel computes its head I_n(0..L-1) exactly, as the product truncated
 mod z^L: each factor is a sliding-window sum over prefix sums, and since
 every partial product is a palindrome a step computes only the coefficients
-up to half its degree and mirrors the rest.  A full row is the head of
-length C(n,2) + 1; a ball count needs only the head below its radius, in
-O(n L) big-integer additions.  A closed form due to Knuth expresses I_n(k)
+up to half its degree and mirrors the rest.  A full row, mahonian_row(n),
+is the head of length C(n,2) + 1 as a plain tuple I_n(0..C(n,2)); a ball
+count needs only the head below its radius, in O(n L) big-integer additions.  A closed form due to Knuth expresses I_n(k)
 as an alternating sum of binomials indexed by the generalized pentagonal
 numbers.  Radii are integers: word lengths are, so a real radius K acts as
 ceil(K).
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import sub
 
 from .errors import check_scale
@@ -27,24 +26,6 @@ BRUTE_FORCE_MAX_N = 9
 # A full row costs O(n^3) additions of O(n log n)-bit integers: n = 400 takes
 # about 2 s, and `codim mahonian` about 4 s and 300 MiB to print it.
 ROW_MAX_N = 400
-
-
-@dataclass(frozen=True)
-class MahonianRow:
-    """The coefficients I_n(0), ..., I_n(C(n,2)) for one degree n."""
-
-    n: int
-    coefficients: tuple[int, ...]
-
-    @property
-    def max_inversions(self) -> int:
-        return self.n * (self.n - 1) // 2
-
-    def coefficient(self, k: int) -> int:
-        """I_n(k), with 0 outside the range 0 <= k <= C(n,2)."""
-        if 0 <= k < len(self.coefficients):
-            return self.coefficients[k]
-        return 0
 
 
 def _head(n: int, length: int) -> tuple[int, ...]:
@@ -70,20 +51,20 @@ def _head(n: int, length: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def mahonian_row(n: int) -> MahonianRow:
-    """Exact inversion-count distribution for degree n <= ROW_MAX_N.
+def mahonian_row(n: int) -> tuple[int, ...]:
+    """The coefficients I_n(0), ..., I_n(C(n,2)), for degree n <= ROW_MAX_N.
 
-    >>> mahonian_row(4).coefficients
+    >>> mahonian_row(4)
     (1, 3, 5, 6, 5, 3, 1)
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
     if n > ROW_MAX_N:
         raise ValueError(f"a full row is capped at n <= {ROW_MAX_N}, got n = {n}")
-    return MahonianRow(n, _head(n, n * (n - 1) // 2 + 1))
+    return _head(n, n * (n - 1) // 2 + 1)
 
 
-def brute_force_row(n: int) -> MahonianRow:
+def brute_force_row(n: int) -> tuple[int, ...]:
     """Histogram of inversion counts over all n! permutations.  Capped at n <= 9."""
     if n < 1:
         raise ValueError("degree must be at least 1")
@@ -97,18 +78,7 @@ def brute_force_row(n: int) -> MahonianRow:
             if image[b] < image[a]
         )
         counts[inv] += 1
-    return MahonianRow(n, tuple(counts))
-
-
-def pentagonal(j: int) -> int:
-    """The pentagonal number j(3j - 1)/2 for j >= 1.
-
-    >>> [pentagonal(j) for j in (1, 2, 3, 4)]
-    [1, 5, 12, 22]
-    """
-    if j < 1:
-        raise ValueError("pentagonal index starts at 1")
-    return j * (3 * j - 1) // 2
+    return tuple(counts)
 
 
 def _binom(a: int, b: int) -> int:
@@ -131,7 +101,7 @@ def mahonian_knuth(n: int, k: int) -> int:
     total = _binom(n + k - 1, k)
     j = 1
     while True:
-        u = pentagonal(j)
+        u = j * (3 * j - 1) // 2  # the generalized pentagonal number
         lower_far = k - u - j
         lower_near = k - u
         if lower_far < 0 and lower_near < 0:

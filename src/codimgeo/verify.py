@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .bounds import ball_radius
+from .bounds import ball_radius, classic_bound
 from .errors import FalsificationError, effective_cap
 from .greedy import (
     check_growth,
@@ -103,7 +103,7 @@ def _run_dilworth(n_max: int) -> _Outcome:
         for d in range(2, n + 1):
             checked += 1
             count = count_d_good(n, d)
-            ceiling = (d - 1) ** (2 * n)
+            ceiling = classic_bound(n, d)
             info.append(f"n={n} d={d} good={count} ceiling={ceiling}")
             if count > ceiling:
                 failures.append(f"n={n} d={d}: {count} good exceeds {ceiling}")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from codimgeo.bounds import (
     crossover_n,
     mahonian_asymptotic,
     q_constant,
-    tensor_identity_degree,
     theorem_bound,
 )
 from codimgeo.mahonian import mahonian_row
@@ -72,13 +72,6 @@ def test_crossover_equals_incremental_oracle():
         assert crossover_n(d) == incremental_dominance_oracle((d - 1) ** 2)
 
 
-def test_tensor_identity_degree_equals_incremental_oracle():
-    for d1 in range(2, 7):
-        for d2 in range(2, 7):
-            base = ((d1 - 1) * (d2 - 1)) ** 2
-            assert tensor_identity_degree(d1, d2) == incremental_dominance_oracle(base)
-
-
 def test_crossover_cap():
     with pytest.raises(ValueError, match=f"d <= {CROSSOVER_MAX_D}"):
         crossover_n(CROSSOVER_MAX_D + 1)
@@ -104,43 +97,25 @@ def test_crossover_monotone():
     assert values == sorted(values)
 
 
-def test_tensor_identity_degree():
-    assert tensor_identity_degree(2, 2) == 2
-    assert tensor_identity_degree(2, 3) == 9
-    assert tensor_identity_degree(3, 3) == 41
-    for d in range(2, 8):
-        assert tensor_identity_degree(d, 2) == crossover_n(d)
-    with pytest.raises(ValueError):
-        tensor_identity_degree(1, 3)
-
-
-def test_q_constant_partial_products():
-    one = q_constant(0.6)
-    assert (one.q, one.terms) == (0.5, 1)
-    two = q_constant(0.2)
-    assert (two.q, two.terms) == (0.375, 2)
-    full = q_constant(1e-15)
-    assert abs(full.q - 0.2887880950866) < 1e-12
-    assert 0.288 < full.q < 0.29
-    with pytest.raises(ValueError):
-        q_constant(0.0)
-
-
 def test_q_partial_products_decrease_toward_limit():
-    # strict decrease holds for every term the constant actually consumes;
-    # beyond that the factors sit within one ulp of 1.0 and floats plateau
-    terms = q_constant(1e-15).terms
+    # strict decrease holds for every term the constant actually consumes,
+    # up to the first step below 1e-15; beyond that the factors sit within
+    # one ulp of 1.0 and floats plateau
     previous = 1.0
     q = 1.0
-    for j in range(1, terms + 1):
+    for j in itertools.count(1):
         q *= 1.0 - 2.0 ** -j
         assert q < previous
         assert q > 0.288
+        if previous - q < 1e-15:
+            break
         previous = q
+    assert q == q_constant()
+    assert abs(q - 0.2887880950866) < 1e-12
 
 
 def test_asymptotic_estimate_structure():
-    q = q_constant(1e-15).q
+    q = q_constant()
     for n, k in ((20, 0), (20, 5), (40, 10)):
         est = mahonian_asymptotic(n, k)
         assert est.value == pytest.approx(2.0 ** (2 * n - k - 1) * q / math.sqrt(n * math.pi))
@@ -152,13 +127,13 @@ def test_asymptotic_estimate_overflow_flag():
     est = mahonian_asymptotic(1000, 0)
     assert est.overflow
     assert est.value == math.inf
-    assert est.log2_value == pytest.approx(1999 + math.log2(q_constant(1e-15).q) - 0.5 * math.log2(1000 * math.pi))
+    assert est.log2_value == pytest.approx(1999 + math.log2(q_constant()) - 0.5 * math.log2(1000 * math.pi))
 
 
 def test_asymptotic_estimate_is_wrong_at_extreme_tail():
     # the estimate targets the bulk regime; at the far tail it is way off
     est = mahonian_asymptotic(30, 30)
-    assert mahonian_row(30).coefficient(0) == 1
+    assert mahonian_row(30)[0] == 1
     assert est.value > 1e6
 
 
@@ -187,24 +162,23 @@ def test_complement_lower_bound_ratio_approaches_one():
 
 
 def test_compare_bounds_report():
-    report = compare_bounds(3, 12)
-    assert [r.n for r in report.rows] == list(range(3, 13))
-    for r in report.rows:
+    rows = compare_bounds(3, 12)
+    assert [r.n for r in rows] == list(range(3, 13))
+    for r in rows:
         assert r.factorial == math.factorial(r.n)
         assert r.winner == ("theorem" if r.theorem < r.classic else "classic" if r.classic < r.theorem else "tie")
     # below the crossover the theorem bound is the informative one
-    for r in report.rows:
+    for r in rows:
         if 3 < r.n < 9:
             assert r.theorem < r.factorial
             assert r.classic >= r.factorial
 
 
 def test_compare_bounds_boundary_row():
-    report = compare_bounds(4, 4)
-    assert len(report.rows) == 1
-    assert report.rows[0].theorem == 24
+    rows = compare_bounds(4, 4)
+    assert len(rows) == 1
+    assert rows[0].theorem == 24
 
 
 def test_compare_bounds_classic_wins_eventually():
-    report = compare_bounds(3, 15)
-    assert report.rows[-1].winner == "classic"
+    assert compare_bounds(3, 15)[-1].winner == "classic"

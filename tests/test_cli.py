@@ -59,6 +59,14 @@ def test_mahonian_check_disagreement(capsys, monkeypatch):
     assert err == "falsification: closed form disagrees at k=3\n"
 
 
+def test_mahonian_check_sees_a_nonzero_closed_form_past_the_row(capsys, monkeypatch):
+    # the n = 2 row ends at k = 1, so --check compares k = 2 against 0
+    monkeypatch.setattr("codimgeo.cli.mahonian_knuth", lambda n, k: mahonian_knuth(n, k) + (k == 2))
+    code, out, err = run(capsys, "mahonian", "--n", "2", "--check")
+    assert (code, out) == (1, "")
+    assert err == "falsification: closed form disagrees at k=2\n"
+
+
 def test_mahonian_rejects_bad_degree(capsys):
     code, _, err = run(capsys, "mahonian", "--n", "0")
     assert code == 2
@@ -114,13 +122,13 @@ def test_bounds_boundary_row(capsys):
 
 
 def test_bounds_output_matches_report(capsys):
-    report = compare_bounds(3, 9)
+    rows = compare_bounds(3, 9)
     argv = ("bounds", "--d", "3", "--n-max", "9", "--format")
     lines = run(capsys, *argv, "csv")[1].splitlines()
     payload = json.loads(run(capsys, *argv, "json")[1])
     assert lines[0] == "n,classic,theorem,phi,factorial,winner"
     assert payload["d"] == 3
-    for line, entry, row in zip(lines[1:], payload["rows"], report.rows, strict=True):
+    for line, entry, row in zip(lines[1:], payload["rows"], rows, strict=True):
         values = (row.n, row.classic, row.theorem, row.phi, row.factorial, row.winner)
         assert line == ",".join(map(str, values))
         assert entry == {
@@ -183,6 +191,13 @@ def test_verify_rejects_an_empty_suite_name(capsys, suites):
     code, out, err = run(capsys, "verify", "--n-max", "2", "--suites", suites)
     assert (code, out) == (2, "")
     assert "unknown suite ''" in err
+
+
+def test_verify_rejects_a_repeated_suite(capsys, monkeypatch):
+    monkeypatch.setattr("codimgeo.cli.run_suite", lambda *a: pytest.fail("a suite ran"))
+    code, out, err = run(capsys, "verify", "--suites", "metric,metric", "--n-max", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: suite 'metric' is named twice\n"
 
 
 @pytest.mark.parametrize("name", list(SUITES))
@@ -382,6 +397,13 @@ def test_reduce_closure_requires_n(capsys):
     code, _, err = run(capsys, "reduce", "--perm", "2,1", "--d", "2", "--mode", "classic", "--closure")
     assert code == 2
     assert "--closure" in err
+
+
+@pytest.mark.parametrize("flag", [("--n", "3"), ("--summary-only",)])
+def test_reduce_step_rejects_closure_flags(capsys, flag):
+    code, out, err = run(capsys, "reduce", "--perm", "1,2,3", "--d", "2", "--mode", "main", *flag)
+    assert (code, out) == (2, "")
+    assert err == "error: a single step takes --perm, not --n or --summary-only\n"
 
 
 def test_missing_required_argument(capsys):

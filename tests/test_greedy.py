@@ -91,11 +91,6 @@ def test_inversions_live_inside_single_chunks(p):
         assert owner.get(j) == owner[i], "inversions never cross chunk borders"
 
 
-@given(permutations())
-def test_greedy_form_is_canonical_under_recomputation(p):
-    assert left_greedy_form(p) == left_greedy_form(p)
-
-
 def test_enumerate_identity_all_gap_splits():
     p = identity(3)
     assert enumerate_chunk_preserving(p, 1) == [()]
