@@ -24,13 +24,11 @@ from .bounds import (
 from .errors import FalsificationError, InvalidInversionSetError, ScaleError
 from .greedy import (
     ChunkStats,
-    apply_rearrangement,
     check_growth,
+    chunk_preserving_cuts,
     chunk_stats,
-    enumerate_chunk_preserving,
-    first_chunk_preserving,
     left_greedy_form,
-    nonidentity_orders,
+    rearrangements,
 )
 from .mahonian import (
     ball_complement_count,
@@ -79,13 +77,13 @@ __all__ = [
     "SUITES",
     "TailEstimate",
     "all_permutations",
-    "apply_rearrangement",
     "ball_complement_count",
     "ball_count",
     "ball_radius",
     "brute_force_row",
     "cayley_distance_bfs",
     "check_growth",
+    "chunk_preserving_cuts",
     "chunk_stats",
     "classic_bound",
     "classic_closure",
@@ -94,9 +92,7 @@ __all__ = [
     "complement_lower_bound",
     "count_d_good",
     "crossover_n",
-    "enumerate_chunk_preserving",
     "find_d_bad_witness",
-    "first_chunk_preserving",
     "from_inversion_set",
     "identity",
     "inversion_set",
@@ -108,10 +104,10 @@ __all__ = [
     "mahonian_row",
     "main_closure",
     "main_step",
-    "nonidentity_orders",
     "one_line",
     "parse_permutation",
     "q_constant",
+    "rearrangements",
     "reversal",
     "run_suite",
     "theorem_bound",

@@ -2,15 +2,18 @@
 
 Each command's handler computes one Result and does no output; _render alone
 writes it as a human table (default), CSV (header always present,
-comma-delimited, no quoting needed) or JSON.  Output is byte-deterministic;
---meta prepends provenance comment lines (a "meta" object in JSON).  Exit
-codes: 0 success, 1 verification or falsification failure, 2 usage or
-precondition error (an unwritable --output included).  A --perm argument is
-validated once, as a Permutation; everything past that takes its image tuple.
+comma-delimited, a cell holding a comma quoted) or JSON.  Output is
+byte-deterministic; --meta prepends provenance comment lines (a "meta"
+object in JSON).  Exit codes: 0 success, 1 verification or falsification
+failure, 2 usage or precondition error (an unwritable --output included).
+A --perm argument is validated once, as a Permutation; everything past
+that takes its image tuple.
 """
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -62,8 +65,9 @@ def _render(args, result: Result) -> None:
         if args.meta:
             lines += [f"# tool: codimgeo {__version__}", f"# command: {result.command}"]
         if args.format == "csv":
-            lines.append(",".join(result.columns))
-            lines += [",".join(map(str, row)) for row in result.rows]
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows([result.columns, *result.rows])
+            lines.append(buffer.getvalue()[:-1])  # print and write_text add the last newline
         else:
             skip = result.csv_only
             cells = [result.columns[skip:]] + [[str(c) for c in row[skip:]] for row in result.rows]

@@ -19,7 +19,8 @@ piece) or starts exactly at some chunk's start and covers that chunk; only
 the final piece may run on into later chunks, in which case it extends to the
 end of the word.  A decomposition into p pieces is its tuple of cuts
 1 <= c_1 < ... < c_{p-1} <= n - 1: piece i ends at position c_i and the last
-piece ends at n.
+piece ends at n.  Both spanning steps replace a word by the nonidentity
+reorderings of consecutive blocks; _reorder builds them for both.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ def left_greedy_form(perm: Image) -> tuple[tuple[int, int], ...]:
 def _chunk_preserving(chunks: tuple[tuple[int, int], ...], cuts: tuple[int, ...]) -> bool:
     """Are the pieces ending at cuts[0], cuts[1], ... and n chunk-preserving?
 
+    check_growth's precondition; chunk_preserving_cuts lists only such cuts.
     The cuts must be strictly increasing inside 1..n-1.  No cut falls
     strictly inside a chunk, a piece holding a chunk start begins at one, and
     only the last piece may hold two or more.
@@ -69,99 +71,74 @@ def _chunk_preserving(chunks: tuple[tuple[int, int], ...], cuts: tuple[int, ...]
     return t == len(chunks) or chunks[t][0] == begin
 
 
-def enumerate_chunk_preserving(perm: Image, pieces: int) -> list[tuple[int, ...]]:
-    """The cut tuples of all chunk-preserving decompositions into p pieces.
+def chunk_preserving_cuts(perm: Image, pieces: int):
+    """Yield the cut tuples of the chunk-preserving decompositions into p pieces.
 
-    Ordered lexicographically.  Counting each gap position and each chunk as
-    one atom, the list is nonempty iff low <= p <= (number of atoms), where
-    low is 1 if the word starts with a chunk or has none, else 2.  So
-    reversal(3), a single chunk, has no decomposition into 2 pieces.
-    first_chunk_preserving builds element [0] directly; this full listing
-    serves the growth checks and is its oracle.
+    In lexicographic order.  Count atoms: each gap position is one atom and
+    each chunk is one.  The suffix starting at position s (never strictly
+    inside a chunk) splits into exactly r chunk-preserving pieces iff
+    low(s) <= r <= atoms(s), where atoms(s) counts the atoms in [s, n] and
+    low(s) is 1 when s starts a chunk or no chunk lies ahead, else 2.  So
+    reversal(3), a single chunk, has no decomposition into 2 pieces.  A
+    depth-first search tries each piece's legal ends in increasing order and
+    keeps only those leaving a feasible suffix, so every branch yields and
+    the first tuple costs O(n + p) steps.
 
-    >>> enumerate_chunk_preserving((1, 3, 2, 4), 3)
+    >>> list(chunk_preserving_cuts((1, 3, 2, 4), 3))
     [(1, 3)]
-    """
-    if pieces < 1:
-        raise ValueError(f"need at least one piece, got {pieces}")
-    chunks = left_greedy_form(perm)
-    return [
-        cuts
-        for cuts in itertools.combinations(range(1, len(perm)), pieces - 1)
-        if _chunk_preserving(chunks, cuts)
-    ]
-
-
-def first_chunk_preserving(perm: Image, pieces: int) -> tuple[int, ...] | None:
-    """The first cut tuple enumerate_chunk_preserving would list, or None.
-
-    Builds it in O(n + p) steps instead of trying all C(n-1, p-1) cut sets.
-    Count atoms: each gap position is one atom and each chunk is one.  The
-    suffix starting at position s (never strictly inside a chunk) splits into
-    exactly r chunk-preserving pieces iff low(s) <= r <= atoms(s), where
-    atoms(s) counts the atoms in [s, n] and low(s) is 1 when s starts a chunk
-    or no chunk lies ahead, else 2.  Each piece takes its smallest legal end
-    that leaves a feasible suffix, which yields the least cut tuple.
-
-    >>> first_chunk_preserving((1, 3, 2, 4, 6, 5, 7), 3)
+    >>> next(chunk_preserving_cuts((1, 3, 2, 4, 6, 5, 7), 3))
     (1, 4)
-    >>> first_chunk_preserving((3, 2, 1), 2) is None
-    True
     """
     if pieces < 1:
         raise ValueError(f"need at least one piece, got {pieces}")
     n = len(perm)
     chunk_end = dict(left_greedy_form(perm))
+    last = max(chunk_end, default=0)  # the last chunk's start
     atoms = [0] * (n + 2)
-    low = [0] * (n + 2)
-    chunk_ahead = False
     for s in range(n, 0, -1):
-        if s in chunk_end:
-            chunk_ahead = True
-            atoms[s] = 1 + atoms[chunk_end[s] + 1]
-            low[s] = 1
-        else:
-            atoms[s] = 1 + atoms[s + 1]
-            low[s] = 2 if chunk_ahead else 1
-    if not low[1] <= pieces <= atoms[1]:
-        return None
+        atoms[s] = 1 + atoms[chunk_end.get(s, s) + 1]
+
+    def feasible(s: int, r: int) -> bool:  # low(s) <= r <= atoms(s)
+        return r <= atoms[s] and (r > 1 or s in chunk_end or s > last)
+
     cuts: list[int] = []
-    s = 1
-    for left in range(pieces - 1, 0, -1):  # pieces still to place after this one
-        # a chunk piece ends no earlier than its chunk, a gap piece at s or later;
-        # the first feasible end never reaches past the next chunk's start
-        end = chunk_end.get(s, s)
-        while not low[end + 1] <= left <= atoms[end + 1]:
-            end += 1
-        cuts.append(end)
-        s = end + 1
-    return tuple(cuts)
+
+    def place(s: int, left: int):
+        # the piece starting at s, with left pieces still to place after it
+        if not left:
+            yield tuple(cuts)
+            return
+        # a chunk piece ends no earlier than its chunk, a gap piece at s or
+        # later; neither reaches past the next chunk's start
+        for end in range(chunk_end.get(s, s), n):
+            if feasible(end + 1, left):
+                cuts.append(end)
+                yield from place(end + 1, left - 1)
+                cuts.pop()
+            if end + 1 in chunk_end:
+                break
+
+    if feasible(1, pieces):
+        yield from place(1, pieces - 1)
 
 
-def nonidentity_orders(p: int):
-    """The p! - 1 nontrivial 0-based orders of p pieces, in dictionary order.
-
-    >>> list(nonidentity_orders(2))
-    [(1, 0)]
-    """
-    return itertools.islice(itertools.permutations(range(p)), 1, None)
+def _reorder(head: Image, blocks: list[Image]) -> tuple[Image, ...]:
+    """head and then the blocks, in each nonidentity order (dictionary order)."""
+    orders = itertools.permutations(blocks)
+    next(orders)  # the identity order
+    return tuple(sum(order, head) for order in orders)
 
 
-def apply_rearrangement(perm: Image, cuts: tuple[int, ...], order: tuple[int, ...]) -> Image:
-    """Cut the word after each position in cuts; piece order[i] lands in slot i.
+def rearrangements(perm: Image, cuts: tuple[int, ...]) -> tuple[Image, ...]:
+    """Cut the word after each position in cuts; every nonidentity order of the pieces.
 
-    >>> apply_rearrangement((1, 3, 2, 4), (1, 3), (1, 2, 0))
-    (3, 2, 4, 1)
+    >>> rearrangements((1, 3, 2, 4), (1, 3))
+    ((1, 4, 3, 2), (3, 2, 1, 4), (3, 2, 4, 1), (4, 1, 3, 2), (4, 3, 2, 1))
     """
     bounds = (0, *cuts, len(perm))
     if any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise ValueError(f"cuts must increase strictly inside 1..{len(perm) - 1}, got {cuts}")
-    if sorted(order) != list(range(len(bounds) - 1)):
-        raise ValueError(f"order must permute the {len(bounds) - 1} pieces, got {order}")
-    out: list[int] = []
-    for t in order:
-        out.extend(perm[bounds[t]:bounds[t + 1]])
-    return tuple(out)
+    return _reorder((), [perm[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
 def check_growth(perm: Image, cuts: tuple[int, ...]) -> bool:
@@ -173,10 +150,7 @@ def check_growth(perm: Image, cuts: tuple[int, ...]) -> bool:
     if not cuts or not _chunk_preserving(left_greedy_form(perm), cuts):
         raise ValueError(f"{cuts} is not a chunk-preserving cut tuple of at least two pieces")
     base = word_length(perm)
-    return all(
-        word_length(apply_rearrangement(perm, cuts, order)) > base
-        for order in nonidentity_orders(len(cuts) + 1)
-    )
+    return all(word_length(child) > base for child in rearrangements(perm, cuts))
 
 
 @dataclass(frozen=True)

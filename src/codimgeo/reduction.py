@@ -6,6 +6,7 @@ so iterating terminates with d-good support.  The main step decomposes a word
 of length below the threshold K = (n - d)/2 (for integer lengths, below
 ceil(K)) into d chunk-preserving pieces and rearranges; every child is
 strictly longer, so iterating drives all support out of the ball B(K).
+Both steps build their children with greedy's one block-reordering kernel.
 
 A closure's sources are every rewritable word, and it rewrites each once.
 Traces record every expansion edge, and the recorded depth is the longest
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 from .bounds import ball_radius
 from .errors import FalsificationError, check_scale
 from .greedy import (
-    apply_rearrangement,
-    first_chunk_preserving,
-    nonidentity_orders,
+    _reorder,
+    chunk_preserving_cuts,
+    rearrangements,
 )
 from .mahonian import ball_complement_count
 from .perm import (
@@ -40,8 +41,8 @@ MODE_MAIN = "main"
 
 CLASSIC_CLOSURE_MAX_N = 7
 MAIN_CLOSURE_MAX_N = 8
-# A step builds d! - 1 children: main_step(identity(40), 8) takes about 0.7 s,
-# d = 9 about 7 s.  Every closure at its cap needs d <= 8.
+# A step builds d! - 1 children: main_step(identity(40), 8) takes about 0.6 s,
+# d = 9 about 6 s.  Every closure at its cap needs d <= 8.
 STEP_MAX_D = 8
 
 
@@ -82,16 +83,9 @@ def classic_step(p: Image, d: int) -> tuple[Image, ...]:
     witness = find_d_bad_witness(p, d)
     if witness is None:
         raise ValueError(f"permutation {one_line(p)} is {d}-good; nothing to rewrite")
-    prefix = p[: witness[0] - 1]
-    cuts = list(witness) + [n + 1]
-    blocks = [p[cuts[t] - 1 : cuts[t + 1] - 1] for t in range(d)]
-    children = []
-    for order in nonidentity_orders(d):
-        out = prefix
-        for t in order:
-            out += blocks[t]
-        children.append(out)
-    return tuple(children)
+    starts = (*witness, n + 1)
+    blocks = [p[a - 1 : b - 1] for a, b in zip(starts, starts[1:])]
+    return _reorder(p[: witness[0] - 1], blocks)
 
 
 def main_step(p: Image, d: int) -> tuple[Image, ...]:
@@ -110,15 +104,14 @@ def main_step(p: Image, d: int) -> tuple[Image, ...]:
             f"word length {base} is not below the threshold {radius}; "
             "the rewrite only applies inside the ball"
         )
-    first = first_chunk_preserving(p, d)
-    if first is None:
+    cuts = next(chunk_preserving_cuts(p, d), None)
+    if cuts is None:
         raise FalsificationError(
             f"no chunk-preserving decomposition of {one_line(p)} into {d} pieces; "
             "existence is claimed for every word inside the ball"
         )
-    children = []
-    for order in nonidentity_orders(d):
-        child = apply_rearrangement(p, first, order)
+    children = rearrangements(p, cuts)
+    for child in children:
         length = word_length(child)
         if length <= base:
             raise FalsificationError(
@@ -126,8 +119,7 @@ def main_step(p: Image, d: int) -> tuple[Image, ...]:
                 f"length {length} <= {base}; growth is claimed for every "
                 "nontrivial rearrangement"
             )
-        children.append(child)
-    return tuple(children)
+    return children
 
 
 def _close(

@@ -18,8 +18,8 @@ from .bounds import ball_radius, classic_bound
 from .errors import FalsificationError, effective_cap
 from .greedy import (
     check_growth,
+    chunk_preserving_cuts,
     chunk_stats,
-    enumerate_chunk_preserving,
     left_greedy_form,
 )
 from .perm import (
@@ -150,7 +150,7 @@ def _run_growth(n_max: int) -> _Outcome:
             if left_greedy_form(p) == ((1, n),):
                 continue  # single-chunk words are outside the growth claim
             for pieces in range(2, n + 1):
-                for cuts in enumerate_chunk_preserving(p, pieces):
+                for cuts in chunk_preserving_cuts(p, pieces):
                     checked += 1
                     if not check_growth(p, cuts):
                         failures.append(
@@ -226,7 +226,6 @@ def _run_main(n_max: int) -> _Outcome:
 @dataclass(frozen=True)
 class Suite:
     name: str
-    description: str
     min_n: int
     hard_cap: int
     default_n: int
@@ -240,15 +239,15 @@ class Suite:
 SUITES: dict[str, Suite] = {
     s.name: s
     for s in (
-        Suite("metric", "word length equals Cayley BFS distance", 1, 6, 6, _sweep(_check_metric)),
-        Suite("roundtrip", "inversion-set reconstruction round-trips", 1, 7, 7, _sweep(_check_roundtrip)),
-        Suite("badsize", "d-bad words have at least d(d-1)/2 inversions", 1, 8, 8, _sweep(_check_badsize)),
-        Suite("dilworth", "d-good counts stay under (d-1)^(2n)", 2, 8, 8, _run_dilworth),
-        Suite("lgf", "left greedy form tiles the word and traps inversions", 1, 7, 7, _sweep(_check_lgf)),
-        Suite("chunks", "chunk counts and lengths respect the word length", 1, 7, 7, _sweep(_check_chunks)),
-        Suite("growth", "nontrivial rearrangements strictly grow", 2, 6, 6, _run_growth),
-        Suite("classic", "dictionary-descent closure ends d-good", 2, 7, 6, _run_classic),
-        Suite("main", "ball-escape closure ends outside the ball", 3, 8, 7, _run_main),
+        Suite("metric", 1, 6, 6, _sweep(_check_metric)),
+        Suite("roundtrip", 1, 7, 7, _sweep(_check_roundtrip)),
+        Suite("badsize", 1, 8, 8, _sweep(_check_badsize)),
+        Suite("dilworth", 2, 8, 8, _run_dilworth),
+        Suite("lgf", 1, 7, 7, _sweep(_check_lgf)),
+        Suite("chunks", 1, 7, 7, _sweep(_check_chunks)),
+        Suite("growth", 2, 6, 6, _run_growth),
+        Suite("classic", 2, 7, 6, _run_classic),
+        Suite("main", 3, 8, 7, _run_main),
     )
 }
 

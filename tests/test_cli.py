@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -343,7 +344,8 @@ def test_reduce_main_outside_ball_exit(capsys):
 @pytest.mark.parametrize("mode", ["classic", "main"])
 def test_reduce_step_degree_limit(capsys, monkeypatch, mode):
     # refused before any child is built
-    monkeypatch.setattr("codimgeo.reduction.nonidentity_orders", lambda d: pytest.fail("built children"))
+    for kernel in ("codimgeo.greedy._reorder", "codimgeo.reduction._reorder"):
+        monkeypatch.setattr(kernel, lambda head, blocks: pytest.fail("built children"))
     perm = ",".join(map(str, range(40, 0, -1) if mode == "classic" else range(1, 41)))
     code, out, err = run(capsys, "reduce", "--perm", perm, "--d", str(STEP_MAX_D + 1), "--mode", mode)
     assert (code, out) == (2, "")
@@ -645,11 +647,11 @@ GOLDEN = {
     ),
     ("reduce-classic", "csv"): (
         "child,word_length\n"
-        "3,1,2,2\n"
-        "2,3,1,2\n"
-        "2,1,3,1\n"
-        "1,3,2,1\n"
-        "1,2,3,0\n"
+        '"3,1,2",2\n'
+        '"2,3,1",2\n'
+        '"2,1,3",1\n'
+        '"1,3,2",1\n'
+        '"1,2,3",0\n'
     ),
     ("reduce-classic", "json"): "sha256:5e0c7e6e69570b5d",
     ("reduce-main", "table"): (
@@ -663,11 +665,11 @@ GOLDEN = {
     ),
     ("reduce-main", "csv"): (
         "child,word_length\n"
-        "1,4,5,6,3,2,7\n"
-        "3,2,1,4,5,6,3\n"
-        "3,2,4,5,6,1,6\n"
-        "4,5,6,1,3,2,10\n"
-        "4,5,6,3,2,1,12\n"
+        '"1,4,5,6,3,2",7\n'
+        '"3,2,1,4,5,6",3\n'
+        '"3,2,4,5,6,1",6\n'
+        '"4,5,6,1,3,2",10\n'
+        '"4,5,6,3,2,1",12\n'
     ),
     ("reduce-main", "json"): "sha256:4f564f25798efd7e",
     ("closure-classic", "table"): (
@@ -761,8 +763,8 @@ def _digest(text):
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("key", list(GOLDEN), ids="-".join)
-def test_golden_output(capsys, tmp_path, key):
+def _golden_run(capsys, tmp_path, key):
+    """The output of one golden case, read back from the file under --output."""
     shape, fmt, *extra = key
     target = tmp_path / "out"
     argv = [*GOLDEN_SHAPES[shape], "--format", fmt, *extra]
@@ -773,5 +775,18 @@ def test_golden_output(capsys, tmp_path, key):
     if extra == ["--output"]:
         assert out == ""
         out = target.read_text()
+    return out
+
+
+@pytest.mark.parametrize("key", list(GOLDEN), ids="-".join)
+def test_golden_output(capsys, tmp_path, key):
+    out = _golden_run(capsys, tmp_path, key)
     expected = GOLDEN[key]
     assert (_digest(out) if expected.startswith("sha256:") else out) == expected
+
+
+def test_csv_rows_are_as_wide_as_their_header(capsys, tmp_path):
+    for key in (key for key in GOLDEN if key[1] == "csv"):
+        lines = _golden_run(capsys, tmp_path, key).splitlines()
+        header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
+        assert rows and all(len(row) == len(header) for row in rows), key

@@ -1,14 +1,14 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from codimgeo.greedy import (
-    apply_rearrangement,
     check_growth,
+    chunk_preserving_cuts,
     chunk_stats,
-    enumerate_chunk_preserving,
-    first_chunk_preserving,
     left_greedy_form,
-    nonidentity_orders,
+    rearrangements,
 )
 from codimgeo.perm import (
     all_permutations,
@@ -58,6 +58,36 @@ def _fixpoint_form(perm):
     return tuple(chunks)
 
 
+def _listed(p, pieces):
+    return list(chunk_preserving_cuts(p, pieces))
+
+
+def _is_chunk_preserving(p, cuts):
+    """The definition restated, for cuts strictly increasing inside 1..n-1.
+
+    A piece holding no chunk start is a gap piece and holds no chunk position;
+    one holding a chunk start begins at the first it holds and covers that
+    chunk; only the last piece may hold two starts.
+    """
+    chunks = left_greedy_form(p)
+    in_chunk = {pos for start, end in chunks for pos in range(start, end + 1)}
+    bounds = (0, *cuts, len(p))
+    for idx in range(len(cuts) + 1):
+        start, end = bounds[idx] + 1, bounds[idx + 1]
+        held = [c for c in chunks if start <= c[0] <= end]
+        if not held:
+            if in_chunk & set(range(start, end + 1)):
+                return False
+        elif held[0][0] != start or end < held[0][1] or (len(held) > 1 and idx < len(cuts)):
+            return False
+    return True
+
+
+def _definition_filter(p, pieces):
+    """Oracle for chunk_preserving_cuts: every cut set, filtered by the definition."""
+    return [cuts for cuts in combinations(range(1, len(p)), pieces - 1) if _is_chunk_preserving(p, cuts)]
+
+
 def test_left_greedy_form_examples():
     assert left_greedy_form((2, 1, 4, 3)) == ((1, 2), (3, 4))
     assert left_greedy_form((1, 3, 2, 4)) == ((2, 3),)
@@ -93,114 +123,108 @@ def test_inversions_live_inside_single_chunks(p):
 
 def test_enumerate_identity_all_gap_splits():
     p = identity(3)
-    assert enumerate_chunk_preserving(p, 1) == [()]
-    assert enumerate_chunk_preserving(p, 2) == [(1,), (2,)]
-    assert enumerate_chunk_preserving(p, 3) == [(1, 2)]
+    assert _listed(p, 1) == [()]
+    assert _listed(p, 2) == [(1,), (2,)]
+    assert _listed(p, 3) == [(1, 2)]
 
 
 def test_enumerate_respects_chunks():
     p = (1, 3, 2, 4)
-    assert enumerate_chunk_preserving(p, 2) == [(1,)]  # gap [1,1], then chunk [2,4]
-    assert enumerate_chunk_preserving(p, 3) == [(1, 3)]  # gap, chunk [2,3], gap
-    assert enumerate_chunk_preserving(p, 5) == []
+    assert _listed(p, 2) == [(1,)]  # gap [1,1], then chunk [2,4]
+    assert _listed(p, 3) == [(1, 3)]  # gap, chunk [2,3], gap
+    assert _listed(p, 5) == []
 
 
 def test_enumerate_absorbing_tail():
     # two chunks; a final piece may swallow the second one
     p = (2, 1, 4, 3)
     assert len(left_greedy_form(p)) == 2
-    assert enumerate_chunk_preserving(p, 1) == [()]
-    assert enumerate_chunk_preserving(p, 2) == [(2,)]
+    assert _listed(p, 1) == [()]
+    assert _listed(p, 2) == [(2,)]
 
 
 def test_enumerate_ordering_is_lexicographic_by_boundaries():
     p = identity(4)
-    assert enumerate_chunk_preserving(p, 2) == [(1,), (2,), (3,)]
-    cut_tuples = enumerate_chunk_preserving(p, 3)
+    assert _listed(p, 2) == [(1,), (2,), (3,)]
+    cut_tuples = _listed(p, 3)
     assert cut_tuples == sorted(cut_tuples) == [(1, 2), (1, 3), (2, 3)]
 
 
 @given(permutations(max_n=6), st.integers(min_value=1, max_value=6))
 def test_enumerated_decompositions_are_chunk_preserving(p, pieces):
-    # the definition restated: a piece holding no chunk start is a gap piece and
-    # holds no chunk position; one holding a chunk start begins at the first it
-    # holds and covers that chunk; only the last piece may hold two starts
-    chunks = left_greedy_form(p)
-    n = len(p)
-    in_chunk = {pos for start, end in chunks for pos in range(start, end + 1)}
-    for cuts in enumerate_chunk_preserving(p, pieces):
+    for cuts in chunk_preserving_cuts(p, pieces):
         assert len(cuts) == pieces - 1
-        assert list(cuts) == sorted(set(cuts)) and all(1 <= c < n for c in cuts)
-        bounds = (0, *cuts, n)
-        for idx in range(pieces):
-            start, end = bounds[idx] + 1, bounds[idx + 1]
-            held = [c for c in chunks if start <= c[0] <= end]
-            if not held:
-                assert not in_chunk & set(range(start, end + 1))
-            else:
-                assert held[0][0] == start and end >= held[0][1]
-                if len(held) > 1:
-                    assert idx == pieces - 1 and end == n
+        assert list(cuts) == sorted(set(cuts)) and all(1 <= c < len(p) for c in cuts)
+        assert _is_chunk_preserving(p, cuts)
 
 
 def test_enumeration_is_nonempty_exactly_between_low_and_atoms():
     # one atom per gap position and per chunk; low is 2 when a gap leads into a chunk
-    assert enumerate_chunk_preserving(reversal(3), 2) == []
+    assert _listed(reversal(3), 2) == []
     for n in range(1, 8):
         for p in all_permutations(n):
             chunks = left_greedy_form(p)
             atoms = n - sum(end - start + 1 for start, end in chunks) + len(chunks)
             low = 1 if not chunks or chunks[0][0] == 1 else 2
             for pieces in range(1, n + 1):
-                found = bool(enumerate_chunk_preserving(p, pieces))
+                found = bool(_listed(p, pieces))
                 assert found == (low <= pieces <= atoms), (p, pieces)
 
 
-def test_first_chunk_preserving_examples():
+def test_chunk_preserving_cuts_examples():
     # gap [1,1], chunk [2,4] with its trailing gap letter, chunk [5,7]
-    assert first_chunk_preserving((1, 3, 2, 4, 6, 5, 7), 3) == (1, 4)
-    assert first_chunk_preserving(reversal(3), 2) is None
-    assert first_chunk_preserving(identity(3), 4) is None
+    assert next(chunk_preserving_cuts((1, 3, 2, 4, 6, 5, 7), 3)) == (1, 4)
+    assert _listed(reversal(3), 2) == []
+    assert _listed(identity(3), 4) == []
     with pytest.raises(ValueError):
-        first_chunk_preserving(identity(3), 0)
+        _listed(identity(3), 0)
 
 
-def test_first_chunk_preserving_equals_first_enumerated_exhaustively():
+def test_chunk_preserving_cuts_equal_definition_filter_exhaustively():
     for n in range(1, 8):
         for p in all_permutations(n):
             for pieces in range(1, n + 1):
-                enum = enumerate_chunk_preserving(p, pieces)
-                expected = enum[0] if enum else None
-                assert first_chunk_preserving(p, pieces) == expected, (p, pieces)
+                assert _listed(p, pieces) == _definition_filter(p, pieces), (p, pieces)
 
 
-def test_apply_rearrangement_example():
+def test_check_growth_accepts_exactly_the_listed_cuts():
+    for n in range(2, 7):
+        for p in all_permutations(n):
+            for pieces in range(2, n + 1):
+                listed = _definition_filter(p, pieces)
+                for cuts in combinations(range(1, n), pieces - 1):
+                    if cuts in listed:
+                        check_growth(p, cuts)
+                    else:
+                        with pytest.raises(ValueError):
+                            check_growth(p, cuts)
+
+
+def test_rearrangements_example():
     p = (1, 3, 2, 4)
-    assert apply_rearrangement(p, (1, 3), (1, 2, 0)) == (3, 2, 4, 1)
-    assert apply_rearrangement(p, (1, 3), (0, 1, 2)) == p
-    with pytest.raises(ValueError):
-        apply_rearrangement(p, (1, 3), (0, 1))
-    with pytest.raises(ValueError):
-        apply_rearrangement(p, (1, 3), (0, 0, 1))
+    children = rearrangements(p, (1, 3))
+    assert children[2] == (3, 2, 4, 1)  # pieces in the order (1, 2, 0)
+    assert len(children) == 5 and p not in children
 
 
 def test_decomposition_must_tile():
     # cuts increase strictly inside 1..n-1, so every piece is nonempty
     p = (2, 1, 3)
-    for cuts, order in [((0,), (1, 0)), ((3,), (1, 0)), ((2, 1), (2, 1, 0)), ((1, 1), (2, 1, 0))]:
+    for cuts in [(0,), (3,), (2, 1), (1, 1)]:
         with pytest.raises(ValueError):
-            apply_rearrangement(p, cuts, order)
+            rearrangements(p, cuts)
 
 
-def test_nonidentity_orders_skip_only_the_identity():
-    orders = list(nonidentity_orders(3))
-    assert orders == sorted(orders)
-    assert len(set(orders)) == 5 and (0, 1, 2) not in orders
-    assert list(nonidentity_orders(1)) == []
+def test_rearrangements_skip_only_the_identity():
+    # single-letter pieces of the identity: each child spells its order
+    children = rearrangements(identity(3), (1, 2))
+    assert list(children) == sorted(children)
+    assert len(set(children)) == 5 and identity(3) not in children
+    assert rearrangements(identity(3), ()) == ()
 
 
 def test_transposing_pieces_can_reverse_word():
-    assert apply_rearrangement((1, 3, 2, 4), (1, 3), (2, 1, 0)) == (4, 3, 2, 1)
+    assert rearrangements((1, 3, 2, 4), (1, 3))[-1] == (4, 3, 2, 1)
 
 
 def test_check_growth_examples():
@@ -217,7 +241,7 @@ def test_check_growth_preconditions():
         check_growth((1, 3, 2, 4), (2,))  # a cut inside the chunk [2,3]
     with pytest.raises(ValueError):
         check_growth((2, 1, 3), (3,))  # a cut at the end of the word
-    split = enumerate_chunk_preserving((2, 1, 3), 2)
+    split = _listed((2, 1, 3), 2)
     assert split == [(2,)] and check_growth((2, 1, 3), split[0])
 
 
@@ -241,7 +265,7 @@ def test_growth_holds_exhaustively_for_small_degrees():
             if left_greedy_form(p) == ((1, n),):
                 continue
             for pieces in range(2, n + 1):
-                for cuts in enumerate_chunk_preserving(p, pieces):
+                for cuts in chunk_preserving_cuts(p, pieces):
                     assert check_growth(p, cuts), (p, cuts)
 
 
@@ -252,7 +276,7 @@ def test_every_cut_is_a_sum_cut():
         for n in range(1, 8)
         for p in all_permutations(n)
         for pieces in range(1, n + 1)
-        for cuts in enumerate_chunk_preserving(p, pieces)
+        for cuts in chunk_preserving_cuts(p, pieces)
     ]
     assert len(cut_tuples) == 8270
     assert all(max(p[:c]) == c for p, cuts in cut_tuples for c in cuts)
