@@ -43,6 +43,7 @@ from .perm import (
     all_permutations,
     cayley_distance_bfs,
     count_d_good,
+    decreasing_histogram,
     find_d_bad_witness,
     from_inversion_set,
     identity,
@@ -92,6 +93,7 @@ __all__ = [
     "complement_lower_bound",
     "count_d_good",
     "crossover_n",
+    "decreasing_histogram",
     "find_d_bad_witness",
     "from_inversion_set",
     "identity",

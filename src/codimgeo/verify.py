@@ -2,8 +2,9 @@
 
 Each suite sweeps all cases up to a degree cap and checks one cluster of
 structural claims: the word-metric identity, inversion-set round-trips, the
-d-bad length floor, the good-count ceiling, greedy-form structure, chunk size
-accounting, rearrangement growth, and the two rewriting closures.  The
+d-bad length floor, the hook-length good count against one longest-decreasing
+sweep and under its ceiling, greedy-form structure, chunk size accounting,
+rearrangement growth, and the two rewriting closures.  The
 per-permutation suites share one sweep and state only their check, which
 maps an image tuple to its failures.  Failures are collected as printable
 counterexample strings, never raised.
@@ -27,12 +28,12 @@ from .perm import (
     all_permutations,
     cayley_distance_bfs,
     count_d_good,
+    decreasing_histogram,
     from_inversion_set,
     inversion_set,
     is_d_good,
     longest_decreasing,
     one_line,
-    validate_inversion_set,
     word_length,
 )
 from .reduction import classic_closure, main_closure
@@ -79,10 +80,10 @@ def _check_metric(p: Image) -> list[str]:
 def _check_roundtrip(p: Image) -> list[str]:
     r = inversion_set(p)
     try:
-        validate_inversion_set(r)
+        rebuilt = from_inversion_set(r)  # validates the axioms first
     except ValueError as exc:
         return [f"{one_line(p)}: inversion set violates axioms ({exc})"]
-    if from_inversion_set(r) != p:
+    if rebuilt != p:
         return [f"{one_line(p)}: round-trip mismatch"]
     return []
 
@@ -100,11 +101,15 @@ def _run_dilworth(n_max: int) -> _Outcome:
     failures = []
     info = []
     for n in range(2, n_max + 1):
+        histogram = decreasing_histogram(n)
         for d in range(2, n + 1):
             checked += 1
             count = count_d_good(n, d)
+            swept = sum(histogram[:d])
             ceiling = classic_bound(n, d)
             info.append(f"n={n} d={d} good={count} ceiling={ceiling}")
+            if count != swept:
+                failures.append(f"n={n} d={d}: hook-length count {count} != swept count {swept}")
             if count > ceiling:
                 failures.append(f"n={n} d={d}: {count} good exceeds {ceiling}")
     return checked, failures, info

@@ -9,7 +9,7 @@ from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, compare_bounds
 from codimgeo.cli import main
 from codimgeo.errors import FalsificationError
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
-from codimgeo.perm import one_line
+from codimgeo.perm import InversionSet, count_d_good, inversion_set, one_line, reversal
 from codimgeo.reduction import STEP_MAX_D, main_closure
 from codimgeo.verify import SUITES, run_suite
 
@@ -251,6 +251,39 @@ def test_verify_main_reports_falsification(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "  main counterexample: n=3 d=2: closure raised no decomposition of 1,2,3\n" in out
+
+
+def test_verify_dilworth_reports_a_miscount(capsys, monkeypatch):
+    monkeypatch.setattr("codimgeo.verify.count_d_good", lambda n, d: count_d_good(n, d) + 1)
+    code, out, _ = run(capsys, "verify", "--n-max", "4", "--suites", "dilworth")
+    assert code == 1
+    assert "FAIL" in out
+    assert "  dilworth counterexample: n=3 d=2: hook-length count 2 != swept count 1\n" in out
+    assert "  dilworth counterexample: n=4 d=3: hook-length count 15 != swept count 14\n" in out
+
+
+def test_verify_roundtrip_reports_an_invalid_inversion_set(capsys, monkeypatch):
+    # {(1, n)} alone breaks interpolation at (1, 2, n) once n >= 3
+    def invalid(p):
+        return InversionSet(len(p), frozenset({(1, len(p))})) if len(p) >= 3 else inversion_set(p)
+
+    monkeypatch.setattr("codimgeo.verify.inversion_set", invalid)
+    code, out, _ = run(capsys, "verify", "--n-max", "3", "--suites", "roundtrip")
+    assert code == 1
+    assert (
+        "  roundtrip counterexample: 1,2,3: inversion set violates axioms "
+        "(interpolation fails at positions (1, 2, 3))\n"
+    ) in out
+    assert "round-trip mismatch" not in out
+
+
+def test_verify_roundtrip_reports_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr("codimgeo.verify.from_inversion_set", lambda r: reversal(r.n))
+    code, out, _ = run(capsys, "verify", "--n-max", "3", "--suites", "roundtrip")
+    assert code == 1
+    assert "  roundtrip counterexample: 1,2: round-trip mismatch\n" in out
+    assert "  roundtrip counterexample: 2,1: round-trip mismatch\n" not in out
+    assert "violates axioms" not in out
 
 
 def test_verify_main_propagates_other_errors(monkeypatch):

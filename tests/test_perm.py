@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from codimgeo.perm import (
     ball_layers,
     cayley_distance_bfs,
     count_d_good,
+    decreasing_histogram,
     find_d_bad_witness,
     from_inversion_set,
     identity,
@@ -169,6 +172,23 @@ def test_count_d_good_known_values():
 def test_count_d_good_cap():
     with pytest.raises(ScaleError):
         count_d_good(10, 3)
+    with pytest.raises(ScaleError):
+        decreasing_histogram(10)
+
+
+def test_count_d_good_equals_histogram_prefix():
+    for n in range(1, 9):
+        histogram = decreasing_histogram(n)
+        assert len(histogram) == n + 1
+        assert sum(histogram) == math.factorial(n)
+        for d in range(2, 11):
+            assert count_d_good(n, d) == sum(histogram[:d]), (n, d)
+
+
+def test_count_d_good_past_the_degree_is_everything():
+    for n in range(1, 10):
+        for d in range(n + 1, n + 4):
+            assert count_d_good(n, d) == math.factorial(n), (n, d)
 
 
 def test_all_permutations_in_dictionary_order():
