@@ -5,16 +5,20 @@ writes it as a human table (default), CSV (header always present,
 comma-delimited, a cell holding a comma quoted) or JSON.  Output is
 byte-deterministic; --meta prepends provenance comment lines (a "meta"
 object in JSON).  Exit codes: 0 success, 1 verification or falsification
-failure, 2 usage or precondition error (an unwritable --output included).
+failure, 2 usage or precondition error (an unwritable --output included),
+141 when the reader of stdout closed it early (as in `codim ... | head`).
 A --perm argument is validated once, as a Permutation; everything past
-that takes its image tuple.
+that takes its image tuple.  The parser is built on the first main() call
+and reused for the rest of the process.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,12 +29,18 @@ from .errors import FalsificationError, effective_cap
 from .greedy import chunk_stats, left_greedy_form
 from .mahonian import brute_force_row, mahonian_knuth, mahonian_row
 from .perm import one_line, parse_permutation, word_length
-from .reduction import classic_step, main_closure, main_step, classic_closure
+from .reduction import _main_step_lengths, classic_closure, classic_step, main_closure
 from .verify import SUITES, check_request, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
+
+# mahonian --check also brute-forces rows up to this degree: brute_force_row
+# takes about 0.2 s at n = 8 but 2 s at n = 9 (Python 3.11, 2-CPU Xeon), so the
+# check stops one below mahonian.BRUTE_FORCE_MAX_N.
+CHECK_BRUTE_FORCE_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -95,7 +105,7 @@ def _cmd_mahonian(args) -> Result:
             # I_n(k) = 0 past C(n,2), which the closed form must match at n <= 2
             if mahonian_knuth(args.n, k) != (row[k] if k < len(row) else 0):
                 raise FalsificationError(f"closed form disagrees at k={k}")
-        brute = args.n <= effective_cap(8)  # CODIM_MAX_N caps brute_force_row too
+        brute = args.n <= effective_cap(CHECK_BRUTE_FORCE_MAX_N)  # CODIM_MAX_N lowers it too
         if brute and brute_force_row(args.n) != row:
             raise FalsificationError("brute-force histogram disagrees")
         after = ("check: OK (closed form k <= n" + ("; brute force)" if brute else ")"),)
@@ -249,8 +259,11 @@ def _cmd_reduce(args) -> Result:
     if args.n is not None or args.summary_only:
         raise ValueError("a single step takes --perm, not --n or --summary-only")
     perm = parse_permutation(args.perm).image
-    step = classic_step if args.mode == "classic" else main_step
-    rows = [(one_line(c), word_length(c)) for c in step(perm, args.d)]
+    if args.mode == "classic":
+        children = [(c, word_length(c)) for c in classic_step(perm, args.d)]
+    else:
+        children = _main_step_lengths(perm, args.d)  # the step already measured each child
+    rows = [(one_line(c), length) for c, length in children]
     payload = {
         "mode": args.mode,
         "d": args.d,
@@ -266,7 +279,9 @@ def _cmd_reduce(args) -> Result:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The codim parser, built once; parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
     common.add_argument("--output", metavar="FILE", default=None)
@@ -323,6 +338,12 @@ def main(argv=None) -> int:
     try:
         result = args.handler(args)
         _render(args, result)
+        sys.stdout.flush()  # a closed pipe then raises here, not at shutdown
+    except BrokenPipeError:
+        # the Python docs' "Note on SIGPIPE": send the rest to devnull so the
+        # flush at shutdown stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except FalsificationError as exc:
         print(f"falsification: {exc}", file=sys.stderr)
         return EXIT_FAIL

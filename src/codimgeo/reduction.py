@@ -95,6 +95,11 @@ def main_step(p: Image, d: int) -> tuple[Image, ...]:
     must be strictly longer; a missing decomposition or a non-increasing child
     is a falsification event, raised as FalsificationError rather than ignored.
     """
+    return tuple(child for child, _ in _main_step_lengths(p, d))
+
+
+def _main_step_lengths(p: Image, d: int) -> list[tuple[Image, int]]:
+    """main_step's children, each with the word length its growth check computed."""
     n = len(p)
     _check_step_degree(n, d)
     radius = ball_radius(n, d)
@@ -110,9 +115,8 @@ def main_step(p: Image, d: int) -> tuple[Image, ...]:
             f"no chunk-preserving decomposition of {one_line(p)} into {d} pieces; "
             "existence is claimed for every word inside the ball"
         )
-    children = rearrangements(p, cuts)
-    for child in children:
-        length = word_length(child)
+    children = [(child, word_length(child)) for child in rearrangements(p, cuts)]
+    for child, length in children:
         if length <= base:
             raise FalsificationError(
                 f"rearrangement of {one_line(p)} produced {one_line(child)} with word "

@@ -1,15 +1,28 @@
+import argparse
 import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import codimgeo
 from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, compare_bounds
 from codimgeo.cli import main
 from codimgeo.errors import FalsificationError
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
-from codimgeo.perm import InversionSet, count_d_good, inversion_set, one_line, reversal
+from codimgeo.perm import (
+    InversionSet,
+    count_d_good,
+    inversion_set,
+    one_line,
+    reversal,
+    word_length,
+)
 from codimgeo.reduction import STEP_MAX_D, main_closure
 from codimgeo.verify import SUITES, run_suite
 
@@ -18,6 +31,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def python(code, **popen):
+    """A fresh interpreter running code, with this checkout's codimgeo importable."""
+    env = {**os.environ, "PYTHONPATH": str(Path(codimgeo.__file__).resolve().parent.parent)}
+    return subprocess.Popen([sys.executable, "-c", code], env=env, **popen)
 
 
 def test_mahonian_csv(capsys):
@@ -505,6 +524,48 @@ def test_env_cap_cannot_raise_limits(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("verify",), ("mahonian", "--n", "4", "--check")])
+def test_env_cap_must_be_an_integer(capsys, monkeypatch, argv):
+    monkeypatch.setenv("CODIM_MAX_N", "abc")
+    assert run(capsys, *argv) == (2, "", "error: CODIM_MAX_N must be an integer, got 'abc'\n")
+
+
+def test_closed_pipe_exits_quietly():
+    # the row is about 1.2 MB, far past a pipe's buffer, so the writer meets the closed end
+    proc = python(
+        "import sys; from codimgeo.cli import main; sys.exit(main(['mahonian', '--n', '120']))",
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(20) == b"k     count\n0     1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_main_step_measures_each_child_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return word_length(p)
+
+    monkeypatch.setattr("codimgeo.cli.word_length", counted)
+    monkeypatch.setattr("codimgeo.reduction.word_length", counted)
+    ident = ",".join(str(v) for v in range(1, 13))
+    code, out, _ = run(
+        capsys, "reduce", "--perm", ident, "--d", "4", "--mode", "main", "--format", "json"
+    )
+    assert code == 0
+    children = json.loads(out)["children"]
+    assert len({child["perm"] for child in children}) == len(children) == 23
+    assert len(calls) <= math.factorial(4) + 1  # each child, the step's base and the parent
+    for child in children:
+        image = [int(v) for v in child["perm"].split(",")]
+        inversions = sum(a > b for i, a in enumerate(image) for b in image[i + 1:])
+        assert child["word_length"] == inversions, child
+
+
 # One argument vector per command shape; each runs in all three formats.
 GOLDEN_SHAPES = {
     "mahonian": ("mahonian", "--n", "4"),
@@ -816,6 +877,49 @@ def test_golden_output(capsys, tmp_path, key):
     out = _golden_run(capsys, tmp_path, key)
     expected = GOLDEN[key]
     assert (_digest(out) if expected.startswith("sha256:") else out) == expected
+
+
+def test_parser_survives_a_usage_error_and_help(capsys, tmp_path, monkeypatch):
+    assert run(capsys, "bounds", "--d", "3")[0] == 2  # also builds the parser, if not yet built
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: codim ")
+    key = ("reduce-main", "table", "--meta")
+    assert _golden_run(capsys, tmp_path, key) == GOLDEN[key]
+    assert built == []
+
+
+def test_import_builds_no_parser():
+    proc = python(
+        "import argparse\n"
+        "built = []\n"
+        "construct = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    construct(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import codimgeo.cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        "    codimgeo.cli.main(['crossover', '--d-max', '2', '--format', 'csv'])\n"
+        "    counts.append(len(built))\n"
+        "print(counts)\n",
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    counts = out.splitlines()[-1]
+    imported, first, second = json.loads(counts)
+    assert imported == 0  # importing the CLI costs no parser
+    assert first == second > 0  # the second call reuses the first call's parser
 
 
 def test_csv_rows_are_as_wide_as_their_header(capsys, tmp_path):
