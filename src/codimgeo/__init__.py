@@ -24,7 +24,6 @@ from .bounds import (
 from .errors import FalsificationError, InvalidInversionSetError, ScaleError
 from .greedy import (
     ChunkStats,
-    check_growth,
     chunk_preserving_cuts,
     chunk_stats,
     left_greedy_form,
@@ -83,7 +82,6 @@ __all__ = [
     "ball_radius",
     "brute_force_row",
     "cayley_distance_bfs",
-    "check_growth",
     "chunk_preserving_cuts",
     "chunk_stats",
     "classic_bound",

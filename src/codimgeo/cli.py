@@ -29,7 +29,7 @@ from .errors import FalsificationError, effective_cap
 from .greedy import chunk_stats, left_greedy_form
 from .mahonian import brute_force_row, mahonian_knuth, mahonian_row
 from .perm import one_line, parse_permutation, word_length
-from .reduction import _main_step_lengths, classic_closure, classic_step, main_closure
+from .reduction import classic_closure, classic_step, main_closure, main_step
 from .verify import SUITES, check_request, run_suite
 
 EXIT_OK = 0
@@ -262,7 +262,7 @@ def _cmd_reduce(args) -> Result:
     if args.mode == "classic":
         children = [(c, word_length(c)) for c in classic_step(perm, args.d)]
     else:
-        children = _main_step_lengths(perm, args.d)  # the step already measured each child
+        children = main_step(perm, args.d)  # the step already measured each child
     rows = [(one_line(c), length) for c, length in children]
     payload = {
         "mode": args.mode,

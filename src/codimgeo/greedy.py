@@ -19,8 +19,11 @@ piece) or starts exactly at some chunk's start and covers that chunk; only
 the final piece may run on into later chunks, in which case it extends to the
 end of the word.  A decomposition into p pieces is its tuple of cuts
 1 <= c_1 < ... < c_{p-1} <= n - 1: piece i ends at position c_i and the last
-piece ends at n.  Both spanning steps replace a word by the nonidentity
-reorderings of consecutive blocks; _reorder builds them for both.
+piece ends at n.  chunk_preserving_cuts is the one statement of this rule:
+the main step rearranges its first tuple, and the growth suite checks that
+every listed tuple's rearrangements are longer.  Both spanning steps replace
+a word by the nonidentity reorderings of consecutive blocks; _reorder builds
+them for both.
 """
 from __future__ import annotations
 
@@ -48,27 +51,6 @@ def left_greedy_form(perm: Image) -> tuple[tuple[int, int], ...]:
                 chunks.append((block, j))
             block = j + 1
     return tuple(chunks)
-
-
-def _chunk_preserving(chunks: tuple[tuple[int, int], ...], cuts: tuple[int, ...]) -> bool:
-    """Are the pieces ending at cuts[0], cuts[1], ... and n chunk-preserving?
-
-    check_growth's precondition; chunk_preserving_cuts lists only such cuts.
-    The cuts must be strictly increasing inside 1..n-1.  No cut falls
-    strictly inside a chunk, a piece holding a chunk start begins at one, and
-    only the last piece may hold two or more.
-    """
-    t = 0  # next chunk not yet covered
-    begin = 1
-    for end in cuts:
-        # a piece that also holds chunk t + 1's start leaves that chunk
-        # starting before the next piece, which fails below or at the return
-        if t < len(chunks) and chunks[t][0] <= end:
-            if chunks[t][0] != begin or end < chunks[t][1]:
-                return False
-            t += 1
-        begin = end + 1
-    return t == len(chunks) or chunks[t][0] == begin
 
 
 def chunk_preserving_cuts(perm: Image, pieces: int):
@@ -139,18 +121,6 @@ def rearrangements(perm: Image, cuts: tuple[int, ...]) -> tuple[Image, ...]:
     if any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise ValueError(f"cuts must increase strictly inside 1..{len(perm) - 1}, got {cuts}")
     return _reorder((), [perm[a:b] for a, b in zip(bounds, bounds[1:])])
-
-
-def check_growth(perm: Image, cuts: tuple[int, ...]) -> bool:
-    """Does every nonidentity rearrangement strictly increase word length?
-
-    Requires cuts to be a chunk-preserving decomposition into at least two
-    pieces.
-    """
-    if not cuts or not _chunk_preserving(left_greedy_form(perm), cuts):
-        raise ValueError(f"{cuts} is not a chunk-preserving cut tuple of at least two pieces")
-    base = word_length(perm)
-    return all(word_length(child) > base for child in rearrangements(perm, cuts))
 
 
 @dataclass(frozen=True)

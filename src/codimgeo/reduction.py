@@ -5,7 +5,8 @@ at its dictionary-least witness; every child is strictly dictionary-smaller,
 so iterating terminates with d-good support.  The main step decomposes a word
 of length below the threshold K = (n - d)/2 (for integer lengths, below
 ceil(K)) into d chunk-preserving pieces and rearranges; every child is
-strictly longer, so iterating drives all support out of the ball B(K).
+strictly longer, so iterating drives all support out of the ball B(K).  It
+returns each child with the word length its growth check computed.
 Both steps build their children with greedy's one block-reordering kernel.
 
 A closure's sources are every rewritable word, and it rewrites each once.
@@ -88,18 +89,17 @@ def classic_step(p: Image, d: int) -> tuple[Image, ...]:
     return _reorder(p[: witness[0] - 1], blocks)
 
 
-def main_step(p: Image, d: int) -> tuple[Image, ...]:
+def main_step(p: Image, d: int) -> tuple[tuple[Image, int], ...]:
     """Rearrange the lexicographically first d-piece chunk-preserving decomposition.
 
-    Requires word_length(p) < ball_radius(n, d).  Each of the d! - 1 children
-    must be strictly longer; a missing decomposition or a non-increasing child
-    is a falsification event, raised as FalsificationError rather than ignored.
+    Returns each of the d! - 1 children with the word length its growth check
+    computed.  Requires word_length(p) < ball_radius(n, d).  Each child must
+    be strictly longer; a missing decomposition or a non-increasing child is a
+    falsification event, raised as FalsificationError rather than ignored.
+
+    >>> main_step((1, 2, 3), 2)
+    (((2, 3, 1), 2),)
     """
-    return tuple(child for child, _ in _main_step_lengths(p, d))
-
-
-def _main_step_lengths(p: Image, d: int) -> list[tuple[Image, int]]:
-    """main_step's children, each with the word length its growth check computed."""
     n = len(p)
     _check_step_degree(n, d)
     radius = ball_radius(n, d)
@@ -115,7 +115,7 @@ def _main_step_lengths(p: Image, d: int) -> list[tuple[Image, int]]:
             f"no chunk-preserving decomposition of {one_line(p)} into {d} pieces; "
             "existence is claimed for every word inside the ball"
         )
-    children = [(child, word_length(child)) for child in rearrangements(p, cuts)]
+    children = tuple((child, word_length(child)) for child in rearrangements(p, cuts))
     for child, length in children:
         if length <= base:
             raise FalsificationError(
@@ -186,5 +186,10 @@ def main_closure(n: int, d: int) -> ReductionTrace:
     radius = ball_radius(n, d)
     sources = [p for layer in reversed(ball_layers(n, radius)) for p in layer]
     return _close(
-        MODE_MAIN, n, d, sources, main_step, complement_size=ball_complement_count(n, radius)
+        MODE_MAIN,
+        n,
+        d,
+        sources,
+        lambda p, d: tuple(child for child, _ in main_step(p, d)),
+        complement_size=ball_complement_count(n, radius),
     )

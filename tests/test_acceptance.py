@@ -60,8 +60,8 @@ def test_criterion_02_closed_form_matches_product():
 
 def test_criterion_03_word_metric_equals_bfs():
     started = time.monotonic()
-    bad = suite_problems(("metric", 6, 873))
-    assert report(3, "inversion count equals Cayley BFS distance, n <= 6", not bad, started, "30s", f"problems: {bad[:3]}" if bad else "")
+    bad = suite_problems(("metric", 6, 873), ("roundtrip", 7, 5913))
+    assert report(3, "inversion count equals Cayley BFS distance, n <= 6; inversion sets round-trip, n <= 7", not bad, started, "30s", f"problems: {bad[:3]}" if bad else "")
 
 
 def test_criterion_04_bad_words_are_long():

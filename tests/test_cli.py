@@ -14,6 +14,7 @@ import codimgeo
 from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, compare_bounds
 from codimgeo.cli import main
 from codimgeo.errors import FalsificationError
+from codimgeo.greedy import rearrangements
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
 from codimgeo.perm import (
     InversionSet,
@@ -303,6 +304,17 @@ def test_verify_roundtrip_reports_a_mismatch(capsys, monkeypatch):
     assert "  roundtrip counterexample: 1,2: round-trip mismatch\n" in out
     assert "  roundtrip counterexample: 2,1: round-trip mismatch\n" not in out
     assert "violates axioms" not in out
+
+
+def test_verify_growth_reports_a_non_growing_rearrangement(capsys, monkeypatch):
+    # listing the parent among its rearrangements adds a child that does not grow
+    monkeypatch.setattr(
+        "codimgeo.verify.rearrangements", lambda p, cuts: (*rearrangements(p, cuts), p)
+    )
+    code, out, _ = run(capsys, "verify", "--suites", "growth", "--n-max", "4")
+    assert code == 1
+    assert "FAIL" in out
+    assert "  growth counterexample: 1,2: some rearrangement of 2 pieces fails to grow\n" in out
 
 
 def test_verify_main_propagates_other_errors(monkeypatch):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from codimgeo.greedy import (
-    check_growth,
     chunk_preserving_cuts,
     chunk_stats,
     left_greedy_form,
@@ -187,19 +186,6 @@ def test_chunk_preserving_cuts_equal_definition_filter_exhaustively():
                 assert _listed(p, pieces) == _definition_filter(p, pieces), (p, pieces)
 
 
-def test_check_growth_accepts_exactly_the_listed_cuts():
-    for n in range(2, 7):
-        for p in all_permutations(n):
-            for pieces in range(2, n + 1):
-                listed = _definition_filter(p, pieces)
-                for cuts in combinations(range(1, n), pieces - 1):
-                    if cuts in listed:
-                        check_growth(p, cuts)
-                    else:
-                        with pytest.raises(ValueError):
-                            check_growth(p, cuts)
-
-
 def test_rearrangements_example():
     p = (1, 3, 2, 4)
     children = rearrangements(p, (1, 3))
@@ -227,24 +213,6 @@ def test_transposing_pieces_can_reverse_word():
     assert rearrangements((1, 3, 2, 4), (1, 3))[-1] == (4, 3, 2, 1)
 
 
-def test_check_growth_examples():
-    assert check_growth((1, 3, 2, 4), (1, 3))
-    assert check_growth(identity(2), (1,))
-
-
-def test_check_growth_preconditions():
-    with pytest.raises(ValueError):
-        check_growth(reversal(3), ())  # fewer than two pieces
-    with pytest.raises(ValueError):
-        check_growth((2, 1), (1,))  # the whole word is one chunk
-    with pytest.raises(ValueError):
-        check_growth((1, 3, 2, 4), (2,))  # a cut inside the chunk [2,3]
-    with pytest.raises(ValueError):
-        check_growth((2, 1, 3), (3,))  # a cut at the end of the word
-    split = _listed((2, 1, 3), 2)
-    assert split == [(2,)] and check_growth((2, 1, 3), split[0])
-
-
 def test_chunk_stats_examples():
     stats = chunk_stats((2, 1, 4, 3))
     assert (stats.chunk_count, stats.total_chunk_length, stats.word_length) == (2, 4, 2)
@@ -257,16 +225,6 @@ def test_chunk_accounting_inequalities(p):
     stats = chunk_stats(p)
     assert stats.chunk_count <= stats.word_length
     assert stats.total_chunk_length <= stats.word_length + stats.chunk_count
-
-
-def test_growth_holds_exhaustively_for_small_degrees():
-    for n in range(2, 5):
-        for p in all_permutations(n):
-            if left_greedy_form(p) == ((1, n),):
-                continue
-            for pieces in range(2, n + 1):
-                for cuts in chunk_preserving_cuts(p, pieces):
-                    assert check_growth(p, cuts), (p, cuts)
 
 
 def test_every_cut_is_a_sum_cut():

@@ -114,14 +114,13 @@ def test_main_step_inside_ball():
     assert word_length(p) == 1
     children = main_step(p, 3)
     assert len(children) == 5
-    for child in children:
-        assert word_length(child) >= 2
+    for child, length in children:
+        assert length == word_length(child) >= 2
 
 
 def test_main_step_identity_gap_pieces():
-    children = main_step(identity(5), 2)
-    assert len(children) == 1
-    assert word_length(children[0]) > 0
+    ((child, length),) = main_step(identity(5), 2)
+    assert length == word_length(child) > 0
 
 
 def test_main_step_domain_errors():
@@ -189,6 +188,20 @@ def test_main_suite_catches_a_wrong_ball_count(monkeypatch):
     assert result.failures[0].startswith("n=2 d=2:")
 
 
+def test_main_suite_catches_a_repeated_child(monkeypatch):
+    # a step that returns its first child again in place of its last
+    step = main_step
+
+    def repeated(p, d):
+        children = step(p, d)
+        return (*children[:-1], children[0])
+
+    monkeypatch.setattr("codimgeo.reduction.main_step", repeated)
+    result = run_suite("main", 5)
+    assert not result.passed
+    assert result.failures[0].endswith("has wrong child count")
+
+
 def test_main_closure_rejects_out_of_range():
     with pytest.raises(ScaleError):
         main_closure(9, 3)
@@ -216,6 +229,13 @@ def test_every_ball_member_rewrites_without_falsification():
                 assert len(children) == math.factorial(d) - 1
 
 
+def main_step_children(p, d):
+    """main_step's children without their lengths, each length checked first."""
+    children = main_step(p, d)
+    assert all(length == word_length(child) for child, length in children)
+    return tuple(child for child, _ in children)
+
+
 def worklist_closure(mode, n, d):
     """Oracle: a memoized worklist search from the words an n! filter marks rewritable.
 
@@ -226,7 +246,7 @@ def worklist_closure(mode, n, d):
         step, complement = classic_step, None
     else:
         radius = ball_radius(n, d)
-        step, complement = main_step, ball_complement_count(n, radius)
+        step, complement = main_step_children, ball_complement_count(n, radius)
 
     def expandable(p):
         return not is_d_good(p, d) if mode == "classic" else word_length(p) < radius
