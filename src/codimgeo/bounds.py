@@ -7,24 +7,34 @@ fall below n!; the crossover degree records when.  A closed-form lower bound
 on the complement count and a floating-point tail estimate for Mahonian
 numbers round out the toolkit.  Results are plain values: compare_bounds
 returns a tuple of BoundRow, one per degree, and q_constant the float q.
+
+Every bound is an exact integer.  compare_bounds carries one Mahonian head,
+truncated at its largest radius, across all its degrees instead of calling
+theorem_bound per row.  crossover_n decides base**m < m! by Robbins'
+bracket on log m! and compares exact integers only inside its margin.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .mahonian import ball_complement_count
+from .mahonian import _heads, ball_complement_count
 
 WINNER_CLASSIC = "classic"
 WINNER_THEOREM = "theorem"
 WINNER_TIE = "tie"
 
-# crossover_n(d) compares integers of about e (d - 1)^2 log2((d - 1)^2) bits:
-# d = 120 takes about 0.1 s, and `codim crossover --d-max 120` about 3.5 s.
+# crossover_n(d) settles its comparisons by Robbins' bracket: `codim crossover
+# --d-max 120` takes about 1.5 ms.  A comparison inside the bracket's margin
+# falls back to integers of about e (d - 1)^2 log2((d - 1)^2) bits, about
+# 0.05 s each at d = 120.
 CROSSOVER_MAX_D = 120
-# compare_bounds(d, n_max) costs about n_max^3 big-integer additions: n_max = 400
-# takes about 1.7 s, 1000 about 26 s, and from n = 1559 on n! is too long for str().
+# compare_bounds(d, n_max) steps one head of length about n_max/2 per degree,
+# about n_max^2/2 big-integer additions: n_max = 400 takes about 0.02 s (0.04 s
+# for `codim bounds --format csv`), 1000 about 0.15 s, and from n = 1559 on n!
+# is too long for str().
 BOUNDS_MAX_N = 400
 
 
@@ -69,6 +79,38 @@ def theorem_bound(n: int, d: int) -> int:
     return ball_complement_count(n, ball_radius(n, d))
 
 
+def _robbins_verdict(base: int, m: int) -> bool | None:
+    """base**m < m! by Robbins' bracket on log m!, or None inside its margin.
+
+    The predicate is m log(base) < log m!, and Robbins (Amer. Math. Monthly 62,
+    1955) gives S + 1/(12m + 1) < log m! < S + 1/(12m) with
+    S = log(2 pi m)/2 + m (log m - 1).  Let A = m log(base) + |S| + 1.  In
+    doubles, with math.log within one ulp, the dozen roundings that build
+    m log(base), S and the bracket each act on a value of size at most 2A, so
+    they leave the computed comparison off by less than 1e-14 A.  A verdict is
+    returned only when the bracket clears m log(base) by 1e-12 A, a hundredfold
+    more; inside that margin, and for m < 1, the caller compares exact integers.
+    """
+    if m < 1:
+        return None
+    power = m * math.log(base)
+    stirling = 0.5 * math.log(2 * math.pi * m) + m * (math.log(m) - 1)
+    margin = 1e-12 * (power + abs(stirling) + 1)
+    if power + margin < stirling + 1 / (12 * m + 1):
+        return True
+    if power - margin > stirling + 1 / (12 * m):
+        return False
+    return None
+
+
+def _power_below_factorial(base: int, m: int) -> bool:
+    """base**m < m!: Robbins' verdict where it is certain, exact integers otherwise."""
+    verdict = _robbins_verdict(base, m)
+    if verdict is None:
+        return base**m < math.factorial(m)
+    return verdict
+
+
 def _least_factorial_dominance(base: int) -> int:
     """Least m >= 1 with base**m < m!, for base >= 1.
 
@@ -77,10 +119,10 @@ def _least_factorial_dominance(base: int) -> int:
     base**m < m! fails for every m <= base and, once it holds, holds for every
     larger m.  A bisection on m log(base) < lgamma(m + 1) over (base, 3 base + 2]
     picks a candidate; at the top m! > (m/e)^m > base**m, so the answer lies
-    inside.  Exact integers then step the candidate up while the predicate
-    fails at it, and down while it holds one below.  By monotonicity that ends
-    at the least m, so the float only chooses where to look and needs no
-    error margin.
+    inside.  The candidate then steps up while the predicate fails at it, and
+    down while it holds one below, each test decided by _power_below_factorial.
+    By monotonicity that ends at the least m, so the bisection only chooses
+    where to look and needs no error margin.
     """
     log_base = math.log(base)
     lo, hi = base, 3 * base + 2
@@ -91,9 +133,9 @@ def _least_factorial_dominance(base: int) -> int:
         else:
             lo = mid
     m = hi
-    while not base**m < math.factorial(m):
+    while not _power_below_factorial(base, m):
         m += 1
-    while base ** (m - 1) < math.factorial(m - 1):
+    while _power_below_factorial(base, m - 1):
         m -= 1
     return m
 
@@ -203,10 +245,15 @@ def compare_bounds(d: int, n_max: int) -> tuple[BoundRow, ...]:
         raise ValueError(f"need n_max >= d, got n_max = {n_max}, d = {d}")
     if n_max > BOUNDS_MAX_N:
         raise ValueError(f"a bounds table is capped at n_max <= {BOUNDS_MAX_N}, got {n_max}")
+    radius = ball_radius(n_max, d)
+    heads = itertools.islice(_heads(radius), d - 1, None)
+    factorial = math.factorial(d - 1)
     rows = []
-    for n in range(d, n_max + 1):
+    for n, head in zip(range(d, n_max + 1), heads):
+        factorial *= n
         classic = classic_bound(n, d)
-        theorem = theorem_bound(n, d)
+        # theorem_bound(n, d), from the one head carried across every degree
+        theorem = factorial - sum(head[: ball_radius(n, d)])
         if theorem < classic:
             winner = WINNER_THEOREM
         elif classic < theorem:
@@ -219,7 +266,7 @@ def compare_bounds(d: int, n_max: int) -> tuple[BoundRow, ...]:
                 classic=classic,
                 theorem=theorem,
                 phi=complement_lower_bound(n, d),
-                factorial=math.factorial(n),
+                factorial=factorial,
                 winner=winner,
             )
         )

@@ -4,21 +4,25 @@ The generating function is the q-factorial
 
     sum_k I_n(k) z^k = prod_{i=1}^{n-1} (1 + z + ... + z^i).
 
-One kernel computes its head I_n(0..L-1) exactly, as the product truncated
-mod z^L: each factor is a sliding-window sum over prefix sums, and since
-every partial product is a palindrome a step computes only the coefficients
-up to half its degree and mirrors the rest.  A full row, mahonian_row(n),
-is the head of length C(n,2) + 1 as a plain tuple I_n(0..C(n,2)); a ball
-count needs only the head below its radius, in O(n L) big-integer additions.  A closed form due to Knuth expresses I_n(k)
-as an alternating sum of binomials indexed by the generalized pentagonal
-numbers.  Radii are integers: word lengths are, so a real radius K acts as
-ceil(K).
+One kernel computes its heads I_n(0..L-1) exactly, as the product truncated
+mod z^L, for n = 1, 2, ... in turn: each factor is a sliding-window sum over
+prefix sums, and since every partial product is a palindrome a step computes
+only the coefficients up to half its degree and mirrors the rest.  A full
+row, mahonian_row(n), is the head of length C(n,2) + 1 as a plain tuple
+I_n(0..C(n,2)); a ball count needs only the head below its radius, in O(n L)
+big-integer additions, and bounds.compare_bounds reads one head per degree
+from the same sequence.  The brute-force histogram counts each word's
+inversions on its own, over all n! words, and stays a test oracle.  A
+closed form due to Knuth expresses I_n(k) as an alternating sum of binomials
+indexed by the generalized pentagonal numbers.  Radii are integers: word
+lengths are, so a real radius K acts as ceil(K).
 """
 from __future__ import annotations
 
 import itertools
 import math
-from operator import sub
+from collections.abc import Iterator
+from operator import gt, sub
 
 from .errors import check_scale
 
@@ -28,16 +32,17 @@ BRUTE_FORCE_MAX_N = 9
 ROW_MAX_N = 400
 
 
-def _head(n: int, length: int) -> tuple[int, ...]:
-    """I_n(0), ..., I_n(length - 1): the q-factorial truncated mod z^length.
+def _heads(length: int) -> Iterator[list[int]]:
+    """The heads I_n(0), ..., I_n(length - 1) for n = 1, 2, ...: one step per factor.
 
-    Stops at I_n(C(n,2)), past which every coefficient is zero.
+    Each head is the q-factorial truncated mod z^length and stops at
+    I_n(C(n,2)), past which every coefficient is zero.  Callers must not
+    mutate a yielded head.
     """
-    if length <= 0:
-        return ()
-    row = [1]
+    row = [1][:length]
     degree = 0
-    for i in range(1, n):
+    for i in itertools.count(1):
+        yield row
         degree += i
         half = min(length, degree // 2 + 1)
         # times (1 + ... + z^i): new[k] = prefix[min(k, len(row) - 1) + 1] - prefix[max(k - i, 0)]
@@ -45,10 +50,17 @@ def _head(n: int, length: int) -> tuple[int, ...]:
         upper = prefix[1:] + [prefix[-1]] * (half - len(row))
         lower = ([0] * i + prefix)[:half]
         row = list(map(sub, upper, lower))
-        # the product has degree 1 + ... + i and is a palindrome: new[k] = new[degree - k]
+        # the product has degree 1 + ... + i and is a palindrome: new[k] = new[degree - k];
+        # a head no longer than half the degree has nothing to mirror
         top = min(length, degree + 1)
         row += row[degree - top + 1 : degree - half + 1][::-1]
-    return tuple(row)
+
+
+def _head(n: int, length: int) -> tuple[int, ...]:
+    """I_n(0), ..., I_n(length - 1): the n-th head of _heads(length)."""
+    if length <= 0:
+        return ()
+    return tuple(next(itertools.islice(_heads(length), n - 1, None)))
 
 
 def mahonian_row(n: int) -> tuple[int, ...]:
@@ -71,13 +83,8 @@ def brute_force_row(n: int) -> tuple[int, ...]:
     check_scale(n, BRUTE_FORCE_MAX_N, "brute_force_row")
     counts = [0] * (n * (n - 1) // 2 + 1)
     for image in itertools.permutations(range(n)):
-        inv = sum(
-            1
-            for a in range(n)
-            for b in range(a + 1, n)
-            if image[b] < image[a]
-        )
-        counts[inv] += 1
+        # every pair a < b of positions, compared on its own
+        counts[sum(itertools.starmap(gt, itertools.combinations(image, 2)))] += 1
     return tuple(counts)
 
 

@@ -1,11 +1,14 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from codimgeo import bounds
 from codimgeo.bounds import (
     CROSSOVER_MAX_D,
+    BoundRow,
     ball_radius,
     classic_bound,
     compare_bounds,
@@ -55,6 +58,7 @@ def test_theorem_bound_below_factorial_above_diagonal():
             assert theorem_bound(n, d) < math.factorial(n)
 
 
+@functools.cache
 def incremental_dominance_oracle(base):
     """Oracle for _least_factorial_dominance: walk m = 1, 2, ... with exact products."""
     power = factorial = 1
@@ -67,9 +71,58 @@ def incremental_dominance_oracle(base):
             return m
 
 
-def test_crossover_equals_incremental_oracle():
-    for d in range(2, 41):
+def check_crossover_equals_incremental_oracle():
+    for d in range(2, 61):
         assert crossover_n(d) == incremental_dominance_oracle((d - 1) ** 2)
+
+
+def test_crossover_equals_incremental_oracle():
+    check_crossover_equals_incremental_oracle()
+
+
+def test_crossover_steps_down_from_a_bisection_landing_high(monkeypatch):
+    # lgamma one less makes the bisection's predicate fail too long
+    lgamma = math.lgamma
+    monkeypatch.setattr(bounds.math, "lgamma", lambda x: lgamma(x) - 1.0)
+    check_crossover_equals_incremental_oracle()
+
+
+def test_crossover_steps_up_from_a_bisection_landing_low(monkeypatch):
+    lgamma = math.lgamma
+    monkeypatch.setattr(bounds.math, "lgamma", lambda x: lgamma(x) + 1.0)
+    check_crossover_equals_incremental_oracle()
+
+
+def test_crossover_falls_back_to_exact_integers(monkeypatch):
+    # every comparison undecided; the budget turns a runaway step loop into a failure
+    calls = itertools.count()
+
+    def undecided(base, m):
+        assert next(calls) < 10_000, "the exact fallback never settles the comparison"
+        return None
+
+    monkeypatch.setattr(bounds, "_robbins_verdict", undecided)
+    check_crossover_equals_incremental_oracle()
+
+
+def test_robbins_verdict_agrees_with_exact_integers():
+    # wherever the bracket decides, it decides base**m < m! correctly
+    bases = [*range(1, 61), *((d - 1) ** 2 for d in range(9, CROSSOVER_MAX_D + 1, 10))]
+    undecided = 0
+    for base in bases:
+        # every m up to the bracket 3 base + 2, or 40 either side of e base
+        middle = int(math.e * base)
+        start, stop = (1, 3 * base + 3) if base <= 60 else (middle - 40, middle + 41)
+        power, factorial = base ** (start - 1), math.factorial(start - 1)
+        for m in range(start, stop):
+            power *= base
+            factorial *= m
+            verdict = bounds._robbins_verdict(base, m)
+            if verdict is None:
+                undecided += 1
+            else:
+                assert verdict == (power < factorial), (base, m)
+    assert undecided <= 1  # 1**1 == 1!, the one tie
 
 
 def test_crossover_cap():
@@ -172,6 +225,22 @@ def test_compare_bounds_report():
         if 3 < r.n < 9:
             assert r.theorem < r.factorial
             assert r.classic >= r.factorial
+
+
+def bound_row_oracle(n, d):
+    """Oracle for compare_bounds: one row from the per-row bounds."""
+    classic, theorem = classic_bound(n, d), theorem_bound(n, d)
+    winner = "theorem" if theorem < classic else "classic" if classic < theorem else "tie"
+    return BoundRow(n, classic, theorem, complement_lower_bound(n, d), math.factorial(n), winner)
+
+
+def test_compare_bounds_equals_per_row_oracle():
+    # the running head is truncated at the largest radius; short and long tables both
+    for d in range(2, 9):
+        oracle = [bound_row_oracle(n, d) for n in range(d, 201)]
+        assert list(compare_bounds(d, 200)) == oracle
+        for n_max in range(d, d + 12):
+            assert list(compare_bounds(d, n_max)) == oracle[: n_max - d + 1]
 
 
 def test_compare_bounds_boundary_row():

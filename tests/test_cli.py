@@ -317,6 +317,16 @@ def test_verify_growth_reports_a_non_growing_rearrangement(capsys, monkeypatch):
     assert "  growth counterexample: 1,2: some rearrangement of 2 pieces fails to grow\n" in out
 
 
+def test_verify_dilworth_reports_a_count_above_its_ceiling(capsys, monkeypatch):
+    # a ceiling one below the good count is exceeded at every (n, d), first at n = d = 2
+    monkeypatch.setattr("codimgeo.verify.classic_bound", lambda n, d: count_d_good(n, d) - 1)
+    code, out, _ = run(capsys, "verify", "--suites", "dilworth")
+    assert code == 1
+    assert "FAIL" in out
+    counterexamples = [line for line in out.splitlines() if "counterexample" in line]
+    assert counterexamples[0] == "  dilworth counterexample: n=2 d=2: 1 good exceeds 0"
+
+
 def test_verify_main_propagates_other_errors(monkeypatch):
     # a programming error is not a counterexample
     def broken(p, d):

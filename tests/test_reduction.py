@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from codimgeo import mahonian
 from codimgeo.bounds import ball_radius
 from codimgeo.errors import FalsificationError, ScaleError
+from codimgeo.greedy import rearrangements
 from codimgeo.mahonian import ball_complement_count
 from codimgeo.perm import (
     all_permutations,
@@ -130,6 +132,29 @@ def test_main_step_domain_errors():
         main_step(identity(4), 4)  # threshold 0: nothing is inside the ball
     with pytest.raises(ValueError):
         main_step(identity(4), 5)  # d beyond n
+
+
+def test_main_step_rejects_a_child_of_equal_length(monkeypatch):
+    # listing the parent among its rearrangements adds a child that does not grow
+    monkeypatch.setattr(
+        "codimgeo.reduction.rearrangements", lambda p, cuts: (*rearrangements(p, cuts), p)
+    )
+    message = (
+        "rearrangement of 1,3,2,4,5,6 produced 1,3,2,4,5,6 with word length 1 <= 1; "
+        "growth is claimed for every nontrivial rearrangement"
+    )
+    with pytest.raises(FalsificationError, match=f"^{re.escape(message)}$"):
+        main_step((1, 3, 2, 4, 5, 6), 3)
+
+
+def test_main_step_rejects_a_missing_decomposition(monkeypatch):
+    monkeypatch.setattr("codimgeo.reduction.chunk_preserving_cuts", lambda p, d: iter(()))
+    message = (
+        "no chunk-preserving decomposition of 1,3,2,4,5,6 into 3 pieces; "
+        "existence is claimed for every word inside the ball"
+    )
+    with pytest.raises(FalsificationError, match=f"^{re.escape(message)}$"):
+        main_step((1, 3, 2, 4, 5, 6), 3)
 
 
 def test_main_closure_small():
