@@ -22,9 +22,9 @@ def ratio_table(n, k_max):
     print(f"{'k':>3}  {'exact':>24}  {'estimate':>14}  {'est/exact':>9}")
     for k in range(0, k_max + 1):
         exact = row[n - k]
-        estimate = mahonian_asymptotic(n, k)
-        shown = f"{estimate.value:.6e}" if not estimate.overflow else f"2^{estimate.log2_value:.1f}"
-        print(f"{k:>3}  {exact:>24}  {shown:>14}  {estimate.value / exact:>9.4f}")
+        value, log2_value = mahonian_asymptotic(n, k)
+        shown = f"2^{log2_value:.1f}" if math.isinf(value) else f"{value:.6e}"
+        print(f"{k:>3}  {exact:>24}  {shown:>14}  {value / exact:>9.4f}")
 
 
 def phi_table(start, stop):

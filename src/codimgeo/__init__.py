@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .bounds import (
     BoundRow,
-    TailEstimate,
     ball_radius,
     classic_bound,
     compare_bounds,
@@ -23,7 +22,6 @@ from .bounds import (
 )
 from .errors import FalsificationError, InvalidInversionSetError, ScaleError
 from .greedy import (
-    ChunkStats,
     chunk_preserving_cuts,
     chunk_stats,
     left_greedy_form,
@@ -37,7 +35,6 @@ from .mahonian import (
     mahonian_row,
 )
 from .perm import (
-    InversionSet,
     Permutation,
     all_permutations,
     cayley_distance_bfs,
@@ -66,16 +63,13 @@ from .verify import SUITES, SuiteResult, run_suite
 
 __all__ = [
     "BoundRow",
-    "ChunkStats",
     "FalsificationError",
     "InvalidInversionSetError",
-    "InversionSet",
     "Permutation",
     "ReductionTrace",
     "ScaleError",
     "SuiteResult",
     "SUITES",
-    "TailEstimate",
     "all_permutations",
     "ball_complement_count",
     "ball_count",

@@ -6,12 +6,13 @@ permutations at word-metric distance at least (n - d)/2.  Both eventually
 fall below n!; the crossover degree records when.  A closed-form lower bound
 on the complement count and a floating-point tail estimate for Mahonian
 numbers round out the toolkit.  Results are plain values: compare_bounds
-returns a tuple of BoundRow, one per degree, and q_constant the float q.
+returns a tuple of BoundRow, one per degree, q_constant the float q, and
+mahonian_asymptotic the pair (value, log2_value).
 
 Every bound is an exact integer.  compare_bounds carries one Mahonian head,
 truncated at its largest radius, across all its degrees instead of calling
-theorem_bound per row.  crossover_n decides base**m < m! by Robbins'
-bracket on log m! and compares exact integers only inside its margin.
+theorem_bound per row.  crossover_n bisects on base**m < m!, decided by
+Robbins' bracket on log m! and by exact integers only inside its margin.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ WINNER_THEOREM = "theorem"
 WINNER_TIE = "tie"
 
 # crossover_n(d) settles its comparisons by Robbins' bracket: `codim crossover
-# --d-max 120` takes about 1.5 ms.  A comparison inside the bracket's margin
+# --d-max 120` takes about 2.4 ms.  A comparison inside the bracket's margin
 # falls back to integers of about e (d - 1)^2 log2((d - 1)^2) bits, about
 # 0.05 s each at d = 120.
 CROSSOVER_MAX_D = 120
@@ -117,27 +118,19 @@ def _least_factorial_dominance(base: int) -> int:
     The ratio m!/base**m starts at 1 for m = 0 and is multiplied by m/base at
     step m, so it does not rise while m <= base and rises strictly after.  So
     base**m < m! fails for every m <= base and, once it holds, holds for every
-    larger m.  A bisection on m log(base) < lgamma(m + 1) over (base, 3 base + 2]
-    picks a candidate; at the top m! > (m/e)^m > base**m, so the answer lies
-    inside.  The candidate then steps up while the predicate fails at it, and
-    down while it holds one below, each test decided by _power_below_factorial.
-    By monotonicity that ends at the least m, so the bisection only chooses
-    where to look and needs no error margin.
+    larger m.  At m = 3 base + 2, m! > (m/e)^m > base**m.  So one bisection
+    over (base, 3 base + 2] on _power_below_factorial, keeping the predicate
+    false at lo and true at hi, ends at the least m after at most
+    ceil(log2(2 base + 2)) comparisons.
     """
-    log_base = math.log(base)
     lo, hi = base, 3 * base + 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if mid * log_base < math.lgamma(mid + 1):
+        if _power_below_factorial(base, mid):
             hi = mid
         else:
             lo = mid
-    m = hi
-    while not _power_below_factorial(base, m):
-        m += 1
-    while _power_below_factorial(base, m - 1):
-        m -= 1
-    return m
+    return hi
 
 
 def crossover_n(d: int) -> int:
@@ -173,26 +166,15 @@ def q_constant() -> float:
         q = nxt
 
 
-@dataclass(frozen=True)
-class TailEstimate:
-    """Floating-point estimate of I_n(n - k) near the top of the range."""
-
-    n: int
-    k: int
-    value: float
-    log2_value: float
-    overflow: bool
-
-
-def mahonian_asymptotic(n: int, k: int) -> TailEstimate:
-    """Estimate I_n(n - k) as 2^(2n - k - 1) q / sqrt(n pi).
+def mahonian_asymptotic(n: int, k: int) -> tuple[float, float]:
+    """Estimate I_n(n - k) as 2^(2n - k - 1) q / sqrt(n pi); returns (value, log2_value).
 
     q = prod_j (1 - 2^-j) is evaluated once, by q_constant().
     Accurate in the bulk regime k = o(sqrt(n)); degrades toward the extreme
     tail.  For 40 <= n <= 100 and k <= floor(sqrt(n)) the ratio
     estimate/exact lies in [0.93, 1.07]; at n = 40, k = 10, outside that
     regime, it is 1.22.  When the power of two exceeds float range the value
-    is +inf with overflow flagged; log2_value stays finite either way.
+    is math.inf; log2_value stays finite either way.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
@@ -203,11 +185,9 @@ def mahonian_asymptotic(n: int, k: int) -> TailEstimate:
     log2_value = exponent + math.log2(mantissa)
     try:
         value = math.ldexp(mantissa, exponent)
-        overflow = math.isinf(value)
-    except OverflowError:
+    except OverflowError:  # ldexp raises rather than return inf
         value = math.inf
-        overflow = True
-    return TailEstimate(n, k, value, log2_value, overflow)
+    return value, log2_value
 
 
 def complement_lower_bound(n: int, d: int) -> int:

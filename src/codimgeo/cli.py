@@ -20,7 +20,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -191,7 +191,7 @@ def _cmd_verify(args) -> Result:
 def _cmd_greedy(args) -> Result:
     perm = parse_permutation(args.perm).image
     chunks = left_greedy_form(perm)
-    stats = chunk_stats(perm)
+    chunk_count, chunk_letters, length = chunk_stats(perm)
     # gap y_i lies between chunk i's end (0 for y_0) and chunk i + 1's start (n + 1 for y_k)
     ends = [0] + [end for _, end in chunks]
     starts = [start for start, _ in chunks] + [len(perm) + 1]
@@ -210,7 +210,11 @@ def _cmd_greedy(args) -> Result:
         "perm": one_line(perm),
         "chunks": [list(chunk) for chunk in chunks],
         "gaps": [None if gap is None else list(gap) for gap in gaps],
-        "stats": asdict(stats),
+        "stats": {
+            "chunk_count": chunk_count,
+            "total_chunk_length": chunk_letters,
+            "word_length": length,
+        },
     }
     return Result(
         command=f"greedy --perm {args.perm}",
@@ -219,8 +223,7 @@ def _cmd_greedy(args) -> Result:
         payload=payload,
         before=(f"word: {one_line(perm)}", f"form: {' '.join(shown) or '()'}"),
         after=(
-            f"chunks: {stats.chunk_count}  chunk letters: {stats.total_chunk_length}  "
-            f"word length: {stats.word_length}",
+            f"chunks: {chunk_count}  chunk letters: {chunk_letters}  word length: {length}",
         ),
     )
 

@@ -28,7 +28,6 @@ them for both.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .perm import Image, word_length
 
@@ -123,21 +122,14 @@ def rearrangements(perm: Image, cuts: tuple[int, ...]) -> tuple[Image, ...]:
     return _reorder((), [perm[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
-@dataclass(frozen=True)
-class ChunkStats:
-    """Chunk count, total chunk length, and word length for one permutation."""
+def chunk_stats(perm: Image) -> tuple[int, int, int]:
+    """The plain triple (chunk_count, total_chunk_length, word_length).
 
-    chunk_count: int
-    total_chunk_length: int
-    word_length: int
-
-
-def chunk_stats(perm: Image) -> ChunkStats:
-    """Summary triple (k, sum of chunk lengths, |sigma|).
+    That is k, the sum of the chunk lengths, and |sigma|.
 
     >>> chunk_stats((2, 1, 4, 3))
-    ChunkStats(chunk_count=2, total_chunk_length=4, word_length=2)
+    (2, 4, 2)
     """
     chunks = left_greedy_form(perm)
     total = sum(end - start + 1 for start, end in chunks)
-    return ChunkStats(len(chunks), total, word_length(perm))
+    return len(chunks), total, word_length(perm)

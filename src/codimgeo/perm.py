@@ -5,12 +5,12 @@ the image tuple (sigma(1), ..., sigma(n)), and every function here takes and
 returns such tuples.  Permutation validates one that comes from outside the
 library; its .image is what gets passed in.  The inversion set of sigma is
 
-    R(sigma) = {(i, j) : i < j and sigma(j) < sigma(i)}
+    R(sigma) = {(i, j) : i < j and sigma(j) < sigma(i)},
 
-and the word metric |sigma| = #R(sigma) equals the Cayley-graph distance from
-the identity with respect to the adjacent transpositions.  A permutation is
-d-good when it admits no strictly decreasing value subsequence at d increasing
-positions, and d-bad otherwise.
+a frozenset of position pairs, and the word metric |sigma| = #R(sigma)
+equals the Cayley-graph distance from the identity with respect to the
+adjacent transpositions.  A permutation is d-good when it admits no strictly
+decreasing value subsequence at d increasing positions, and d-bad otherwise.
 
 The d-good words of degree n are counted without listing them.  By
 Robinson-Schensted (Schensted 1961) a word's longest decreasing subsequence
@@ -27,6 +27,7 @@ import itertools
 import math
 from bisect import bisect_left, insort
 from collections import Counter, deque
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -126,36 +127,19 @@ def ball_layers(n: int, radius: int) -> list[list[Image]]:
     return layers
 
 
-@dataclass(frozen=True)
-class InversionSet:
-    """A set of position pairs (i, j) with 1 <= i < j <= n."""
-
-    n: int
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("degree must be at least 1")
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        for i, j in self.pairs:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"pair {(i, j)} out of range for n = {self.n}")
-
-
-def inversion_set(image: Image) -> InversionSet:
+def inversion_set(image: Image) -> frozenset[tuple[int, int]]:
     """All pairs of positions holding values out of order.
 
-    >>> sorted(inversion_set((2, 1, 4, 3)).pairs)
+    >>> sorted(inversion_set((2, 1, 4, 3)))
     [(1, 2), (3, 4)]
     """
     n = len(image)
-    pairs = frozenset(
+    return frozenset(
         (i, j)
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
         if image[j - 1] < image[i - 1]
     )
-    return InversionSet(n, pairs)
 
 
 def word_length(image: Image) -> int:
@@ -199,15 +183,20 @@ def cayley_distance_bfs(image: Image) -> int:
     return _cayley_distances(len(image))[image]
 
 
-def validate_inversion_set(candidate: InversionSet) -> None:
-    """Check the two axioms characterizing inversion sets.
+def validate_inversion_set(n: int, pairs: Set[tuple[int, int]]) -> None:
+    """Check that pairs is the inversion set of some permutation of degree n.
 
-    Transitivity: (i,j) and (j,k) present forces (i,k).  Interpolation:
-    (i,k) present forces (i,j) or (j,k) for every i < j < k.  Raises
-    InvalidInversionSetError naming the failing axiom and a witness triple.
+    Every pair (i, j) must satisfy 1 <= i < j <= n (ValueError otherwise).
+    Then the two axioms characterizing inversion sets.  Transitivity: (i,j)
+    and (j,k) present forces (i,k).  Interpolation: (i,k) present forces
+    (i,j) or (j,k) for every i < j < k.  Raises InvalidInversionSetError
+    naming the failing axiom and a witness triple.
     """
-    pairs = candidate.pairs
-    n = candidate.n
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    for i, j in pairs:
+        if not (1 <= i < j <= n):
+            raise ValueError(f"pair {(i, j)} out of range for n = {n}")
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
@@ -218,20 +207,19 @@ def validate_inversion_set(candidate: InversionSet) -> None:
                     raise InvalidInversionSetError("interpolation", (i, j, k))
 
 
-def from_inversion_set(candidate: InversionSet) -> Image:
-    """Reconstruct the unique permutation with the given inversion set.
+def from_inversion_set(n: int, pairs: Set[tuple[int, int]]) -> Image:
+    """Reconstruct the unique permutation of degree n with inversion set pairs.
 
-    The value at position i is determined by counting, among the other
-    positions, how many must hold smaller values:
+    pairs is any set of position pairs, validated first.  The value at
+    position i is determined by counting, among the other positions, how
+    many must hold smaller values:
 
         sigma(i) = 1 + #{j > i : (i,j) in R} + #{j < i : (j,i) not in R}
 
-    >>> from_inversion_set(InversionSet(3, frozenset({(1, 2)})))
+    >>> from_inversion_set(3, {(1, 2)})
     (2, 1, 3)
     """
-    validate_inversion_set(candidate)
-    n = candidate.n
-    pairs = candidate.pairs
+    validate_inversion_set(n, pairs)
     image = []
     for i in range(1, n + 1):
         after = sum(1 for j in range(i + 1, n + 1) if (i, j) in pairs)

@@ -86,7 +86,7 @@ def _check_metric(p: Image) -> list[str]:
 def _check_roundtrip(p: Image) -> list[str]:
     r = inversion_set(p)
     try:
-        rebuilt = from_inversion_set(r)  # validates the axioms first
+        rebuilt = from_inversion_set(len(p), r)  # validates the axioms first
     except ValueError as exc:
         return [f"{one_line(p)}: inversion set violates axioms ({exc})"]
     if rebuilt != p:
@@ -132,7 +132,7 @@ def _check_lgf(p: Image) -> list[str]:
         for pos in range(start, end + 1):
             chunk_of[pos] = idx
     failures = []
-    for i, j in inversion_set(p).pairs:
+    for i, j in inversion_set(p):
         if i not in chunk_of:
             failures.append(f"{one_line(p)}: gap position {i} starts inversion ({i},{j})")
         elif j not in chunk_of or chunk_of[i] != chunk_of[j]:
@@ -141,14 +141,14 @@ def _check_lgf(p: Image) -> list[str]:
 
 
 def _check_chunks(p: Image) -> list[str]:
-    stats = chunk_stats(p)
+    chunk_count, chunk_letters, length = chunk_stats(p)
     failures = []
-    if stats.chunk_count > stats.word_length:
+    if chunk_count > length:
         failures.append(f"{one_line(p)}: more chunks than inversions")
-    if stats.total_chunk_length > stats.word_length + stats.chunk_count:
+    if chunk_letters > length + chunk_count:
         failures.append(f"{one_line(p)}: chunk letters exceed |sigma| + k")
-    for i, j in inversion_set(p).pairs:
-        if stats.word_length < j - i:
+    for i, j in inversion_set(p):
+        if length < j - i:
             failures.append(f"{one_line(p)}: inversion ({i},{j}) longer than |sigma|")
     return failures
 

@@ -14,10 +14,9 @@ import codimgeo
 from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, compare_bounds
 from codimgeo.cli import main
 from codimgeo.errors import FalsificationError
-from codimgeo.greedy import rearrangements
+from codimgeo.greedy import chunk_stats, rearrangements
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
 from codimgeo.perm import (
-    InversionSet,
     count_d_good,
     inversion_set,
     one_line,
@@ -285,7 +284,7 @@ def test_verify_dilworth_reports_a_miscount(capsys, monkeypatch):
 def test_verify_roundtrip_reports_an_invalid_inversion_set(capsys, monkeypatch):
     # {(1, n)} alone breaks interpolation at (1, 2, n) once n >= 3
     def invalid(p):
-        return InversionSet(len(p), frozenset({(1, len(p))})) if len(p) >= 3 else inversion_set(p)
+        return frozenset({(1, len(p))}) if len(p) >= 3 else inversion_set(p)
 
     monkeypatch.setattr("codimgeo.verify.inversion_set", invalid)
     code, out, _ = run(capsys, "verify", "--n-max", "3", "--suites", "roundtrip")
@@ -298,12 +297,25 @@ def test_verify_roundtrip_reports_an_invalid_inversion_set(capsys, monkeypatch):
 
 
 def test_verify_roundtrip_reports_a_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr("codimgeo.verify.from_inversion_set", lambda r: reversal(r.n))
+    monkeypatch.setattr("codimgeo.verify.from_inversion_set", lambda n, r: reversal(n))
     code, out, _ = run(capsys, "verify", "--n-max", "3", "--suites", "roundtrip")
     assert code == 1
     assert "  roundtrip counterexample: 1,2: round-trip mismatch\n" in out
     assert "  roundtrip counterexample: 2,1: round-trip mismatch\n" not in out
     assert "violates axioms" not in out
+
+
+def test_verify_chunks_reports_excess_chunk_letters(capsys, monkeypatch):
+    # one chunk letter more than |sigma| + k allows
+    def inflated(p):
+        chunk_count, _, length = chunk_stats(p)
+        return chunk_count, length + chunk_count + 1, length
+
+    monkeypatch.setattr("codimgeo.verify.chunk_stats", inflated)
+    code, out, _ = run(capsys, "verify", "--n-max", "2", "--suites", "chunks")
+    assert code == 1
+    assert "  chunks counterexample: 1: chunk letters exceed |sigma| + k\n" in out
+    assert "more chunks than inversions" not in out
 
 
 def test_verify_growth_reports_a_non_growing_rearrangement(capsys, monkeypatch):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from codimgeo.errors import InvalidInversionSetError, ScaleError
 from codimgeo.mahonian import mahonian_row
 from codimgeo.perm import (
-    InversionSet,
     Permutation,
     all_permutations,
     ball_layers,
@@ -65,7 +64,8 @@ def test_identity_and_reversal_lengths():
 
 def test_inversion_set_example():
     r = inversion_set((3, 1, 2))
-    assert sorted(r.pairs) == [(1, 2), (1, 3)]
+    assert isinstance(r, frozenset)
+    assert sorted(r) == [(1, 2), (1, 3)]
 
 
 @given(permutations(max_n=6))
@@ -81,29 +81,41 @@ def test_bfs_scale_cap():
 @given(permutations())
 def test_inversion_roundtrip(p):
     r = inversion_set(p)
-    validate_inversion_set(r)
-    assert from_inversion_set(r) == p
+    validate_inversion_set(len(p), r)
+    assert from_inversion_set(len(p), r) == p
+
+
+def test_plain_set_roundtrip():
+    # any set of pairs is accepted, not only the frozenset inversion_set returns
+    for n in range(1, 7):
+        for p in all_permutations(n):
+            assert from_inversion_set(n, set(inversion_set(p))) == p
 
 
 def test_interpolation_violation_reported():
     with pytest.raises(InvalidInversionSetError) as err:
-        from_inversion_set(InversionSet(3, frozenset({(1, 3)})))
+        from_inversion_set(3, frozenset({(1, 3)}))
     assert err.value.axiom == "interpolation"
     assert err.value.witness == (1, 2, 3)
 
 
 def test_transitivity_violation_reported():
     with pytest.raises(InvalidInversionSetError) as err:
-        from_inversion_set(InversionSet(3, frozenset({(1, 2), (2, 3)})))
+        from_inversion_set(3, frozenset({(1, 2), (2, 3)}))
     assert err.value.axiom == "transitivity"
     assert err.value.witness == (1, 2, 3)
 
 
 def test_inversion_set_rejects_out_of_range_pairs():
-    with pytest.raises(ValueError):
-        InversionSet(3, frozenset({(2, 2)}))
-    with pytest.raises(ValueError):
-        InversionSet(3, frozenset({(1, 4)}))
+    with pytest.raises(ValueError, match=r"pair \(2, 2\) out of range for n = 3"):
+        validate_inversion_set(3, {(2, 2)})
+    with pytest.raises(ValueError, match=r"pair \(1, 4\) out of range for n = 3"):
+        validate_inversion_set(3, {(1, 4)})
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        validate_inversion_set(0, set())
+    # range is checked before the axioms, and by the round trip too
+    with pytest.raises(ValueError, match="out of range"):
+        from_inversion_set(2, {(1, 3)})
 
 
 def test_longest_decreasing_known_values():
