@@ -7,12 +7,20 @@ where the closed form overtakes the classic ceiling.
 
     python3 scripts/tail_accuracy.py --n 40 --k-max 10
     python3 scripts/tail_accuracy.py --phi-from 20 --phi-to 40
+
+Arguments outside 3 <= n <= 400, 0 <= k-max <= n and
+3 <= phi-from <= phi-to <= 200 exit 2 before anything is printed.
 """
 import argparse
 import math
 
 from codimgeo.bounds import complement_lower_bound, mahonian_asymptotic, q_constant
-from codimgeo.mahonian import mahonian_row
+from codimgeo.mahonian import ROW_MAX_N, mahonian_row
+
+# I_n(n - k) at k = 0 lies inside the row only when n <= C(n, 2)
+RATIO_MIN_N = 3
+# phi(n, 3) / 4^n overflows a float past n = 231
+PHI_MAX_N = 200
 
 
 def ratio_table(n, k_max):
@@ -22,9 +30,8 @@ def ratio_table(n, k_max):
     print(f"{'k':>3}  {'exact':>24}  {'estimate':>14}  {'est/exact':>9}")
     for k in range(0, k_max + 1):
         exact = row[n - k]
-        value, log2_value = mahonian_asymptotic(n, k)
-        shown = f"2^{log2_value:.1f}" if math.isinf(value) else f"{value:.6e}"
-        print(f"{k:>3}  {exact:>24}  {shown:>14}  {value / exact:>9.4f}")
+        value, _ = mahonian_asymptotic(n, k)
+        print(f"{k:>3}  {exact:>24}  {value:>14.6e}  {value / exact:>9.4f}")
 
 
 def phi_table(start, stop):
@@ -43,6 +50,15 @@ def main(argv=None):
     parser.add_argument("--phi-from", type=int, default=20)
     parser.add_argument("--phi-to", type=int, default=40)
     args = parser.parse_args(argv)
+    if not RATIO_MIN_N <= args.n <= ROW_MAX_N:
+        parser.error(f"--n must be in {RATIO_MIN_N}..{ROW_MAX_N}, got {args.n}")
+    if not 0 <= args.k_max <= args.n:
+        parser.error(f"--k-max must be in 0..{args.n} (the --n), got {args.k_max}")
+    if not 3 <= args.phi_from <= args.phi_to <= PHI_MAX_N:
+        parser.error(
+            f"need 3 <= --phi-from <= --phi-to <= {PHI_MAX_N}, "
+            f"got {args.phi_from} and {args.phi_to}"
+        )
 
     ratio_table(args.n, args.k_max)
     print()

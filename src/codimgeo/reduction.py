@@ -6,7 +6,10 @@ so iterating terminates with d-good support.  The main step decomposes a word
 of length below the threshold K = (n - d)/2 (for integer lengths, below
 ceil(K)) into d chunk-preserving pieces and rearranges; every child is
 strictly longer, so iterating drives all support out of the ball B(K).  It
-returns each child with the word length its growth check computed.
+returns each child with the word length its growth check computed: the
+parent's length plus |P_a| |P_b| - 2 cross(a, b) for each piece pair a < b
+the child reverses, where cross(a, b) counts the inversions between pieces
+a and b (greedy._reorder_lengths; one table per step, O(d^2) a child).
 Both steps build their children with greedy's one block-reordering kernel.
 
 A closure's sources are every rewritable word, and it rewrites each once.
@@ -21,11 +24,7 @@ from dataclasses import dataclass
 
 from .bounds import ball_radius
 from .errors import FalsificationError, check_scale
-from .greedy import (
-    _reorder,
-    chunk_preserving_cuts,
-    rearrangements,
-)
+from .greedy import _pieces, _reorder, _reorder_lengths, chunk_preserving_cuts
 from .mahonian import ball_complement_count
 from .perm import (
     Image,
@@ -42,8 +41,8 @@ MODE_MAIN = "main"
 
 CLASSIC_CLOSURE_MAX_N = 7
 MAIN_CLOSURE_MAX_N = 8
-# A step builds d! - 1 children: main_step(identity(40), 8) takes about 0.6 s,
-# d = 9 about 6 s.  Every closure at its cap needs d <= 8.
+# A step builds d! - 1 children: main_step(identity(40), 8) takes about 0.2 s,
+# d = 9 about 2.4 s.  Every closure at its cap needs d <= 8.
 STEP_MAX_D = 8
 
 
@@ -93,9 +92,11 @@ def main_step(p: Image, d: int) -> tuple[tuple[Image, int], ...]:
     """Rearrange the lexicographically first d-piece chunk-preserving decomposition.
 
     Returns each of the d! - 1 children with the word length its growth check
-    computed.  Requires word_length(p) < ball_radius(n, d).  Each child must
-    be strictly longer; a missing decomposition or a non-increasing child is a
-    falsification event, raised as FalsificationError rather than ignored.
+    computed from one table of piece-pair weights (greedy._reorder_lengths),
+    not by counting each child.  Requires word_length(p) < ball_radius(n, d).
+    Each child must be strictly longer; a missing decomposition or a
+    non-increasing child is a falsification event, raised as
+    FalsificationError rather than ignored.
 
     >>> main_step((1, 2, 3), 2)
     (((2, 3, 1), 2),)
@@ -115,7 +116,8 @@ def main_step(p: Image, d: int) -> tuple[tuple[Image, int], ...]:
             f"no chunk-preserving decomposition of {one_line(p)} into {d} pieces; "
             "existence is claimed for every word inside the ball"
         )
-    children = tuple((child, word_length(child)) for child in rearrangements(p, cuts))
+    pieces = _pieces(p, cuts)
+    children = tuple(zip(_reorder((), pieces), _reorder_lengths(base, pieces)))
     for child, length in children:
         if length <= base:
             raise FalsificationError(

@@ -593,7 +593,7 @@ def test_main_step_measures_each_child_once(capsys, monkeypatch):
     assert code == 0
     children = json.loads(out)["children"]
     assert len({child["perm"] for child in children}) == len(children) == 23
-    assert len(calls) <= math.factorial(4) + 1  # each child, the step's base and the parent
+    assert len(calls) <= 2  # the step's base and the parent line; children come from the table
     for child in children:
         image = [int(v) for v in child["perm"].split(",")]
         inversions = sum(a > b for i, a in enumerate(image) for b in image[i + 1:])

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from codimgeo.greedy import (
+    _reorder,
+    _reorder_lengths,
     chunk_preserving_cuts,
     chunk_stats,
     left_greedy_form,
@@ -211,6 +213,25 @@ def test_rearrangements_skip_only_the_identity():
 
 def test_transposing_pieces_can_reverse_word():
     assert rearrangements((1, 3, 2, 4), (1, 3))[-1] == (4, 3, 2, 1)
+
+
+def test_reorder_lengths_match_word_length():
+    # every head and every split of the rest into 2 or more blocks, sum cuts or not
+    checked = 0
+    for n in range(2, 7):
+        for p in all_permutations(n):
+            length = word_length(p)
+            for head in range(n - 1):
+                inner = range(head + 1, n)
+                for count in range(1, n - head):
+                    for cuts in combinations(inner, count):
+                        bounds = (head, *cuts, n)
+                        blocks = [p[a:b] for a, b in zip(bounds, bounds[1:])]
+                        children = _reorder(p[:head], blocks)
+                        expected = tuple(map(word_length, children))
+                        assert _reorder_lengths(length, blocks) == expected, (p, head, cuts)
+                        checked += len(children)
+    assert checked == 1_399_466
 
 
 def test_chunk_stats_examples():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from codimgeo import mahonian
 from codimgeo.bounds import ball_radius
 from codimgeo.errors import FalsificationError, ScaleError
-from codimgeo.greedy import rearrangements
+from codimgeo.greedy import _reorder_lengths
 from codimgeo.mahonian import ball_complement_count
 from codimgeo.perm import (
     all_permutations,
@@ -135,12 +135,14 @@ def test_main_step_domain_errors():
 
 
 def test_main_step_rejects_a_child_of_equal_length(monkeypatch):
-    # listing the parent among its rearrangements adds a child that does not grow
-    monkeypatch.setattr(
-        "codimgeo.reduction.rearrangements", lambda p, cuts: (*rearrangements(p, cuts), p)
-    )
+    # a kernel that measures the second child at |sigma| reports a child that does not grow
+    def shrunk(length, blocks):
+        first, _, *rest = _reorder_lengths(length, blocks)
+        return (first, length, *rest)
+
+    monkeypatch.setattr("codimgeo.reduction._reorder_lengths", shrunk)
     message = (
-        "rearrangement of 1,3,2,4,5,6 produced 1,3,2,4,5,6 with word length 1 <= 1; "
+        "rearrangement of 1,3,2,4,5,6 produced 3,2,1,4,5,6 with word length 1 <= 1; "
         "growth is claimed for every nontrivial rearrangement"
     )
     with pytest.raises(FalsificationError, match=f"^{re.escape(message)}$"):

@@ -1,6 +1,8 @@
-"""The experiment script runs end to end on small arguments."""
+"""The experiment script runs end to end on small arguments and refuses bad ones."""
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from codimgeo.mahonian import mahonian_row
 
@@ -26,3 +28,33 @@ def test_tail_accuracy(capsys):
     ]
     assert phis[0] == "# phi(n, 3) against 4^n, n = 20..22"
     assert [line.split()[0] for line in phis[2:]] == ["20", "21", "22"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "0"], "--n must be in 3..400, got 0"),
+        (["--n", "2", "--k-max", "0"], "--n must be in 3..400, got 2"),
+        (["--n", "401"], "--n must be in 3..400, got 401"),
+        (["--n", "5", "--k-max", "6"], "--k-max must be in 0..5 (the --n), got 6"),
+        (["--k-max", "-1"], "--k-max must be in 0..40 (the --n), got -1"),
+        (["--phi-from", "2"], "need 3 <= --phi-from <= --phi-to <= 200, got 2 and 40"),
+        (["--phi-from", "30", "--phi-to", "20"], "need 3 <= --phi-from <= --phi-to <= 200, got 30 and 20"),
+        (["--phi-to", "201"], "need 3 <= --phi-from <= --phi-to <= 200, got 20 and 201"),
+    ],
+)
+def test_tail_accuracy_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        load("tail_accuracy").main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ") and err.endswith(f": error: {message}\n")
+
+
+def test_tail_accuracy_smallest_arguments(capsys):
+    # the whole row of degree 3, k = n included, and a one-degree phi range
+    assert load("tail_accuracy").main(["--n", "3", "--k-max", "3", "--phi-from", "3", "--phi-to", "3"]) == 0
+    ratios, phis = capsys.readouterr().out.split("\n\n")
+    assert [line.split()[:2] for line in ratios.splitlines()[2:]] == [["0", "1"], ["1", "2"], ["2", "2"], ["3", "1"]]
+    assert [line.split()[0] for line in phis.splitlines()[2:]] == ["3"]
