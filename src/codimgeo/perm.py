@@ -23,13 +23,14 @@ oracle; both keep the cap COUNT_GOOD_MAX_N.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left, insort
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, compress, permutations, starmap
+from operator import gt
 
 from .errors import InvalidInversionSetError, check_scale
 
@@ -105,7 +106,7 @@ def reversal(n: int) -> Image:
 
 def all_permutations(n: int):
     """All n! permutations of degree n, in dictionary order."""
-    return itertools.permutations(range(1, n + 1))
+    return permutations(range(1, n + 1))
 
 
 def ball_layers(n: int, radius: int) -> list[list[Image]]:
@@ -138,12 +139,9 @@ def inversion_set(image: Image) -> frozenset[tuple[int, int]]:
     >>> sorted(inversion_set((2, 1, 4, 3)))
     [(1, 2), (3, 4)]
     """
-    n = len(image)
+    positions = range(1, len(image) + 1)
     return frozenset(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if image[j - 1] < image[i - 1]
+        compress(combinations(positions, 2), starmap(gt, combinations(image, 2)))
     )
 
 
@@ -188,6 +186,38 @@ def cayley_distance_bfs(image: Image) -> int:
     return _cayley_distances(len(image))[image]
 
 
+def _axiom_rows(n: int, pairs: Set[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Range-check pairs, then check the two axioms on bit rows.
+
+    rows[i] has bit j set for each pair (i, j), and below[j] counts the pairs
+    ending at j.  Each position pair (i, j) is checked once, in dictionary
+    order.  If (i, j) is a pair, only transitivity can fail there, at the k > j
+    in rows[j] but not in rows[i]; otherwise only interpolation can, at the
+    k > j in rows[i] but not in rows[j].  The least such k gives the same
+    witness as a loop over the triples i < j < k in dictionary order.
+    """
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    rows = [0] * (n + 1)
+    below = [0] * (n + 1)
+    for i, j in pairs:
+        if not (1 <= i < j <= n):
+            raise ValueError(f"pair {(i, j)} out of range for n = {n}")
+        rows[i] |= 1 << j
+        below[j] += 1
+    for i in range(1, n - 1):
+        row = rows[i]
+        for j in range(i + 1, n):
+            if row >> j & 1:
+                axiom, bad = "transitivity", rows[j] & ~row
+            else:
+                axiom, bad = "interpolation", row & ~rows[j]
+            bad >>= j + 1  # only the k > j; bit b stands for k = j + 1 + b
+            if bad:
+                raise InvalidInversionSetError(axiom, (i, j, j + (bad & -bad).bit_length()))
+    return rows, below
+
+
 def validate_inversion_set(n: int, pairs: Set[tuple[int, int]]) -> None:
     """Check that pairs is the inversion set of some permutation of degree n.
 
@@ -195,21 +225,16 @@ def validate_inversion_set(n: int, pairs: Set[tuple[int, int]]) -> None:
     Then the two axioms characterizing inversion sets.  Transitivity: (i,j)
     and (j,k) present forces (i,k).  Interpolation: (i,k) present forces
     (i,j) or (j,k) for every i < j < k.  Raises InvalidInversionSetError
-    naming the failing axiom and a witness triple.
+    naming the failing axiom and the dictionary-least witness triple (i, j, k).
+    The pairs are held as one bit row per position, so the check takes
+    O(n^2) word operations, not O(n^3) set lookups.
+
+    >>> validate_inversion_set(3, {(1, 3)})
+    Traceback (most recent call last):
+    ...
+    codimgeo.errors.InvalidInversionSetError: interpolation fails at positions (1, 2, 3)
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    for i, j in pairs:
-        if not (1 <= i < j <= n):
-            raise ValueError(f"pair {(i, j)} out of range for n = {n}")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                ij, jk, ik = (i, j) in pairs, (j, k) in pairs, (i, k) in pairs
-                if ij and jk and not ik:
-                    raise InvalidInversionSetError("transitivity", (i, j, k))
-                if ik and not ij and not jk:
-                    raise InvalidInversionSetError("interpolation", (i, j, k))
+    _axiom_rows(n, pairs)
 
 
 def from_inversion_set(n: int, pairs: Set[tuple[int, int]]) -> Image:
@@ -221,33 +246,33 @@ def from_inversion_set(n: int, pairs: Set[tuple[int, int]]) -> Image:
 
         sigma(i) = 1 + #{j > i : (i,j) in R} + #{j < i : (j,i) not in R}
 
+    The first count is the population count of the bit row of i, and the
+    second is i - 1 less the pairs ending at i, both read off the rows the
+    validation built.
+
     >>> from_inversion_set(3, {(1, 2)})
     (2, 1, 3)
     """
-    validate_inversion_set(n, pairs)
-    image = []
-    for i in range(1, n + 1):
-        after = sum(1 for j in range(i + 1, n + 1) if (i, j) in pairs)
-        before = sum(1 for j in range(1, i) if (j, i) not in pairs)
-        image.append(1 + after + before)
-    return tuple(image)
+    rows, below = _axiom_rows(n, pairs)
+    return tuple(i + rows[i].bit_count() - below[i] for i in range(1, n + 1))
 
 
 def longest_decreasing(image: Image) -> int:
     """Length of the longest strictly decreasing value subsequence.
 
-    Patience sorting on negated values, O(n log n).
+    Patience sorting from the right, O(n log n): a decreasing run read
+    backwards is an increasing one.
 
     >>> longest_decreasing((4, 1, 3, 2))
     3
     """
     tails: list[int] = []
-    for v in image:
-        pos = bisect_left(tails, -v)
+    for v in reversed(image):
+        pos = bisect_left(tails, v)
         if pos == len(tails):
-            tails.append(-v)
+            tails.append(v)
         else:
-            tails[pos] = -v
+            tails[pos] = v
     return len(tails)
 
 
@@ -276,15 +301,20 @@ def find_d_bad_witness(image: Image, d: int) -> tuple[int, ...] | None:
     n = len(image)
     if d > n:
         return None
-    # drop[i] = longest strictly decreasing subsequence starting at position i.
-    drop = [1] * n
-    for i in range(n - 2, -1, -1):
-        best = 0
-        for j in range(i + 1, n):
-            if image[j] < image[i] and drop[j] > best:
-                best = drop[j]
-        drop[i] = best + 1
-    if max(drop) < d:
+    # drop[i] = longest strictly decreasing subsequence starting at position i,
+    # by patience sorting from the right: tails[m] is the least first value of
+    # a decreasing run of length m + 1 among the positions after i.
+    drop = [0] * n
+    tails: list[int] = []
+    for i in range(n - 1, -1, -1):
+        v = image[i]
+        pos = bisect_left(tails, v)
+        drop[i] = pos + 1
+        if pos == len(tails):
+            tails.append(v)
+        else:
+            tails[pos] = v
+    if len(tails) < d:
         return None
     witness = []
     prev_value = n + 1
@@ -345,11 +375,34 @@ def count_d_good(n: int, d: int) -> int:
     )
 
 
+def decreasing_table(n: int) -> bytes:
+    """longest_decreasing of every word of degree n, one byte each, in dictionary order.
+
+    Built once per degree on first use and cached, so the sweeps that need
+    it (the histogram, the classic closures' sources and the badsize suite)
+    share one pass over the n! words.  The cap n <= 9 is checked on every
+    call, before the cache, so a lower CODIM_MAX_N still refuses.
+
+    >>> list(decreasing_table(3))
+    [1, 2, 2, 2, 2, 3]
+    """
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    check_scale(n, COUNT_GOOD_MAX_N, "decreasing_table")
+    return _decreasing_table(n)
+
+
+@lru_cache(maxsize=None)
+def _decreasing_table(n: int) -> bytes:
+    return bytes(map(longest_decreasing, all_permutations(n)))
+
+
 def decreasing_histogram(n: int) -> tuple[int, ...]:
     """Count of the words of degree n by longest decreasing subsequence, 0..n.
 
     The brute-force oracle for count_d_good, whose value at d is the sum of
-    the first d entries.  Sweeps all n! words, so capped at n <= 9.
+    the first d entries.  Counts decreasing_table(n), a sweep of all n!
+    words, so capped at n <= 9.
 
     >>> decreasing_histogram(3)
     (0, 1, 4, 1)
@@ -357,5 +410,5 @@ def decreasing_histogram(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("degree must be at least 1")
     check_scale(n, COUNT_GOOD_MAX_N, "decreasing_histogram")
-    counts = Counter(map(longest_decreasing, all_permutations(n)))
-    return tuple(counts[k] for k in range(n + 1))
+    table = _decreasing_table(n)
+    return tuple(table.count(k) for k in range(n + 1))

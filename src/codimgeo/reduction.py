@@ -13,6 +13,8 @@ a and b (greedy._reorder_lengths; one table per step, O(d^2) a child).
 Both steps build their children with greedy's one block-reordering kernel.
 
 A closure's sources are every rewritable word, and it rewrites each once.
+The classic sources are the words whose longest decreasing subsequence is
+at least d, read off perm.decreasing_table(n), one table for every d.
 Traces record every expansion edge, and the recorded depth is the longest
 rewrite chain, bounded by C(n,2) in main mode (word length ascends) and by
 the dictionary order in classic mode (images descend).  A step builds d! - 1
@@ -21,6 +23,7 @@ children, so it is capped at d <= STEP_MAX_D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .bounds import ball_radius
 from .errors import FalsificationError, check_scale
@@ -30,8 +33,8 @@ from .perm import (
     Image,
     all_permutations,
     ball_layers,
+    decreasing_table,
     find_d_bad_witness,
-    is_d_good,
     one_line,
     word_length,
 )
@@ -147,7 +150,7 @@ def _close(
     for p in sources:
         children = step(p, d)
         steps[p] = children
-        chain[p] = 1 + max(chain.get(c, 0) for c in children)
+        chain[p] = 1 + max(map(chain.get, children, repeat(0)))
     reached = set(steps).union(*steps.values())
     return ReductionTrace(
         mode=mode,
@@ -171,7 +174,7 @@ def classic_closure(n: int, d: int) -> ReductionTrace:
     if not (2 <= d <= n):
         raise ValueError(f"need 2 <= d <= n, got d = {d}, n = {n}")
     check_scale(n, CLASSIC_CLOSURE_MAX_N, "classic_closure")
-    sources = [p for p in all_permutations(n) if not is_d_good(p, d)]
+    sources = [p for p, longest in zip(all_permutations(n), decreasing_table(n)) if longest >= d]
     return _close(MODE_CLASSIC, n, d, sources, classic_step, complement_size=None)
 
 

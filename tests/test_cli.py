@@ -13,11 +13,13 @@ import pytest
 import codimgeo
 from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, compare_bounds
 from codimgeo.cli import main
-from codimgeo.errors import FalsificationError
+from codimgeo.errors import FalsificationError, ScaleError
 from codimgeo.greedy import chunk_stats, rearrangements
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
 from codimgeo.perm import (
     count_d_good,
+    decreasing_histogram,
+    decreasing_table,
     inversion_set,
     one_line,
     reversal,
@@ -550,6 +552,19 @@ def test_env_cap_lowers_limits(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--suites", "main")
     assert code == 2 and out == ""
     assert "at least 3" in err
+
+
+def test_env_cap_survives_the_decreasing_table_cache(capsys, monkeypatch):
+    # the table is cached per degree, but the cap is checked on every call
+    decreasing_table(8)
+    monkeypatch.setenv("CODIM_MAX_N", "5")
+    with pytest.raises(ScaleError):
+        decreasing_histogram(8)
+    with pytest.raises(ScaleError):
+        decreasing_table(8)
+    code, out, err = run(capsys, "verify", "--suites", "badsize", "--n-max", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: suite badsize is capped at n <= 5, got 8\n"
 
 
 def test_env_cap_cannot_raise_limits(capsys, monkeypatch):

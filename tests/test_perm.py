@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from codimgeo.perm import (
     cayley_distance_bfs,
     count_d_good,
     decreasing_histogram,
+    decreasing_table,
     find_d_bad_witness,
     from_inversion_set,
     identity,
@@ -154,8 +156,6 @@ def test_witness_is_decreasing_and_least(p, d):
     assert list(witness) == sorted(witness)
     # dictionary-least among all witnesses, by direct enumeration
     if len(p) <= 6:
-        from itertools import combinations
-
         best = min(
             positions
             for positions in combinations(range(1, len(p) + 1), d)
@@ -230,3 +230,126 @@ def test_ball_layers_stop_at_the_longest_word():
 def test_ball_layers_rejects_bad_degree():
     with pytest.raises(ValueError):
         ball_layers(0, 1)
+
+
+# ---- the pair-loop kernels the bit-row and patience versions replaced, as oracles
+
+
+def triple_loop_rebuild(n, pairs):
+    """Range check, the O(n^3) axiom loop, then the counting rebuild."""
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    for i, j in pairs:
+        if not (1 <= i < j <= n):
+            raise ValueError(f"pair {(i, j)} out of range for n = {n}")
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                ij, jk, ik = (i, j) in pairs, (j, k) in pairs, (i, k) in pairs
+                if ij and jk and not ik:
+                    raise InvalidInversionSetError("transitivity", (i, j, k))
+                if ik and not ij and not jk:
+                    raise InvalidInversionSetError("interpolation", (i, j, k))
+    return tuple(
+        1
+        + sum(1 for j in range(i + 1, n + 1) if (i, j) in pairs)
+        + sum(1 for j in range(1, i) if (j, i) not in pairs)
+        for i in range(1, n + 1)
+    )
+
+
+def nested_inversion_set(image):
+    n = len(image)
+    return frozenset(
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if image[j - 1] < image[i - 1]
+    )
+
+
+def quadratic_drop(image):
+    """drop[i] = longest strictly decreasing run starting at position i, O(n^2)."""
+    n = len(image)
+    drop = [1] * n
+    for i in range(n - 2, -1, -1):
+        best = 0
+        for j in range(i + 1, n):
+            if image[j] < image[i] and drop[j] > best:
+                best = drop[j]
+        drop[i] = best + 1
+    return drop
+
+
+def quadratic_witness(image, d):
+    drop = quadratic_drop(image)
+    if d > len(image) or max(drop) < d:
+        return None
+    witness = []
+    prev_value = len(image) + 1
+    start = 0
+    for remaining in range(d, 0, -1):
+        for i in range(start, len(image)):
+            if image[i] < prev_value and drop[i] >= remaining:
+                witness.append(i + 1)
+                prev_value = image[i]
+                start = i + 1
+                break
+    return tuple(witness)
+
+
+def outcome(rebuild, n, pairs):
+    """What rebuild returns, or the axiom and witness, or the ValueError text."""
+    try:
+        return ("value", rebuild(n, pairs))
+    except InvalidInversionSetError as exc:
+        return ("axiom", exc.axiom, exc.witness)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def test_bit_rows_match_the_triple_loop_on_every_pair_set():
+    cases = 0
+    for n in range(1, 6):
+        all_pairs = list(combinations(range(1, n + 1), 2))
+        for r in range(len(all_pairs) + 1):
+            for subset in combinations(all_pairs, r):
+                cases += 1
+                pairs = set(subset)
+                expected = outcome(triple_loop_rebuild, n, pairs)
+                assert outcome(from_inversion_set, n, pairs) == expected, (n, subset)
+                validated = ("value", None) if expected[0] == "value" else expected
+                assert outcome(validate_inversion_set, n, pairs) == validated
+                # an out-of-range pair is reported before any axiom is checked
+                for bad in ((0, 1), (n, n), (2, 1), (1, n + 1)):
+                    assert outcome(from_inversion_set, n, pairs | {bad}) == outcome(
+                        triple_loop_rebuild, n, pairs | {bad}
+                    )
+    assert cases == 1099
+    assert outcome(from_inversion_set, 0, set()) == outcome(triple_loop_rebuild, 0, set())
+
+
+def test_inversion_set_matches_the_nested_comprehension():
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            assert inversion_set(p) == nested_inversion_set(p), p
+
+
+def test_patience_kernels_match_the_quadratic_drop():
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            assert longest_decreasing(p) == max(quadratic_drop(p)), p
+            for d in range(2, n + 2):
+                assert find_d_bad_witness(p, d) == quadratic_witness(p, d), (p, d)
+
+
+def test_decreasing_table_is_the_per_word_sweep():
+    for n in range(1, 9):
+        table = decreasing_table(n)
+        assert isinstance(table, bytes)
+        assert list(table) == list(map(longest_decreasing, all_permutations(n)))
+        assert decreasing_table(n) is table  # built once per degree
+    with pytest.raises(ScaleError):
+        decreasing_table(10)
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        decreasing_table(0)
