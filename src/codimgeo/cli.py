@@ -4,9 +4,13 @@ Each command's handler computes one Result and does no output; _render alone
 writes it as a human table (default), CSV (header always present,
 comma-delimited, a cell holding a comma quoted) or JSON.  Output is
 byte-deterministic; --meta prepends provenance comment lines (a "meta"
-object in JSON).  Exit codes: 0 success, 1 verification or falsification
-failure, 2 usage or precondition error (an unwritable --output included),
-141 when the reader of stdout closed it early (as in `codim ... | head`).
+object in JSON).  JSON is byte-identical to json.dumps(payload, indent=2)
+but written by one stdlib writer (_json_text), since an indent sends json
+to its pure-Python encoder.  A reduce step prints each child's length from
+the step's block table, in classic mode as in main mode, counting none.
+Exit codes: 0 success, 1 verification or falsification failure, 2 usage or
+precondition error (an unwritable --output included), 141 when the reader
+of stdout closed it early (as in `codim ... | head`).
 A --perm argument is validated once, as a Permutation; everything past
 that takes its image tuple.  The parser is built on the first main() call
 and reused for the rest of the process.
@@ -21,6 +25,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__
@@ -29,7 +34,7 @@ from .errors import FalsificationError, effective_cap
 from .greedy import chunk_stats, left_greedy_form
 from .mahonian import brute_force_row, mahonian_knuth, mahonian_row
 from .perm import one_line, parse_permutation, word_length
-from .reduction import classic_closure, classic_step, main_closure, main_step
+from .reduction import _classic_step_lengths, classic_closure, main_closure, main_step
 from .verify import SUITES, check_request, run_suite
 
 EXIT_OK = 0
@@ -62,6 +67,73 @@ class Result:
     failed: bool = False
 
 
+def _dump(obj, newline: str, out: list[str]) -> None:
+    """Append the chunks of json.dumps(obj, indent=2) to out, at indent newline.
+
+    newline is "\n" and the current indent.  Strings are quoted by json's own
+    escaper and exact ints by int.__repr__; a str item, or an int dict value,
+    goes out with its separator as one chunk.  Any other scalar (bool, None, float) goes through
+    json.dumps, so true, null, Infinity and NaN match by construction, and a
+    tuple renders as a list.  A dict key must be a str: json would convert
+    other keys, and no codim payload has one.
+    """
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if isinstance(value, str):
+                out.append(sep + _quote(key) + ": " + _quote(value))
+            elif type(value) is int:
+                out.append(sep + _quote(key) + ": " + int.__repr__(value))
+            else:
+                out.append(sep + _quote(key) + ": ")
+                _dump(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            if isinstance(item, str):
+                out.append(sep + _quote(item))
+            else:
+                out.append(sep)
+                _dump(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
+    else:
+        out.append(json.dumps(obj))
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, without json's pure-Python encoder.
+
+    >>> print(_json_text({"a": [1, "b", None], "c": {}}))
+    {
+      "a": [
+        1,
+        "b",
+        null
+      ],
+      "c": {}
+    }
+    """
+    out: list[str] = []
+    _dump(obj, "\n", out)
+    return "".join(out)
+
+
 def _render(args, result: Result) -> None:
     """Write the result as a table, CSV or JSON, with optional provenance."""
     if args.format == "json":
@@ -69,7 +141,7 @@ def _render(args, result: Result) -> None:
         if args.meta:
             meta = {"tool": "codimgeo", "version": __version__, "command": result.command}
             payload = {"meta": meta, **payload}
-        text = json.dumps(payload, indent=2)
+        text = _json_text(payload)
     else:
         lines = []
         if args.meta:
@@ -262,10 +334,8 @@ def _cmd_reduce(args) -> Result:
     if args.n is not None or args.summary_only:
         raise ValueError("a single step takes --perm, not --n or --summary-only")
     perm = parse_permutation(args.perm).image
-    if args.mode == "classic":
-        children = [(c, word_length(c)) for c in classic_step(perm, args.d)]
-    else:
-        children = main_step(perm, args.d)  # the step already measured each child
+    step = _classic_step_lengths if args.mode == "classic" else main_step
+    children = step(perm, args.d)  # each child comes with its length from the block table
     rows = [(one_line(c), length) for c, length in children]
     payload = {
         "mode": args.mode,

@@ -30,7 +30,8 @@ cross(a, b) = #{x in B_a, y in B_b : x > y}, and so
 cross(b, a) = |B_a| |B_b| - cross(a, b), a child's length is |sigma| plus
 |B_a| |B_b| - 2 cross(a, b) for each block pair a < b that it puts in
 reverse order; the head before the blocks never moves.  _reorder_lengths
-measures every child of a step from one table of those pair weights.
+measures every child of a step from one table of those pair weights: each
+main step's, and the CLI's single classic step's.
 """
 from __future__ import annotations
 
@@ -125,6 +126,9 @@ def _reorder_lengths(length: int, blocks: list[Image]) -> tuple[int, ...]:
     child's length is length + sum(|B_a| |B_b| - 2 cross(a, b)) over the
     block pairs a < b that it reverses, whether or not the cuts are sum cuts,
     so each child costs O(d^2) table lookups instead of an O(n log n) count.
+    Its two users: main_step prices its chunk-preserving pieces, and
+    reduction._classic_step_lengths (the CLI's single classic step) prices
+    the blocks cut at a d-bad witness, where a child may be shorter.
 
     >>> _reorder_lengths(1, [(1,), (3, 2), (4,)])
     (3, 3, 4, 4, 6)

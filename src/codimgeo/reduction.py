@@ -11,6 +11,9 @@ parent's length plus |P_a| |P_b| - 2 cross(a, b) for each piece pair a < b
 the child reverses, where cross(a, b) counts the inversions between pieces
 a and b (greedy._reorder_lengths; one table per step, O(d^2) a child).
 Both steps build their children with greedy's one block-reordering kernel.
+classic_step returns bare children; the CLI's single classic step prices
+them from the same table over the witness blocks (_classic_step_lengths),
+where a child may also be shorter, since witness cuts need not be sum cuts.
 
 A closure's sources are every rewritable word, and it rewrites each once.
 The classic sources are the words whose longest decreasing subsequence is
@@ -71,24 +74,44 @@ def _check_step_degree(n: int, d: int) -> None:
         raise ValueError(f"a step is capped at d <= {STEP_MAX_D}, got d = {d}")
 
 
-def classic_step(p: Image, d: int) -> tuple[Image, ...]:
-    """Rearrange the d blocks cut at the dictionary-least d-bad witness.
-
-    With witness positions i_1 < ... < i_d, the blocks are w_0 = [1, i_1 - 1],
-    w_j = [i_j, i_{j+1} - 1], w_d = [i_d, n].  The d! - 1 children keep w_0
-    fixed and permute w_1 .. w_d; each is strictly dictionary-smaller than p.
-
-    >>> classic_step((2, 1), 2)
-    ((1, 2),)
-    """
+def _witness_blocks(p: Image, d: int) -> tuple[Image, list[Image]]:
+    """The fixed head and the d blocks cut at the dictionary-least d-bad witness."""
     n = len(p)
     _check_step_degree(n, d)
     witness = find_d_bad_witness(p, d)
     if witness is None:
         raise ValueError(f"permutation {one_line(p)} is {d}-good; nothing to rewrite")
     starts = (*witness, n + 1)
-    blocks = [p[a - 1 : b - 1] for a, b in zip(starts, starts[1:])]
-    return _reorder(p[: witness[0] - 1], blocks)
+    return p[: witness[0] - 1], [p[a - 1 : b - 1] for a, b in zip(starts, starts[1:])]
+
+
+def classic_step(p: Image, d: int) -> tuple[Image, ...]:
+    """Rearrange the d blocks cut at the dictionary-least d-bad witness.
+
+    With witness positions i_1 < ... < i_d, the blocks are w_0 = [1, i_1 - 1],
+    w_j = [i_j, i_{j+1} - 1], w_d = [i_d, n].  The d! - 1 children keep w_0
+    fixed and permute w_1 .. w_d; each is strictly dictionary-smaller than p.
+    It measures no child; _classic_step_lengths adds the lengths.
+
+    >>> classic_step((2, 1), 2)
+    ((1, 2),)
+    """
+    return _reorder(*_witness_blocks(p, d))
+
+
+def _classic_step_lengths(p: Image, d: int) -> tuple[tuple[Image, int], ...]:
+    """classic_step's children in its order, each with its word length.
+
+    The lengths come from one table of block-pair weights
+    (greedy._reorder_lengths), O(d^2) a child; the witness cuts need not be
+    sum cuts, so a child may be shorter than p.  A single CLI step uses it;
+    the closures and the classic suite need no lengths and never call it.
+
+    >>> _classic_step_lengths((2, 1), 2)
+    (((1, 2), 0),)
+    """
+    head, blocks = _witness_blocks(p, d)
+    return tuple(zip(_reorder(head, blocks), _reorder_lengths(word_length(p), blocks)))
 
 
 def main_step(p: Image, d: int) -> tuple[tuple[Image, int], ...]:

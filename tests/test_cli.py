@@ -9,12 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import codimgeo
 from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, compare_bounds
-from codimgeo.cli import main
+from codimgeo.cli import _json_text, main
 from codimgeo.errors import FalsificationError, ScaleError
-from codimgeo.greedy import chunk_stats, rearrangements
+from codimgeo.greedy import _reorder_lengths, chunk_stats, rearrangements
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
 from codimgeo.perm import (
     count_d_good,
@@ -25,7 +26,7 @@ from codimgeo.perm import (
     reversal,
     word_length,
 )
-from codimgeo.reduction import STEP_MAX_D, main_closure
+from codimgeo.reduction import STEP_MAX_D, classic_closure, main_closure
 from codimgeo.verify import SUITES, run_suite
 
 
@@ -615,6 +616,48 @@ def test_main_step_measures_each_child_once(capsys, monkeypatch):
         assert child["word_length"] == inversions, child
 
 
+def test_classic_step_measures_each_child_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return word_length(p)
+
+    monkeypatch.setattr("codimgeo.cli.word_length", counted)
+    monkeypatch.setattr("codimgeo.reduction.word_length", counted)
+    word = "12,11,10,1,2,3,4,5,6,7,8,9"
+    code, out, _ = run(
+        capsys, "reduce", "--perm", word, "--d", "4", "--mode", "classic", "--format", "json"
+    )
+    assert code == 0
+    children = json.loads(out)["children"]
+    assert len(children) == 23
+    assert len(calls) <= 2  # the step's base and the parent line; children come from the table
+    for child in children:
+        image = tuple(int(v) for v in child["perm"].split(","))
+        assert child["word_length"] == word_length(image), child
+    # witness cuts need not be sum cuts, so a classic child may be shorter
+    code, out, _ = run(
+        capsys, "reduce", "--perm", "2,1", "--d", "2", "--mode", "classic", "--format", "csv"
+    )
+    assert (code, out) == (0, 'child,word_length\n"1,2",0\n')
+
+
+def test_closures_and_suites_measure_no_classic_child(capsys, monkeypatch):
+    calls = []
+
+    def counted(length, blocks):
+        calls.append(len(blocks))
+        return _reorder_lengths(length, blocks)
+
+    monkeypatch.setattr("codimgeo.reduction._reorder_lengths", counted)
+    assert classic_closure(7, 3).visited == 5040
+    assert run(capsys, "verify", "--suites", "classic", "--n-max", "6")[0] == 0
+    assert calls == []
+    assert run(capsys, "reduce", "--perm", "4,3,2,1", "--d", "3", "--mode", "classic")[0] == 0
+    assert calls == [3]  # the counter does see a single step
+
+
 # One argument vector per command shape; each runs in all three formats.
 GOLDEN_SHAPES = {
     "mahonian": ("mahonian", "--n", "4"),
@@ -976,3 +1019,71 @@ def test_csv_rows_are_as_wide_as_their_header(capsys, tmp_path):
         lines = _golden_run(capsys, tmp_path, key).splitlines()
         header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
         assert rows and all(len(row) == len(header) for row in rows), key
+
+
+_JSON_SCALARS = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t", "é€😀\u2028", 'a"b\\c']),
+    st.integers(),
+    st.sampled_from([10**300, -(2**100), 0, -1]),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+@example({"": [], "a": {}, "b": (), "c": [[], {}, ((),)]})
+@example([float("inf"), float("-inf"), float("nan"), -0.0, 1e16, True, False, None])
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_rejects_a_non_str_key():
+    for key in (1, 1.5, True, None, (1,)):
+        with pytest.raises(TypeError, match="^keys must be str"):
+            _json_text({"a": [{key: 0}]})
+
+
+def test_no_cli_payload_has_a_non_str_key(capsys, monkeypatch):
+    # the writer raises on a non-str key; no payload of any command shape has one
+    def keys(obj):
+        if isinstance(obj, dict):
+            yield from obj
+            obj = list(obj.values())
+        if isinstance(obj, (list, tuple)):
+            for item in obj:
+                yield from keys(item)
+
+    payloads = []
+    monkeypatch.setattr("codimgeo.cli._render", lambda _, result: payloads.append(result.payload))
+    for argv in GOLDEN_SHAPES.values():
+        assert run(capsys, *argv, "--format", "json")[0] == 0
+    assert len(payloads) == len(GOLDEN_SHAPES)
+    assert all(isinstance(key, str) for payload in payloads for key in keys(payload))
+
+
+def test_json_output_needs_no_pure_python_encoder(capsys, tmp_path, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refused)
+    with pytest.raises(AssertionError):
+        json.dumps([1], indent=2)  # the patch does reach json.dumps
+    keys = [key for key in GOLDEN if key[1] == "json"]
+    assert ("mahonian-check", "json", "--meta") in keys
+    for key in keys:
+        expected = GOLDEN[key]
+        variants = [key] if len(key) > 2 else [key, (*key, "--output")]
+        for variant in variants:
+            out = _golden_run(capsys, tmp_path, variant)
+            assert (_digest(out) if expected.startswith("sha256:") else out) == expected, variant

@@ -18,6 +18,7 @@ from codimgeo.perm import (
 )
 from codimgeo.reduction import (
     ReductionTrace,
+    _classic_step_lengths,
     classic_closure,
     classic_step,
     main_closure,
@@ -74,6 +75,23 @@ def test_classic_step_properties(image, d):
     assert len(set(children)) == len(children)
     for child in children:
         assert child < p
+
+
+def test_classic_step_lengths_match_a_recount():
+    # every d-bad word with n <= 6: classic_step's children in its order, each
+    # with its counted length; witness cuts need not be sum cuts, so some shrink
+    shorter = 0
+    for n in range(2, 7):
+        for d in range(2, n + 1):
+            for p in all_permutations(n):
+                if is_d_good(p, d):
+                    continue
+                measured = _classic_step_lengths(p, d)
+                assert measured == tuple((c, word_length(c)) for c in classic_step(p, d)), (p, d)
+                shorter += sum(length < word_length(p) for _, length in measured)
+    assert shorter > 0
+    assert _classic_step_lengths((2, 1), 2) == (((1, 2), 0),)
+    assert _classic_step_lengths((3, 2, 1), 3)[-1] == ((1, 2, 3), 0)
 
 
 def test_classic_closure_small():
