@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import check_d, check_d_within, check_degree
 from .mahonian import _heads, ball_complement_count
 
 WINNER_CLASSIC = "classic"
@@ -45,10 +46,8 @@ def classic_bound(n: int, d: int) -> int:
     >>> classic_bound(9, 3)
     262144
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    check_d(d)
+    check_degree(n)
     return (d - 1) ** (2 * n)
 
 
@@ -61,10 +60,7 @@ def ball_radius(n: int, d: int) -> int:
     >>> ball_radius(7, 4), ball_radius(6, 4)
     (2, 1)
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
-    if n < d:
-        raise ValueError(f"threshold needs n >= d, got n = {n}, d = {d}")
+    check_d_within(d, n)
     return (n - d + 1) // 2
 
 
@@ -139,8 +135,7 @@ def crossover_n(d: int) -> int:
     >>> [crossover_n(d) for d in (2, 3, 4, 5)]
     [2, 9, 22, 41]
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    check_d(d)
     if d > CROSSOVER_MAX_D:
         raise ValueError(f"crossover is capped at d <= {CROSSOVER_MAX_D}, got d = {d}")
     return _least_factorial_dominance((d - 1) ** 2)
@@ -176,8 +171,7 @@ def mahonian_asymptotic(n: int, k: int) -> tuple[float, float]:
     regime, it is 1.22.  When the power of two exceeds float range the value
     is math.inf; log2_value stays finite either way.
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    check_degree(n)
     if not (0 <= k <= n):
         raise ValueError(f"estimate requires 0 <= k <= n, got k = {k}")
     exponent = 2 * n - k - 1
@@ -199,10 +193,7 @@ def complement_lower_bound(n: int, d: int) -> int:
     >>> complement_lower_bound(10, 4)
     3498240
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
-    if n < d:
-        raise ValueError(f"lower bound needs n >= d, got n = {n}, d = {d}")
+    check_d_within(d, n)
     cutoff = (n - d) // 2
     return math.factorial(n) - ((1 << (2 * n - cutoff)) - (1 << (n - 1)))
 
@@ -219,8 +210,7 @@ class BoundRow:
 
 def compare_bounds(d: int, n_max: int) -> tuple[BoundRow, ...]:
     """One row per degree d <= n <= n_max: both bounds, the closed-form lower bound, n!."""
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    check_d(d)
     if n_max < d:
         raise ValueError(f"need n_max >= d, got n_max = {n_max}, d = {d}")
     if n_max > BOUNDS_MAX_N:

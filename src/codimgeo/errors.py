@@ -1,8 +1,15 @@
-"""Shared exception types and the global scale cap.
+"""Shared exception types, the argument rules and the global scale cap.
+
+Three rules on the degree n and on d (as in d-good, d pieces) are stated
+here once, each with its one message, and every library function that
+takes n or d calls the check for its rule: check_degree (n >= 1), check_d
+(d >= 2) and check_d_within (2 <= d <= n).  A bad argument raises
+ValueError.
 
 Exhaustive operations (Cayley BFS, closures, brute-force counting) carry a
-hard per-operation cap on n.  The environment variable CODIM_MAX_N can lower
-every cap at once for constrained environments; it can never raise one.
+hard per-operation cap on n; check_scale applies the degree rule first, then
+the cap.  The environment variable CODIM_MAX_N can lower every cap at once
+for constrained environments; it can never raise one.
 """
 from __future__ import annotations
 
@@ -44,8 +51,27 @@ def effective_cap(hard_cap: int) -> int:
     return min(hard_cap, env_cap)
 
 
+def check_degree(n: int) -> None:
+    """The degree rule, n >= 1."""
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+
+
+def check_d(d: int) -> None:
+    """The rule d >= 2."""
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
+
+
+def check_d_within(d: int, n: int) -> None:
+    """The rule 2 <= d <= n, for operations that need d positions."""
+    if not (2 <= d <= n):
+        raise ValueError(f"need 2 <= d <= n, got d = {d}, n = {n}")
+
+
 def check_scale(n: int, hard_cap: int, operation: str) -> None:
-    """Raise ScaleError if n exceeds the effective cap for an operation."""
+    """The degree rule, then ScaleError if n exceeds the operation's effective cap."""
+    check_degree(n)
     cap = effective_cap(hard_cap)
     if n > cap:
         raise ScaleError(f"{operation} is capped at n <= {cap}, got n = {n}")

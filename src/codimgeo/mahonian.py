@@ -24,7 +24,7 @@ import math
 from collections.abc import Iterator
 from operator import gt, sub
 
-from .errors import check_scale
+from .errors import check_degree, check_scale
 
 BRUTE_FORCE_MAX_N = 9
 # A full row costs O(n^3) additions of O(n log n)-bit integers: n = 400 takes
@@ -69,8 +69,7 @@ def mahonian_row(n: int) -> tuple[int, ...]:
     >>> mahonian_row(4)
     (1, 3, 5, 6, 5, 3, 1)
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    check_degree(n)
     if n > ROW_MAX_N:
         raise ValueError(f"a full row is capped at n <= {ROW_MAX_N}, got n = {n}")
     return _head(n, n * (n - 1) // 2 + 1)
@@ -78,8 +77,6 @@ def mahonian_row(n: int) -> tuple[int, ...]:
 
 def brute_force_row(n: int) -> tuple[int, ...]:
     """Histogram of inversion counts over all n! permutations.  Capped at n <= 9."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     check_scale(n, BRUTE_FORCE_MAX_N, "brute_force_row")
     counts = [0] * (n * (n - 1) // 2 + 1)
     for image in itertools.permutations(range(n)):
@@ -103,6 +100,7 @@ def mahonian_knuth(n: int, k: int) -> int:
     >>> mahonian_knuth(5, 2)
     9
     """
+    check_degree(n)
     if not (0 <= k <= n):
         raise ValueError(f"closed form requires 0 <= k <= n, got k = {k}, n = {n}")
     total = _binom(n + k - 1, k)
@@ -128,8 +126,7 @@ def ball_count(n: int, radius: int) -> int:
     >>> ball_count(4, 3)
     9
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    check_degree(n)
     return sum(_head(n, radius))
 
 

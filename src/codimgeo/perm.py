@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations, compress, permutations, starmap
 from operator import gt
 
-from .errors import InvalidInversionSetError, check_scale
+from .errors import InvalidInversionSetError, check_d, check_degree, check_scale
 
 CAYLEY_BFS_MAX_N = 6
 COUNT_GOOD_MAX_N = 9
@@ -71,8 +71,7 @@ class Permutation:
         image = tuple(self.image)
         object.__setattr__(self, "image", image)
         n = len(image)
-        if n < 1:
-            raise ValueError("degree must be at least 1")
+        check_degree(n)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in image):
             raise ValueError(f"entries must be integers: {image}")
         if sorted(image) != list(range(1, n + 1)):
@@ -119,8 +118,7 @@ def ball_layers(n: int, radius: int) -> list[list[Image]]:
     >>> ball_layers(3, 3)
     [[(1, 2, 3)], [(1, 3, 2), (2, 1, 3)], [(2, 3, 1), (3, 1, 2)]]
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    check_degree(n)
     radius = min(radius, n * (n - 1) // 2 + 1)
     layers = [[identity(n)]] if radius > 0 else []
     while len(layers) < radius:
@@ -196,8 +194,7 @@ def _axiom_rows(n: int, pairs: Set[tuple[int, int]]) -> tuple[list[int], list[in
     k > j in rows[i] but not in rows[j].  The least such k gives the same
     witness as a loop over the triples i < j < k in dictionary order.
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    check_degree(n)
     rows = [0] * (n + 1)
     below = [0] * (n + 1)
     for i, j in pairs:
@@ -279,10 +276,9 @@ def longest_decreasing(image: Image) -> int:
 def is_d_good(image: Image, d: int) -> bool:
     """True when no strictly decreasing subsequence of length d exists.
 
-    Any d > n is vacuously good.  Requires d >= 2.
+    Any d > n is vacuously good.
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    check_d(d)
     return longest_decreasing(image) < d
 
 
@@ -296,8 +292,7 @@ def find_d_bad_witness(image: Image, d: int) -> tuple[int, ...] | None:
     >>> find_d_bad_witness((4, 1, 3, 2), 3)
     (1, 3, 4)
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    check_d(d)
     n = len(image)
     if d > n:
         return None
@@ -364,10 +359,7 @@ def count_d_good(n: int, d: int) -> int:
     >>> [count_d_good(n, 3) for n in range(1, 8)]
     [1, 2, 5, 14, 42, 132, 429]
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    check_d(d)
     check_scale(n, COUNT_GOOD_MAX_N, "count_d_good")
     factorial = math.factorial(n)
     return sum(
@@ -386,8 +378,6 @@ def decreasing_table(n: int) -> bytes:
     >>> list(decreasing_table(3))
     [1, 2, 2, 2, 2, 3]
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     check_scale(n, COUNT_GOOD_MAX_N, "decreasing_table")
     return _decreasing_table(n)
 
@@ -407,8 +397,5 @@ def decreasing_histogram(n: int) -> tuple[int, ...]:
     >>> decreasing_histogram(3)
     (0, 1, 4, 1)
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    check_scale(n, COUNT_GOOD_MAX_N, "decreasing_histogram")
-    table = _decreasing_table(n)
+    table = decreasing_table(n)
     return tuple(table.count(k) for k in range(n + 1))

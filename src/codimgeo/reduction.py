@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .bounds import ball_radius
-from .errors import FalsificationError, check_scale
+from .errors import FalsificationError, check_d_within, check_scale
 from .greedy import _pieces, _reorder, _reorder_lengths, chunk_preserving_cuts
 from .mahonian import ball_complement_count
 from .perm import (
@@ -68,8 +68,7 @@ class ReductionTrace:
 
 
 def _check_step_degree(n: int, d: int) -> None:
-    if not (2 <= d <= n):
-        raise ValueError(f"need 2 <= d <= n, got d = {d}, n = {n}")
+    check_d_within(d, n)
     if d > STEP_MAX_D:
         raise ValueError(f"a step is capped at d <= {STEP_MAX_D}, got d = {d}")
 
@@ -123,6 +122,14 @@ def main_step(p: Image, d: int) -> tuple[tuple[Image, int], ...]:
     Each child must be strictly longer; a missing decomposition or a
     non-increasing child is a falsification event, raised as
     FalsificationError rather than ignored.
+
+    The decomposition exists for every word with |sigma| <= n - d, a wider
+    range than the ball: a chunk of c letters holds at least c - 1
+    inversions, so the word has at least n - |sigma| atoms (its gap letters
+    and chunks, as in greedy.chunk_preserving_cuts), and d atoms suffice.
+    That range is sharp: the cycle (2, 3, ..., m, 1) followed by the
+    identity, with m = n - d + 2, has n - d + 1 inversions and only d - 1
+    atoms, so it has none.
 
     >>> main_step((1, 2, 3), 2)
     (((2, 3, 1), 2),)
@@ -194,8 +201,7 @@ def classic_closure(n: int, d: int) -> ReductionTrace:
     Terminates by strict dictionary descent.  Capped at n <= 7.  The d-bad
     words go in dictionary order, and every child is dictionary-smaller.
     """
-    if not (2 <= d <= n):
-        raise ValueError(f"need 2 <= d <= n, got d = {d}, n = {n}")
+    check_d_within(d, n)
     check_scale(n, CLASSIC_CLOSURE_MAX_N, "classic_closure")
     sources = [p for p, longest in zip(all_permutations(n), decreasing_table(n)) if longest >= d]
     return _close(MODE_CLASSIC, n, d, sources, classic_step, complement_size=None)
@@ -208,8 +214,7 @@ def main_closure(n: int, d: int) -> ReductionTrace:
     Records the complement count for cross-reference.  Capped at n <= 8.  The
     ball goes longest layer first, and every child is longer than its parent.
     """
-    if not (2 <= d <= n):
-        raise ValueError(f"need 2 <= d <= n, got d = {d}, n = {n}")
+    check_d_within(d, n)
     check_scale(n, MAIN_CLOSURE_MAX_N, "main_closure")
     radius = ball_radius(n, d)
     sources = [p for layer in reversed(ball_layers(n, radius)) for p in layer]

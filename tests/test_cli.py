@@ -170,6 +170,24 @@ def test_bounds_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("reduce --perm 1,2,3 --d 1 --mode classic", "need 2 <= d <= n, got d = 1, n = 3"),
+        ("reduce --perm 1,2 --d 3 --mode main", "need 2 <= d <= n, got d = 3, n = 2"),
+        ("reduce --n 3 --d 4 --mode classic --closure", "need 2 <= d <= n, got d = 4, n = 3"),
+        ("reduce --n 3 --d 1 --mode main --closure", "need 2 <= d <= n, got d = 1, n = 3"),
+        ("bounds --d 1 --n-max 5", "d must be at least 2, got 1"),
+        ("bounds --d 5 --n-max 3", "need n_max >= d, got n_max = 3, d = 5"),
+        ("mahonian --n 0", "--n must be at least 1"),
+        ("crossover --d-max 1", "--d-max must be at least 2"),
+        ("verify --n-max 0", "suite metric needs n_max at least 1, got 0"),
+    ],
+)
+def test_guard_paths_pin_stderr(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (2, "", f"error: {err}\n")
+
+
 def test_bounds_degree_limit(capsys, monkeypatch):
     # refused before any row is computed
     monkeypatch.setattr("codimgeo.bounds.theorem_bound", lambda n, d: pytest.fail(f"computed n = {n}"))

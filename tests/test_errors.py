@@ -1,0 +1,146 @@
+"""The argument rules: one statement each in errors, one precondition table."""
+import re
+from pathlib import Path
+
+import pytest
+
+import codimgeo
+from codimgeo.bounds import (
+    ball_radius,
+    classic_bound,
+    compare_bounds,
+    complement_lower_bound,
+    crossover_n,
+    mahonian_asymptotic,
+    theorem_bound,
+)
+from codimgeo.errors import ScaleError
+from codimgeo.mahonian import (
+    ball_complement_count,
+    ball_count,
+    brute_force_row,
+    mahonian_knuth,
+    mahonian_row,
+)
+from codimgeo.perm import (
+    Permutation,
+    ball_layers,
+    cayley_distance_bfs,
+    count_d_good,
+    decreasing_histogram,
+    decreasing_table,
+    find_d_bad_witness,
+    from_inversion_set,
+    is_d_good,
+    validate_inversion_set,
+)
+from codimgeo.reduction import classic_closure, classic_step, main_closure, main_step
+
+DEGREE = "degree must be at least 1"
+
+
+def d_rule(d):
+    return f"d must be at least 2, got {d}"
+
+
+def within(d, n):
+    return f"need 2 <= d <= n, got d = {d}, n = {n}"
+
+
+# (call, exact message): n = 0 and d = 1 wherever a function takes n or d,
+# and d = n + 1 where it requires d <= n.  A function taking a word reads n
+# as its length.  is_d_good and find_d_bad_witness state no degree rule: the
+# empty word is vacuously d-good.
+PRECONDITIONS = {
+    # bounds
+    "classic_bound n=0": (lambda: classic_bound(0, 2), DEGREE),
+    "classic_bound d=1": (lambda: classic_bound(5, 1), d_rule(1)),
+    "classic_bound d rule first": (lambda: classic_bound(0, 1), d_rule(1)),
+    "ball_radius n=0": (lambda: ball_radius(0, 2), within(2, 0)),
+    "ball_radius d=1": (lambda: ball_radius(5, 1), within(1, 5)),
+    "ball_radius d=n+1": (lambda: ball_radius(5, 6), within(6, 5)),
+    "theorem_bound n=0": (lambda: theorem_bound(0, 2), within(2, 0)),
+    "theorem_bound d=1": (lambda: theorem_bound(5, 1), within(1, 5)),
+    "theorem_bound d=n+1": (lambda: theorem_bound(5, 6), within(6, 5)),
+    "crossover_n d=1": (lambda: crossover_n(1), d_rule(1)),
+    "mahonian_asymptotic n=0": (lambda: mahonian_asymptotic(0, 0), DEGREE),
+    "complement_lower_bound n=0": (lambda: complement_lower_bound(0, 2), within(2, 0)),
+    "complement_lower_bound d=1": (lambda: complement_lower_bound(5, 1), within(1, 5)),
+    "complement_lower_bound d=n+1": (lambda: complement_lower_bound(5, 6), within(6, 5)),
+    "compare_bounds n_max=0": (
+        lambda: compare_bounds(2, 0),
+        "need n_max >= d, got n_max = 0, d = 2",
+    ),
+    "compare_bounds d=1": (lambda: compare_bounds(1, 5), d_rule(1)),
+    "compare_bounds d=n_max+1": (
+        lambda: compare_bounds(6, 5),
+        "need n_max >= d, got n_max = 5, d = 6",
+    ),
+    # mahonian
+    "mahonian_row n=0": (lambda: mahonian_row(0), DEGREE),
+    "brute_force_row n=0": (lambda: brute_force_row(0), DEGREE),
+    "mahonian_knuth n=0": (lambda: mahonian_knuth(0, 0), DEGREE),
+    "ball_count n=0": (lambda: ball_count(0, 1), DEGREE),
+    "ball_complement_count n=0": (lambda: ball_complement_count(0, 1), DEGREE),
+    # perm
+    "Permutation n=0": (lambda: Permutation(()), DEGREE),
+    "ball_layers n=0": (lambda: ball_layers(0, 1), DEGREE),
+    "validate_inversion_set n=0": (lambda: validate_inversion_set(0, set()), DEGREE),
+    "from_inversion_set n=0": (lambda: from_inversion_set(0, set()), DEGREE),
+    "is_d_good d=1": (lambda: is_d_good((1, 2, 3), 1), d_rule(1)),
+    "find_d_bad_witness d=1": (lambda: find_d_bad_witness((1, 2, 3), 1), d_rule(1)),
+    "count_d_good n=0": (lambda: count_d_good(0, 2), DEGREE),
+    "count_d_good d=1": (lambda: count_d_good(3, 1), d_rule(1)),
+    "count_d_good d rule first": (lambda: count_d_good(0, 1), d_rule(1)),
+    "decreasing_table n=0": (lambda: decreasing_table(0), DEGREE),
+    "decreasing_histogram n=0": (lambda: decreasing_histogram(0), DEGREE),
+    "cayley_distance_bfs n=0": (lambda: cayley_distance_bfs(()), DEGREE),
+    # reduction
+    "classic_step n=0": (lambda: classic_step((), 2), within(2, 0)),
+    "classic_step d=1": (lambda: classic_step((3, 2, 1), 1), within(1, 3)),
+    "classic_step d=n+1": (lambda: classic_step((2, 1), 3), within(3, 2)),
+    "main_step n=0": (lambda: main_step((), 2), within(2, 0)),
+    "main_step d=1": (lambda: main_step((1, 2, 3), 1), within(1, 3)),
+    "main_step d=n+1": (lambda: main_step((1, 2), 3), within(3, 2)),
+    "classic_closure n=0": (lambda: classic_closure(0, 2), within(2, 0)),
+    "classic_closure d=1": (lambda: classic_closure(3, 1), within(1, 3)),
+    "classic_closure d=n+1": (lambda: classic_closure(3, 4), within(4, 3)),
+    "main_closure n=0": (lambda: main_closure(0, 2), within(2, 0)),
+    "main_closure d=1": (lambda: main_closure(3, 1), within(1, 3)),
+    "main_closure d=n+1": (lambda: main_closure(3, 4), within(4, 3)),
+}
+
+
+@pytest.mark.parametrize("case", PRECONDITIONS)
+def test_precondition_table(case):
+    call, message = PRECONDITIONS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError  # a rule, not a ScaleError
+    assert str(info.value) == message
+
+
+def test_d_past_n_is_accepted_where_no_rule_needs_d_within_n():
+    assert is_d_good((1, 2, 3), 4)
+    assert find_d_bad_witness((3, 2, 1), 4) is None
+    assert count_d_good(3, 4) == 6
+    assert classic_bound(3, 4) == 3**6
+
+
+def test_histogram_refuses_through_its_table():
+    with pytest.raises(ScaleError, match="^decreasing_table is capped at n <= 9, got n = 10$"):
+        decreasing_histogram(10)
+
+
+RULE_MESSAGES = (DEGREE, "d must be at least 2, got", "need 2 <= d <= n, got")
+HAND_GUARD = re.compile(r"\bif\s+(?:n\s*<\s*1\b|d\s*<\s*2\b|n\s*<\s*d\b|not\s*\(\s*2\s*<=\s*d\s*<=\s*n\s*\))")
+
+
+def test_each_rule_is_stated_once_in_errors():
+    sources = {p.name: p.read_text() for p in Path(codimgeo.__file__).parent.glob("*.py")}
+    for message in RULE_MESSAGES:
+        found = {name: text.count(message) for name, text in sources.items() if message in text}
+        assert found == {"errors.py": 1}, message
+    for name, text in sources.items():
+        if name != "errors.py":
+            assert not HAND_GUARD.search(text), name

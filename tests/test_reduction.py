@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from codimgeo import mahonian
 from codimgeo.bounds import ball_radius
 from codimgeo.errors import FalsificationError, ScaleError
-from codimgeo.greedy import _reorder_lengths
+from codimgeo.greedy import _reorder_lengths, chunk_preserving_cuts, chunk_stats
 from codimgeo.mahonian import ball_complement_count
 from codimgeo.perm import (
     all_permutations,
@@ -336,3 +336,23 @@ def test_closure_equals_worklist_oracle(mode, closure):
         for d in range(2, n + 1):
             assert closure(n, d) == worklist_closure(mode, n, d), (n, d)
 
+
+def test_every_word_within_n_minus_d_decomposes():
+    # at least n - |p| atoms (gap letters plus chunks), and d atoms suffice
+    for n in range(2, 8):
+        for p in all_permutations(n):
+            chunks, chunk_letters, length = chunk_stats(p)
+            assert n - chunk_letters + chunks >= n - length
+            for d in range(2, n - length + 1):
+                assert next(chunk_preserving_cuts(p, d), None) is not None, (p, d)
+
+
+@pytest.mark.parametrize("n", [8, 50, 200])
+def test_the_decomposition_range_is_sharp(n):
+    for d in range(2, 9):
+        m = n - d + 2
+        cycle = (*range(2, m + 1), 1, *range(m + 1, n + 1))
+        assert word_length(cycle) == n - d + 1
+        chunks, chunk_letters, _ = chunk_stats(cycle)
+        assert n - chunk_letters + chunks == d - 1  # atoms
+        assert next(chunk_preserving_cuts(cycle, d), None) is None
