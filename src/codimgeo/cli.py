@@ -4,7 +4,7 @@ Each command's handler computes one Result and does no output; _render alone
 writes it as a human table (default), CSV (header always present,
 comma-delimited, a cell holding a comma quoted) or JSON.  Output is
 byte-deterministic; --meta prepends provenance comment lines (a "meta"
-object in JSON).  JSON is byte-identical to json.dumps(payload, indent=2)
+object in JSON) whose command repeats every flag that shapes the output.  JSON is byte-identical to json.dumps(payload, indent=2)
 but written by one stdlib writer (_json_text), since an indent sends json
 to its pure-Python encoder.  A reduce step prints each child's length from
 the step's block table, in classic mode as in main mode, counting none.
@@ -324,7 +324,8 @@ def _cmd_reduce(args) -> Result:
             }
             payload["terminal"] = sorted(one_line(p) for p in trace.terminal_support)
         return Result(
-            command=f"reduce --n {args.n} --d {args.d} --mode {args.mode} --closure",
+            command=f"reduce --n {args.n} --d {args.d} --mode {args.mode} --closure"
+            + (" --summary-only" if args.summary_only else ""),
             columns=("key", "value"),
             rows=rows,
             payload=payload,

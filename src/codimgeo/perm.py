@@ -276,9 +276,10 @@ def longest_decreasing(image: Image) -> int:
 def is_d_good(image: Image, d: int) -> bool:
     """True when no strictly decreasing subsequence of length d exists.
 
-    Any d > n is vacuously good.
+    Any d > n is vacuously good; the empty word is refused like degree 0.
     """
     check_d(d)
+    check_degree(len(image))
     return longest_decreasing(image) < d
 
 
@@ -294,6 +295,7 @@ def find_d_bad_witness(image: Image, d: int) -> tuple[int, ...] | None:
     """
     check_d(d)
     n = len(image)
+    check_degree(n)
     if d > n:
         return None
     # drop[i] = longest strictly decreasing subsequence starting at position i,

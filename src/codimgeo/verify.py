@@ -1,13 +1,16 @@
 """Exhaustive property suites behind the verify command.
 
-Each suite sweeps all cases up to a degree cap and checks one cluster of
-structural claims: the word-metric identity, inversion-set round-trips, the
-d-bad length floor, the hook-length good count against one longest-decreasing
-sweep and under its ceiling, greedy-form structure, chunk size accounting,
-rearrangement growth, and the two rewriting closures.  The
-per-permutation suites share one sweep and state only their check, which
-maps an image tuple to its failures.  badsize and dilworth instead read the
-one longest-decreasing table per degree (perm.decreasing_table), which the
+Each suite checks one cluster of structural claims exhaustively: the
+word-metric identity, inversion-set round-trips, the d-bad length floor, the
+hook-length good count against one longest-decreasing sweep and under its
+ceiling, greedy-form structure, chunk size accounting, rearrangement growth,
+and the two rewriting closures.  A suite's runner checks one degree n and
+returns (checked, failures, info); run_suite alone loops over the degrees
+1..n_max and adds them up in degree order.  A runner checks nothing at a
+degree below its suite's first one (Suite.min_n), but may still report
+info there.  The per-permutation suites share one runner, _each_word, and
+state only their check, which maps an image tuple to its failures.  badsize and dilworth instead read the one
+longest-decreasing table per degree (perm.decreasing_table), which the
 classic closures share.  Failures are collected as printable
 counterexample strings, never raised.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 from .bounds import ball_radius, classic_bound
@@ -60,21 +64,16 @@ class SuiteResult:
         return not self.failures
 
 
-# What a suite's runner returns: (checked, failures, info).
+# What a suite's runner returns for one degree: (checked, failures, info).
 _Outcome = tuple[int, list[str], list[str]]
 
 
-def _sweep(check: Callable[[Image], list[str]]) -> Callable[[int], _Outcome]:
-    """A runner applying check to every permutation of degree 1 through n_max."""
+def _each_word(check: Callable[[Image], list[str]]) -> Callable[[int], _Outcome]:
+    """A runner applying check to every permutation of degree n."""
 
-    def run(n_max: int) -> _Outcome:
-        checked = 0
-        failures: list[str] = []
-        for n in range(1, n_max + 1):
-            for p in all_permutations(n):
-                checked += 1
-                failures += check(p)
-        return checked, failures, []
+    def run(n: int) -> _Outcome:
+        words = list(all_permutations(n))
+        return len(words), [f for p in words for f in check(p)], []
 
     return run
 
@@ -96,38 +95,31 @@ def _check_roundtrip(p: Image) -> list[str]:
     return []
 
 
-def _run_badsize(n_max: int) -> _Outcome:
+def _run_badsize(n: int) -> _Outcome:
     # |sigma| >= L(L-1)/2 for L the longest decreasing run covers every d <= L
-    checked = 0
-    failures = []
-    for n in range(1, n_max + 1):
-        table = decreasing_table(n)
-        checked += len(table)
-        failures += [
-            f"{one_line(p)}: length below the {longest}-bad floor"
-            for p, longest in zip(all_permutations(n), table)
-            if word_length(p) < longest * (longest - 1) // 2
-        ]
-    return checked, failures, []
+    table = decreasing_table(n)
+    failures = [
+        f"{one_line(p)}: length below the {longest}-bad floor"
+        for p, longest in zip(all_permutations(n), table)
+        if word_length(p) < longest * (longest - 1) // 2
+    ]
+    return len(table), failures, []
 
 
-def _run_dilworth(n_max: int) -> _Outcome:
-    checked = 0
+def _run_dilworth(n: int) -> _Outcome:
+    histogram = decreasing_histogram(n)
     failures = []
     info = []
-    for n in range(2, n_max + 1):
-        histogram = decreasing_histogram(n)
-        for d in range(2, n + 1):
-            checked += 1
-            count = count_d_good(n, d)
-            swept = sum(histogram[:d])
-            ceiling = classic_bound(n, d)
-            info.append(f"n={n} d={d} good={count} ceiling={ceiling}")
-            if count != swept:
-                failures.append(f"n={n} d={d}: hook-length count {count} != swept count {swept}")
-            if count > ceiling:
-                failures.append(f"n={n} d={d}: {count} good exceeds {ceiling}")
-    return checked, failures, info
+    for d in range(2, n + 1):
+        count = count_d_good(n, d)
+        swept = sum(histogram[:d])
+        ceiling = classic_bound(n, d)
+        info.append(f"n={n} d={d} good={count} ceiling={ceiling}")
+        if count != swept:
+            failures.append(f"n={n} d={d}: hook-length count {count} != swept count {swept}")
+        if count > ceiling:
+            failures.append(f"n={n} d={d}: {count} good exceeds {ceiling}")
+    return len(info), failures, info
 
 
 def _check_lgf(p: Image) -> list[str]:
@@ -162,83 +154,80 @@ def _check_chunks(p: Image) -> list[str]:
     return failures
 
 
-def _run_growth(n_max: int) -> _Outcome:
+def _run_growth(n: int) -> _Outcome:
     checked = 0
     failures = []
-    for n in range(2, n_max + 1):
-        for p in all_permutations(n):
-            if left_greedy_form(p) == ((1, n),):
-                continue  # single-chunk words are outside the growth claim
-            base = word_length(p)
-            for pieces in range(2, n + 1):
-                for cuts in chunk_preserving_cuts(p, pieces):
-                    checked += 1
-                    if any(word_length(c) <= base for c in rearrangements(p, cuts)):
-                        failures.append(
-                            f"{one_line(p)}: some rearrangement of {pieces} pieces fails to grow"
-                        )
+    for p in all_permutations(n):
+        if left_greedy_form(p) == ((1, n),):
+            continue  # single-chunk words are outside the growth claim
+        base = word_length(p)
+        for pieces in range(2, n + 1):
+            for cuts in chunk_preserving_cuts(p, pieces):
+                checked += 1
+                if any(word_length(c) <= base for c in rearrangements(p, cuts)):
+                    failures.append(
+                        f"{one_line(p)}: some rearrangement of {pieces} pieces fails to grow"
+                    )
     return checked, failures, []
 
 
-def _run_classic(n_max: int) -> _Outcome:
+def _run_classic(n: int) -> _Outcome:
     checked = 0
     failures = []
     info = []
-    for n in range(2, n_max + 1):
-        for d in range(2, n + 1):
-            trace = classic_closure(n, d)
-            info.append(
-                f"n={n} d={d} visited={trace.visited} "
-                f"terminal={len(trace.terminal_support)} depth={trace.max_depth}"
-            )
-            for p in trace.terminal_support:
-                checked += 1
-                if not is_d_good(p, d):
-                    failures.append(f"n={n} d={d}: terminal {one_line(p)} is {d}-bad")
-            expected = math.factorial(d) - 1
-            for parent, children in trace.steps:
-                checked += 1
-                if len(children) != expected or len(set(children)) != expected:
-                    failures.append(f"n={n} d={d}: {one_line(parent)} has wrong child count")
-                if max(children) >= parent:
-                    failures.append(f"n={n} d={d}: {one_line(parent)} has non-descending child")
-            if len(trace.terminal_support) > count_d_good(n, d):
-                failures.append(f"n={n} d={d}: terminal support exceeds good count")
+    for d in range(2, n + 1):
+        trace = classic_closure(n, d)
+        info.append(
+            f"n={n} d={d} visited={trace.visited} "
+            f"terminal={len(trace.terminal_support)} depth={trace.max_depth}"
+        )
+        for p in trace.terminal_support:
+            checked += 1
+            if not is_d_good(p, d):
+                failures.append(f"n={n} d={d}: terminal {one_line(p)} is {d}-bad")
+        expected = math.factorial(d) - 1
+        for parent, children in trace.steps:
+            checked += 1
+            if len(children) != expected or len(set(children)) != expected:
+                failures.append(f"n={n} d={d}: {one_line(parent)} has wrong child count")
+            if max(children) >= parent:
+                failures.append(f"n={n} d={d}: {one_line(parent)} has non-descending child")
+        if len(trace.terminal_support) > count_d_good(n, d):
+            failures.append(f"n={n} d={d}: terminal support exceeds good count")
     return checked, failures, info
 
 
-def _run_main(n_max: int) -> _Outcome:
+def _run_main(n: int) -> _Outcome:
     checked = 0
     failures = []
     info = []
-    for n in range(2, n_max + 1):
-        for d in range(2, n + 1):
-            radius = ball_radius(n, d)
-            try:
-                trace = main_closure(n, d)
-            except FalsificationError as exc:  # a counterexample, reported as a failure
-                failures.append(f"n={n} d={d}: closure raised {exc}")
-                continue
-            info.append(
-                f"n={n} d={d} sources={len(trace.sources)} visited={trace.visited} "
-                f"terminal={len(trace.terminal_support)} depth={trace.max_depth}"
-            )
-            for p in trace.terminal_support:
-                checked += 1
-                if word_length(p) < radius:
-                    failures.append(f"n={n} d={d}: terminal {one_line(p)} is inside the ball")
-            expected = math.factorial(d) - 1
-            for parent, children in trace.steps:
-                checked += 1
-                if len(children) != expected or len(set(children)) != expected:
-                    failures.append(f"n={n} d={d}: {one_line(parent)} has wrong child count")
-                base = word_length(parent)
-                if any(word_length(c) <= base for c in children):
-                    failures.append(f"n={n} d={d}: {one_line(parent)} has non-growing child")
-            if trace.max_depth > n * (n - 1) // 2:
-                failures.append(f"n={n} d={d}: depth exceeds C(n,2)")
-            if len(trace.sources) + trace.complement_size != math.factorial(n):
-                failures.append(f"n={n} d={d}: ball and complement do not add up to n!")
+    for d in range(2, n + 1):
+        radius = ball_radius(n, d)
+        try:
+            trace = main_closure(n, d)
+        except FalsificationError as exc:  # a counterexample, reported as a failure
+            failures.append(f"n={n} d={d}: closure raised {exc}")
+            continue
+        info.append(
+            f"n={n} d={d} sources={len(trace.sources)} visited={trace.visited} "
+            f"terminal={len(trace.terminal_support)} depth={trace.max_depth}"
+        )
+        for p in trace.terminal_support:
+            checked += 1
+            if word_length(p) < radius:
+                failures.append(f"n={n} d={d}: terminal {one_line(p)} is inside the ball")
+        expected = math.factorial(d) - 1
+        for parent, children in trace.steps:
+            checked += 1
+            if len(children) != expected or len(set(children)) != expected:
+                failures.append(f"n={n} d={d}: {one_line(parent)} has wrong child count")
+            base = word_length(parent)
+            if any(word_length(c) <= base for c in children):
+                failures.append(f"n={n} d={d}: {one_line(parent)} has non-growing child")
+        if trace.max_depth > n * (n - 1) // 2:
+            failures.append(f"n={n} d={d}: depth exceeds C(n,2)")
+        if len(trace.sources) + trace.complement_size != math.factorial(n):
+            failures.append(f"n={n} d={d}: ball and complement do not add up to n!")
     return checked, failures, info
 
 
@@ -248,7 +237,7 @@ class Suite:
     min_n: int
     hard_cap: int
     default_n: int
-    runner: Callable[[int], _Outcome] = field(repr=False)
+    runner: Callable[[int], _Outcome] = field(repr=False)  # checks one degree n
 
     @property
     def cap(self) -> int:
@@ -258,12 +247,12 @@ class Suite:
 SUITES: dict[str, Suite] = {
     s.name: s
     for s in (
-        Suite("metric", 1, CAYLEY_BFS_MAX_N, 6, _sweep(_check_metric)),
-        Suite("roundtrip", 1, 7, 7, _sweep(_check_roundtrip)),
+        Suite("metric", 1, CAYLEY_BFS_MAX_N, 6, _each_word(_check_metric)),
+        Suite("roundtrip", 1, 7, 7, _each_word(_check_roundtrip)),
         Suite("badsize", 1, 8, 8, _run_badsize),
         Suite("dilworth", 2, 8, 8, _run_dilworth),
-        Suite("lgf", 1, 7, 7, _sweep(_check_lgf)),
-        Suite("chunks", 1, 7, 7, _sweep(_check_chunks)),
+        Suite("lgf", 1, 7, 7, _each_word(_check_lgf)),
+        Suite("chunks", 1, 7, 7, _each_word(_check_chunks)),
         Suite("growth", 2, 6, 6, _run_growth),
         Suite("classic", 2, CLASSIC_CLOSURE_MAX_N, 6, _run_classic),
         Suite("main", 3, MAIN_CLOSURE_MAX_N, 7, _run_main),
@@ -286,7 +275,10 @@ def check_request(name: str, n_max: int | None = None) -> int:
 
 
 def run_suite(name: str, n_max: int | None = None) -> SuiteResult:
-    """Run one registered suite at its default or a requested degree cap."""
+    """Run one registered suite at every degree 1..n_max, its default or a requested cap.
+
+    The counts, failures and info lines of the degrees add up in degree order.
+    """
     n_max = check_request(name, n_max)
-    checked, failures, info = SUITES[name].runner(n_max)
-    return SuiteResult(name, n_max, checked, tuple(failures), tuple(info))
+    checked, failures, info = zip(*map(SUITES[name].runner, range(1, n_max + 1)))
+    return SuiteResult(name, n_max, sum(checked), tuple(chain(*failures)), tuple(chain(*info)))

@@ -246,6 +246,56 @@ def test_every_suite_checks_something_at_its_first_degree(name):
     assert run_suite(name, SUITES[name].min_n).checked > 0
 
 
+@pytest.mark.parametrize("name", list(SUITES))
+def test_a_runner_checks_nothing_below_its_first_degree(name):
+    for n in range(1, SUITES[name].min_n):
+        checked, failures, _ = SUITES[name].runner(n)
+        assert (checked, failures) == (0, [])
+
+
+# checked at every n_max from a suite's first degree to one below its cap
+# (the acceptance criteria pin the caps)
+CHECKED_BELOW_CAP = {
+    "metric": (1, 3, 9, 33, 153),
+    "roundtrip": (1, 3, 9, 33, 153, 873),
+    "badsize": (1, 3, 9, 33, 153, 873, 5913),
+    "dilworth": (1, 3, 6, 10, 15, 21),
+    "lgf": (1, 3, 9, 33, 153, 873),
+    "chunks": (1, 3, 9, 33, 153, 873),
+    "growth": (1, 6, 27, 120),
+    "classic": (2, 14, 86, 566, 4166),
+    "main": (2, 10, 50, 238, 1312),
+}
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_checked_counts_below_each_cap(name):
+    suite = SUITES[name]
+    degrees = range(suite.min_n, suite.hard_cap)
+    assert tuple(run_suite(name, n).checked for n in degrees) == CHECKED_BELOW_CAP[name]
+
+
+def test_main_reports_its_empty_ball_at_degree_two():
+    assert run_suite("main", 3).info == (
+        "n=2 d=2 sources=0 visited=0 terminal=0 depth=0",
+        "n=3 d=2 sources=1 visited=2 terminal=1 depth=1",
+        "n=3 d=3 sources=0 visited=0 terminal=0 depth=0",
+    )
+
+
+def test_failures_are_listed_degree_by_degree(monkeypatch):
+    monkeypatch.setattr("codimgeo.verify.word_length", lambda p: word_length(p) - 1)
+    floors = (
+        ("1", 1),
+        ("1,2", 1), ("2,1", 2),
+        ("1,2,3", 1), ("1,3,2", 2), ("2,1,3", 2), ("3,2,1", 3),
+        ("1,2,3,4", 1), ("1,2,4,3", 2), ("1,3,2,4", 2), ("1,4,3,2", 3),
+        ("2,1,3,4", 2), ("3,2,1,4", 3), ("4,3,2,1", 4),
+    )
+    expected = tuple(f"{word}: length below the {floor}-bad floor" for word, floor in floors)
+    assert run_suite("badsize", 4).failures == expected
+
+
 def test_verify_cap_exceeded(capsys):
     code, _, err = run(capsys, "verify", "--n-max", "8", "--suites", "metric")
     assert code == 2
@@ -960,6 +1010,16 @@ GOLDEN = {
         "4,5,6,1,3,2  10\n"
         "4,5,6,3,2,1  12\n"
     ),
+    ("closure-summary", "table", "--meta"): (
+        "# tool: codimgeo 0.1.0\n"
+        "# command: reduce --n 6 --d 4 --mode main --closure --summary-only\n"
+        "key              value\n"
+        "sources          1\n"
+        "visited          24\n"
+        "max_depth        1\n"
+        "terminal_size    23\n"
+        "complement_size  719\n"
+    ),
 }
 
 
@@ -987,6 +1047,13 @@ def test_golden_output(capsys, tmp_path, key):
     out = _golden_run(capsys, tmp_path, key)
     expected = GOLDEN[key]
     assert (_digest(out) if expected.startswith("sha256:") else out) == expected
+
+
+@pytest.mark.parametrize("shape", list(GOLDEN_SHAPES))
+def test_meta_command_is_the_argument_vector(capsys, shape):
+    code, out, _ = run(capsys, *GOLDEN_SHAPES[shape], "--format", "json", "--meta")
+    assert code == 0
+    assert json.loads(out)["meta"]["command"].split() == list(GOLDEN_SHAPES[shape])
 
 
 def test_parser_survives_a_usage_error_and_help(capsys, tmp_path, monkeypatch):

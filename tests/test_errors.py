@@ -49,8 +49,7 @@ def within(d, n):
 
 # (call, exact message): n = 0 and d = 1 wherever a function takes n or d,
 # and d = n + 1 where it requires d <= n.  A function taking a word reads n
-# as its length.  is_d_good and find_d_bad_witness state no degree rule: the
-# empty word is vacuously d-good.
+# as its length, so the empty word is refused as degree 0.
 PRECONDITIONS = {
     # bounds
     "classic_bound n=0": (lambda: classic_bound(0, 2), DEGREE),
@@ -87,8 +86,12 @@ PRECONDITIONS = {
     "ball_layers n=0": (lambda: ball_layers(0, 1), DEGREE),
     "validate_inversion_set n=0": (lambda: validate_inversion_set(0, set()), DEGREE),
     "from_inversion_set n=0": (lambda: from_inversion_set(0, set()), DEGREE),
+    "is_d_good n=0": (lambda: is_d_good((), 2), DEGREE),
     "is_d_good d=1": (lambda: is_d_good((1, 2, 3), 1), d_rule(1)),
+    "is_d_good d rule first": (lambda: is_d_good((), 1), d_rule(1)),
+    "find_d_bad_witness n=0": (lambda: find_d_bad_witness((), 2), DEGREE),
     "find_d_bad_witness d=1": (lambda: find_d_bad_witness((1, 2, 3), 1), d_rule(1)),
+    "find_d_bad_witness d rule first": (lambda: find_d_bad_witness((), 1), d_rule(1)),
     "count_d_good n=0": (lambda: count_d_good(0, 2), DEGREE),
     "count_d_good d=1": (lambda: count_d_good(3, 1), d_rule(1)),
     "count_d_good d rule first": (lambda: count_d_good(0, 1), d_rule(1)),
