@@ -46,7 +46,9 @@ def phi_table(start, stop):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=40, help="row degree for the ratio table")
-    parser.add_argument("--k-max", type=int, default=10, help="largest distance from the top coefficient")
+    parser.add_argument(
+        "--k-max", type=int, default=10, help="largest distance from the top coefficient"
+    )
     parser.add_argument("--phi-from", type=int, default=20)
     parser.add_argument("--phi-to", type=int, default=40)
     args = parser.parse_args(argv)

@@ -4,10 +4,15 @@ Each command's handler computes one Result and does no output; _render alone
 writes it as a human table (default), CSV (header always present,
 comma-delimited, a cell holding a comma quoted) or JSON.  Output is
 byte-deterministic; --meta prepends provenance comment lines (a "meta"
-object in JSON) whose command repeats every flag that shapes the output.  JSON is byte-identical to json.dumps(payload, indent=2)
-but written by one stdlib writer (_json_text), since an indent sends json
-to its pure-Python encoder.  A reduce step prints each child's length from
-the step's block table, in classic mode as in main mode, counting none.
+object in JSON).  Their command is rebuilt from the parsed arguments by
+_command alone: flags in the parser's definition order, an abbreviation or
+--flag=value form written out in full, values shell-quoted, and the output
+flags (--format, --output, --meta) never recorded, so rerunning it with the
+same output flags reproduces the output.  JSON is byte-identical to
+json.dumps(payload, indent=2) but written by one stdlib writer (_json_text),
+since an indent sends json to its pure-Python encoder.  A reduce step
+prints each child's length from the step's block table, in classic mode as
+in main mode, counting none.
 Exit codes: 0 success, 1 verification or falsification failure, 2 usage or
 precondition error (an unwritable --output included), 141 when the reader
 of stdout closed it early (as in `codim ... | head`).
@@ -57,7 +62,6 @@ class Result:
     adds the lines before and after it.  failed marks a falsified claim.
     """
 
-    command: str
     columns: tuple[str, ...]
     rows: list[tuple]
     payload: dict
@@ -134,18 +138,44 @@ def _json_text(obj) -> str:
     return "".join(out)
 
 
+# Namespace entries _command leaves out: the subcommand (written first), the
+# handler, and the flags that choose how a result is written, not what it is.
+_UNRECORDED = ("command", "handler", "format", "output", "meta")
+
+
+def _command(args) -> str:
+    """The codim command line that reproduces args, less its output flags.
+
+    Each option not left at None or False becomes --flag, or --flag value,
+    in the parser's definition order.
+
+    >>> print(_command(argparse.Namespace(command="verify", n_max=0, suites="a, b", meta=True)))
+    verify --n-max 0 --suites 'a, b'
+    """
+    import shlex  # here, not at the top: only a --meta run pays for the import
+
+    words = [args.command]
+    for dest, value in vars(args).items():
+        if dest in _UNRECORDED or value is None or value is False:
+            continue
+        words.append("--" + dest.replace("_", "-"))
+        if value is not True:
+            words.append(str(value))
+    return shlex.join(words)
+
+
 def _render(args, result: Result) -> None:
     """Write the result as a table, CSV or JSON, with optional provenance."""
     if args.format == "json":
         payload = result.payload
         if args.meta:
-            meta = {"tool": "codimgeo", "version": __version__, "command": result.command}
+            meta = {"tool": "codimgeo", "version": __version__, "command": _command(args)}
             payload = {"meta": meta, **payload}
         text = _json_text(payload)
     else:
         lines = []
         if args.meta:
-            lines += [f"# tool: codimgeo {__version__}", f"# command: {result.command}"]
+            lines += [f"# tool: codimgeo {__version__}", f"# command: {_command(args)}"]
         if args.format == "csv":
             buffer = io.StringIO()
             csv.writer(buffer, lineterminator="\n").writerows([result.columns, *result.rows])
@@ -186,7 +216,6 @@ def _cmd_mahonian(args) -> Result:
     if args.check:
         payload["check"] = "ok"
     return Result(
-        command=f"mahonian --n {args.n}" + (" --check" if args.check else ""),
         columns=("n", "k", "count"),
         rows=[(args.n, k, c) for k, c in enumerate(counts)],
         payload=payload,
@@ -202,7 +231,6 @@ def _cmd_bounds(args) -> Result:
         for r in compare_bounds(args.d, args.n_max)
     ]
     return Result(
-        command=f"bounds --d {args.d} --n-max {args.n_max}",
         columns=columns,
         rows=rows,
         payload={"d": args.d, "rows": [dict(zip(columns, row)) for row in rows]},
@@ -218,7 +246,6 @@ def _cmd_crossover(args) -> Result:
     columns = ("d", "n")
     rows = [(d, crossover_n(d)) for d in range(2, args.d_max + 1)]
     return Result(
-        command=f"crossover --d-max {args.d_max}",
         columns=columns,
         rows=rows,
         payload={"rows": [dict(zip(columns, row)) for row in rows]},
@@ -232,9 +259,6 @@ def _cmd_verify(args) -> Result:
         if names.count(name) > 1:
             raise ValueError(f"suite {name!r} is named twice")
     results = [run_suite(name, args.n_max) for name in names]
-    command = "verify" + (f" --n-max {args.n_max}" if args.n_max is not None else "")
-    if args.suites:
-        command += f" --suites {args.suites}"
     after = []
     for r in results:
         after += [f"  {r.name}: {note}" for note in r.info]
@@ -251,7 +275,6 @@ def _cmd_verify(args) -> Result:
         for r in results
     ]
     return Result(
-        command=command,
         columns=("suite", "n_max", "checked", "status"),
         rows=[(r.name, r.n_max, r.checked, "PASS" if r.passed else "FAIL") for r in results],
         payload={"suites": suites},
@@ -289,7 +312,6 @@ def _cmd_greedy(args) -> Result:
         },
     }
     return Result(
-        command=f"greedy --perm {args.perm}",
         columns=("kind", "index", "start", "end"),
         rows=tiles,
         payload=payload,
@@ -324,8 +346,6 @@ def _cmd_reduce(args) -> Result:
             }
             payload["terminal"] = sorted(one_line(p) for p in trace.terminal_support)
         return Result(
-            command=f"reduce --n {args.n} --d {args.d} --mode {args.mode} --closure"
-            + (" --summary-only" if args.summary_only else ""),
             columns=("key", "value"),
             rows=rows,
             payload=payload,
@@ -345,7 +365,6 @@ def _cmd_reduce(args) -> Result:
         "children": [{"perm": c, "word_length": length} for c, length in rows],
     }
     return Result(
-        command=f"reduce --perm {args.perm} --d {args.d} --mode {args.mode}",
         columns=("child", "word_length"),
         rows=rows,
         payload=payload,

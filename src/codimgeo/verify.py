@@ -9,10 +9,10 @@ returns (checked, failures, info); run_suite alone loops over the degrees
 1..n_max and adds them up in degree order.  A runner checks nothing at a
 degree below its suite's first one (Suite.min_n), but may still report
 info there.  The per-permutation suites share one runner, _each_word, and
-state only their check, which maps an image tuple to its failures.  badsize and dilworth instead read the one
-longest-decreasing table per degree (perm.decreasing_table), which the
-classic closures share.  Failures are collected as printable
-counterexample strings, never raised.
+state only their check, which maps an image tuple to its failures.  badsize
+and dilworth instead read the one longest-decreasing table per degree
+(perm.decreasing_table), which the classic closures share.  Failures are
+collected as printable counterexample strings, never raised.
 """
 from __future__ import annotations
 

@@ -1,9 +1,11 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +14,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import codimgeo
-from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, compare_bounds
+from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, ball_radius, compare_bounds
 from codimgeo.cli import _json_text, main
 from codimgeo.errors import FalsificationError, ScaleError
-from codimgeo.greedy import _reorder_lengths, chunk_stats, rearrangements
+from codimgeo.greedy import _reorder_lengths, chunk_stats, left_greedy_form, rearrangements
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
 from codimgeo.perm import (
+    cayley_distance_bfs,
     count_d_good,
     decreasing_histogram,
     decreasing_table,
@@ -88,6 +91,13 @@ def test_mahonian_check_sees_a_nonzero_closed_form_past_the_row(capsys, monkeypa
     code, out, err = run(capsys, "mahonian", "--n", "2", "--check")
     assert (code, out) == (1, "")
     assert err == "falsification: closed form disagrees at k=2\n"
+
+
+def test_mahonian_check_brute_force_disagreement(capsys, monkeypatch):
+    monkeypatch.setattr("codimgeo.cli.brute_force_row", lambda n: [0])
+    code, out, err = run(capsys, "mahonian", "--n", "6", "--check")
+    assert (code, out) == (1, "")
+    assert err == "falsification: brute-force histogram disagrees\n"
 
 
 def test_mahonian_rejects_bad_degree(capsys):
@@ -182,6 +192,7 @@ def test_bounds_usage_error(capsys):
         ("mahonian --n 0", "--n must be at least 1"),
         ("crossover --d-max 1", "--d-max must be at least 2"),
         ("verify --n-max 0", "suite metric needs n_max at least 1, got 0"),
+        ("reduce --d 2 --mode main", "need --perm for a single step (or --closure with --n)"),
     ],
 )
 def test_guard_paths_pin_stderr(capsys, argv, err):
@@ -418,6 +429,116 @@ def test_verify_main_propagates_other_errors(monkeypatch):
     monkeypatch.setattr("codimgeo.reduction.main_step", broken)
     with pytest.raises(TypeError, match="broken step"):
         main(["verify", "--n-max", "4", "--suites", "main"])
+
+
+def _only_at(word, fake, real):
+    """real, except that at the image tuple word it returns fake instead."""
+    return lambda p: fake if p == word else real(p)
+
+
+def _edited(closure, **edits):
+    """closure with each named field of its trace replaced by edits[field](trace)."""
+
+    def edited(n, d):
+        trace = closure(n, d)
+        return dataclasses.replace(trace, **{key: edit(trace) for key, edit in edits.items()})
+
+    return edited
+
+
+def _grown(p):
+    _, letters, length = chunk_stats(p)
+    return length + 1, letters, length  # one chunk more than inversions
+
+
+# Each failure branch of each suite, forced by replacing one name verify imports.
+FAILURE_BRANCHES = {
+    "metric": (
+        "metric", 2, "cayley_distance_bfs", _only_at((2, 1), 0, cayley_distance_bfs),
+        ("2,1: word_length != BFS distance",),
+    ),
+    "lgf-spans": (
+        "lgf", 2, "left_greedy_form", _only_at((2, 1), ((1, 1),), left_greedy_form),
+        ("2,1: chunks are not disjoint spans of length 2 or more",),
+    ),
+    "lgf-gap": (
+        "lgf", 2, "left_greedy_form", _only_at((2, 1), (), left_greedy_form),
+        ("2,1: gap position 1 starts inversion (1,2)",),
+    ),
+    "lgf-outside": (
+        "lgf", 3, "left_greedy_form", _only_at((1, 3, 2), ((1, 2),), left_greedy_form),
+        ("1,3,2: inversion (2,3) crosses a chunk border",),
+    ),
+    "lgf-between": (
+        "lgf", 4, "inversion_set",
+        _only_at((2, 1, 4, 3), ((1, 2), (2, 3), (3, 4)), inversion_set),
+        ("2,1,4,3: inversion (2,3) crosses a chunk border",),
+    ),
+    "chunks-count": (
+        "chunks", 2, "chunk_stats", _grown,
+        tuple(f"{word}: more chunks than inversions" for word in ("1", "1,2", "2,1")),
+    ),
+    "chunks-span": (
+        "chunks", 3, "inversion_set", _only_at((1, 2, 3), ((1, 3),), inversion_set),
+        ("1,2,3: inversion (1,3) longer than |sigma|",),
+    ),
+    "classic-bad": (
+        "classic", 2, "is_d_good", lambda p, d: False,
+        ("n=2 d=2: terminal 1,2 is 2-bad",),
+    ),
+    "classic-count": (
+        "classic", 2, "classic_closure",
+        _edited(classic_closure, steps=lambda t: tuple((p, cs + cs) for p, cs in t.steps)),
+        ("n=2 d=2: 2,1 has wrong child count",),
+    ),
+    "classic-descent": (
+        "classic", 2, "classic_closure",
+        _edited(classic_closure, steps=lambda t: tuple((p, (p,)) for p, _ in t.steps)),
+        ("n=2 d=2: 2,1 has non-descending child",),
+    ),
+    "classic-support": (
+        "classic", 2, "count_d_good", lambda n, d: 0,
+        ("n=2 d=2: terminal support exceeds good count",),
+    ),
+    "main-ball": (
+        "main", 3, "ball_radius", lambda n, d: ball_radius(n, d) + n * n,
+        ("n=3 d=2: terminal 2,3,1 is inside the ball",),
+    ),
+    "main-count": (
+        "main", 3, "main_closure",
+        _edited(main_closure, steps=lambda t: tuple((p, cs + cs) for p, cs in t.steps)),
+        ("n=3 d=2: 1,2,3 has wrong child count",),
+    ),
+    "main-growth": (
+        "main", 3, "main_closure",
+        _edited(main_closure, steps=lambda t: tuple((p, (p,)) for p, _ in t.steps)),
+        ("n=3 d=2: 1,2,3 has non-growing child",),
+    ),
+    "main-depth": (
+        "main", 3, "main_closure",
+        _edited(main_closure, max_depth=lambda t: t.n * (t.n - 1) // 2 + 1),
+        # the runner builds the closure below the suite's first degree too
+        tuple(f"n={n} d={d}: depth exceeds C(n,2)" for n, d in ((2, 2), (3, 2), (3, 3))),
+    ),
+    "main-complement": (
+        "main", 3, "main_closure",
+        _edited(main_closure, complement_size=lambda t: t.complement_size + 1),
+        tuple(
+            f"n={n} d={d}: ball and complement do not add up to n!"
+            for n, d in ((2, 2), (3, 2), (3, 3))
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILURE_BRANCHES))
+def test_failure_branches_pin_counterexamples(capsys, monkeypatch, case):
+    suite, n_max, name, fake, expected = FAILURE_BRANCHES[case]
+    monkeypatch.setattr(f"codimgeo.verify.{name}", fake)
+    assert run_suite(suite, n_max).failures == expected
+    code, out, _ = run(capsys, "verify", "--n-max", str(n_max), "--suites", suite)
+    assert code == 1
+    assert f"  {suite} counterexample: {expected[0]}\n" in out
 
 
 def test_greedy_annotation(capsys):
@@ -1053,7 +1174,32 @@ def test_golden_output(capsys, tmp_path, key):
 def test_meta_command_is_the_argument_vector(capsys, shape):
     code, out, _ = run(capsys, *GOLDEN_SHAPES[shape], "--format", "json", "--meta")
     assert code == 0
-    assert json.loads(out)["meta"]["command"].split() == list(GOLDEN_SHAPES[shape])
+    assert shlex.split(json.loads(out)["meta"]["command"]) == list(GOLDEN_SHAPES[shape])
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --n-m 4 --suites metric",
+        "verify --n-max=4 --suites metric",
+        "reduce --summary-only --closure --mode main --d 4 --n 6",
+        "verify --suites 'metric, lgf' --n-max 3",
+        "greedy --perm ' 2,1,4,3'",
+    ],
+)
+def test_meta_command_replays(capsys, argv, fmt):
+    # rerunning the recorded command gives the same output, less the provenance
+    code, out, _ = run(capsys, *shlex.split(argv), "--format", fmt, "--meta")
+    if fmt == "json":
+        payload = json.loads(out)
+        command = payload.pop("meta")["command"]
+        out = json.dumps(payload, indent=2) + "\n"
+    else:
+        tool, command, out = out.split("\n", 2)
+        assert tool.startswith("# tool: codimgeo ")
+        command = command.removeprefix("# command: ")
+    assert run(capsys, *shlex.split(command), "--format", fmt) == (code, out, "")
 
 
 def test_parser_survives_a_usage_error_and_help(capsys, tmp_path, monkeypatch):

@@ -58,3 +58,45 @@ def test_tail_accuracy_smallest_arguments(capsys):
     ratios, phis = capsys.readouterr().out.split("\n\n")
     assert [line.split()[:2] for line in ratios.splitlines()[2:]] == [["0", "1"], ["1", "2"], ["2", "2"], ["3", "1"]]
     assert [line.split()[0] for line in phis.splitlines()[2:]] == ["3"]
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring,
+over two lines."""
+import os  # a comment does not make a line code
+
+
+class Point:
+    """Class docstring."""
+
+    # a comment line
+    x = 1
+
+
+def f(a,
+      b):
+    """Function docstring.
+
+    It spans lines.
+    """
+    text = """a string that is not a docstring
+spans lines and counts on each"""
+    return text
+'''
+
+
+def test_code_lines_counts_a_fixture(tmp_path, capsys):
+    # code lines: import, class, x =, def f (two lines), text = (two lines), return
+    module = load("code_lines")
+    assert module.code_lines(CODE_LINES_FIXTURE) == 8
+    path = tmp_path / "fixture.py"
+    path.write_text(CODE_LINES_FIXTURE)
+    assert module.main([str(path), str(path)]) == 0
+    assert capsys.readouterr().out == "     8  fixture.py\n     8  fixture.py\n    16  total\n"
+
+
+def test_code_lines_defaults_to_the_package(capsys):
+    assert load("code_lines").main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split()[1] for line in lines[:-1]]
+    assert names == sorted(p.name for p in (SCRIPTS.parent / "src" / "codimgeo").glob("*.py"))
+    assert int(lines[-1].split()[0]) == sum(int(line.split()[0]) for line in lines[:-1])
