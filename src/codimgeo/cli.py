@@ -9,13 +9,17 @@ _command alone: flags in the parser's definition order, an abbreviation or
 --flag=value form written out in full, values shell-quoted, and the output
 flags (--format, --output, --meta) never recorded, so rerunning it with the
 same output flags reproduces the output.  JSON is byte-identical to
-json.dumps(payload, indent=2) but written by one stdlib writer (_json_text),
-since an indent sends json to its pure-Python encoder.  A reduce step
-prints each child's length from the step's block table, in classic mode as
-in main mode, counting none.
+json.dumps(payload, indent=2) but written by one stdlib writer (_dump),
+since an indent sends json to its pure-Python encoder.  _render streams to
+one sink, stdout or the --output file opened once: table and CSV lines are
+written as they are made, and JSON chunks are joined and written whenever
+more than _JSON_BATCH are pending, so the whole text is never held.  A
+reduce step prints each child's length from the step's block table, in
+classic mode as in main mode, counting none.
 Exit codes: 0 success, 1 verification or falsification failure, 2 usage or
-precondition error (an unwritable --output included), 141 when the reader
-of stdout closed it early (as in `codim ... | head`).
+precondition error (a failed open, write or close of --output or stdout
+included), 141 when the reader of stdout closed it early (as in
+`codim ... | head`).
 A --perm argument is validated once, as a Permutation; everything past
 that takes its image tuple.  The parser is built on the first main() call
 and reused for the rest of the process.
@@ -25,13 +29,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
+from typing import Callable, TextIO
 
 from . import __version__
 from .bounds import CROSSOVER_MAX_D, compare_bounds, crossover_n
@@ -71,15 +75,23 @@ class Result:
     failed: bool = False
 
 
-def _dump(obj, newline: str, out: list[str]) -> None:
+# _dump joins its pending chunks into one write once they pass this many, so
+# a long payload is never held as one text (a chunk is a line or less).
+_JSON_BATCH = 1024
+
+
+def _dump(obj, newline: str, out: list[str], write: Callable[[str], object]) -> None:
     """Append the chunks of json.dumps(obj, indent=2) to out, at indent newline.
 
     newline is "\n" and the current indent.  Strings are quoted by json's own
     escaper and exact ints by int.__repr__; a str item, or an int dict value,
-    goes out with its separator as one chunk.  Any other scalar (bool, None, float) goes through
-    json.dumps, so true, null, Infinity and NaN match by construction, and a
-    tuple renders as a list.  A dict key must be a str: json would convert
-    other keys, and no codim payload has one.
+    goes out with its separator as one chunk.  Any other scalar (bool, None,
+    float) goes through json.dumps, so true, null, Infinity and NaN match by
+    construction, and a tuple renders as a list.  A dict key must be a str:
+    json would convert other keys, and no codim payload has one.  After each
+    list item, more than _JSON_BATCH pending chunks are joined, passed to
+    write and cleared.  Every long codim payload is a list or holds lists, so
+    a dict's own items go unchecked, which keeps small payloads cheap.
     """
     inner = newline + "  "
     if isinstance(obj, dict):
@@ -96,7 +108,7 @@ def _dump(obj, newline: str, out: list[str]) -> None:
                 out.append(sep + _quote(key) + ": " + int.__repr__(value))
             else:
                 out.append(sep + _quote(key) + ": ")
-                _dump(value, inner, out)
+                _dump(value, inner, out, write)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(obj, (list, tuple)):
@@ -109,8 +121,11 @@ def _dump(obj, newline: str, out: list[str]) -> None:
                 out.append(sep + _quote(item))
             else:
                 out.append(sep)
-                _dump(item, inner, out)
+                _dump(item, inner, out, write)
             sep = "," + inner
+            if len(out) > _JSON_BATCH:
+                write("".join(out))
+                out.clear()
         out.append(newline + "]")
     elif isinstance(obj, str):
         out.append(_quote(obj))
@@ -118,6 +133,13 @@ def _dump(obj, newline: str, out: list[str]) -> None:
         out.append(int.__repr__(obj))
     else:
         out.append(json.dumps(obj))
+
+
+def _write_json(obj, write: Callable[[str], object]) -> None:
+    """Pass json.dumps(obj, indent=2) to write, a batch of _JSON_BATCH chunks or so at a time."""
+    out: list[str] = []
+    _dump(obj, "\n", out, write)
+    write("".join(out))
 
 
 def _json_text(obj) -> str:
@@ -133,9 +155,9 @@ def _json_text(obj) -> str:
       "c": {}
     }
     """
-    out: list[str] = []
-    _dump(obj, "\n", out)
-    return "".join(out)
+    pieces: list[str] = []
+    _write_json(obj, pieces.append)
+    return "".join(pieces)
 
 
 # Namespace entries _command leaves out: the subcommand (written first), the
@@ -164,37 +186,61 @@ def _command(args) -> str:
     return shlex.join(words)
 
 
-def _render(args, result: Result) -> None:
-    """Write the result as a table, CSV or JSON, with optional provenance."""
+def _write(args, result: Result, sink: TextIO) -> None:
+    """Write the result to sink as a table, CSV or JSON, with optional provenance.
+
+    Table and CSV lines go out one by one as they are made, JSON in batches
+    (_JSON_BATCH), so the whole text is never held.
+    """
     if args.format == "json":
         payload = result.payload
         if args.meta:
             meta = {"tool": "codimgeo", "version": __version__, "command": _command(args)}
             payload = {"meta": meta, **payload}
-        text = _json_text(payload)
-    else:
-        lines = []
-        if args.meta:
-            lines += [f"# tool: codimgeo {__version__}", f"# command: {_command(args)}"]
-        if args.format == "csv":
-            buffer = io.StringIO()
-            csv.writer(buffer, lineterminator="\n").writerows([result.columns, *result.rows])
-            lines.append(buffer.getvalue()[:-1])  # print and write_text add the last newline
-        else:
-            skip = result.csv_only
-            cells = [result.columns[skip:]] + [[str(c) for c in row[skip:]] for row in result.rows]
-            widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
-            lines += result.before
-            lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
-            lines += result.after
-        text = "\n".join(lines)
+        _write_json(payload, sink.write)
+        sink.write("\n")
+        return
+    if args.meta:
+        sink.write(f"# tool: codimgeo {__version__}\n# command: {_command(args)}\n")
+    if args.format == "csv":
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(result.columns)
+        writer.writerows(result.rows)
+        return
+    skip = result.csv_only
+    rows = [result.columns, *result.rows]
+    widths = [max(len(str(row[i])) for row in rows) for i in range(skip, len(result.columns))]
+    table = (
+        "  ".join(str(c).ljust(w) for c, w in zip(row[skip:], widths)).rstrip() for row in rows
+    )
+    for line in chain(result.before, table, result.after):
+        sink.write(line + "\n")
+
+
+def _render(args, result: Result) -> None:
+    """Write the result to stdout, or to the --output file, opened once.
+
+    A failed open, write or close is a usage error naming its target, except
+    that a closed stdout pipe stays a BrokenPipeError for main.  After a
+    failed write to stdout, its file descriptor points at devnull.
+    """
     if args.output:
         try:
-            Path(args.output).write_text(text + "\n")
+            with open(args.output, "w") as sink:
+                _write(args, result, sink)
         except OSError as exc:
             raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
-    else:
-        print(text)
+        return
+    try:
+        _write(args, result, sys.stdout)
+        sys.stdout.flush()  # a closed pipe or a full device then raises here, not at shutdown
+    except OSError as exc:
+        # the Python docs' "Note on SIGPIPE": send what stdout still buffers to
+        # devnull, so the flush at shutdown stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 def _cmd_mahonian(args) -> Result:
@@ -211,7 +257,8 @@ def _cmd_mahonian(args) -> Result:
         if brute and brute_force_row(args.n) != row:
             raise FalsificationError("brute-force histogram disagrees")
         after = ("check: OK (closed form k <= n" + ("; brute force)" if brute else ")"),)
-    counts = [str(c) for c in row]
+    decimal = {c: str(c) for c in set(row)}  # the row is a palindrome: half is a mirror
+    counts = [decimal[c] for c in row]
     payload = {"n": args.n, "coefficients": counts}
     if args.check:
         payload["check"] = "ok"
@@ -339,12 +386,13 @@ def _cmd_reduce(args) -> Result:
         # the JSON summary has no source count; the full payload lists the sources
         payload = {"mode": trace.mode, "n": trace.n, "d": trace.d, "summary": dict(rows[1:])}
         if not args.summary_only:
-            payload["sources"] = [one_line(p) for p in trace.sources]
+            # one string per word reached (each is a source or terminal), shared by all three
+            names = {p: one_line(p) for p in chain(trace.sources, trace.terminal_support)}
+            payload["sources"] = [names[p] for p in trace.sources]
             payload["steps"] = {
-                one_line(parent): [one_line(c) for c in children]
-                for parent, children in trace.steps
+                names[parent]: [names[c] for c in children] for parent, children in trace.steps
             }
-            payload["terminal"] = sorted(one_line(p) for p in trace.terminal_support)
+            payload["terminal"] = sorted(names[p] for p in trace.terminal_support)
         return Result(
             columns=("key", "value"),
             rows=rows,
@@ -431,11 +479,7 @@ def main(argv=None) -> int:
     try:
         result = args.handler(args)
         _render(args, result)
-        sys.stdout.flush()  # a closed pipe then raises here, not at shutdown
-    except BrokenPipeError:
-        # the Python docs' "Note on SIGPIPE": send the rest to devnull so the
-        # flush at shutdown stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # _render has already silenced stdout
         return EXIT_BROKEN_PIPE
     except FalsificationError as exc:
         print(f"falsification: {exc}", file=sys.stderr)

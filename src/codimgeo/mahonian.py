@@ -28,7 +28,9 @@ from .errors import check_degree, check_scale
 
 BRUTE_FORCE_MAX_N = 9
 # A full row costs O(n^3) additions of O(n log n)-bit integers: n = 400 takes
-# about 2 s, and `codim mahonian` about 4 s and 300 MiB to print it.
+# about 1.4 s, and `codim mahonian` prints it in about 2.6 s as a table, 3.8 s
+# as CSV and 2.2 s as JSON, at a peak of about 93 MiB in each format (Python
+# 3.11, 2-CPU Xeon).
 ROW_MAX_N = 400
 
 

@@ -173,24 +173,27 @@ def _close(
 
     The sources must be every rewritable word of degree n, each listed after
     all of its rewritable children; the descent that ends each closure gives
-    such an order.
+    such an order.  Every word reached is held as one tuple, shared by the
+    sources, the children and the terminal support: a step builds fresh
+    child tuples, and words.setdefault swaps each for the first one seen.
     """
+    words: dict[Image, Image] = {}  # every word reached, mapped to its one tuple
     steps: dict[Image, tuple[Image, ...]] = {}
     chain: dict[Image, int] = {}  # longest rewrite chain starting at a source
     for p in sources:
+        p = words.setdefault(p, p)
         children = step(p, d)
-        steps[p] = children
+        children = steps[p] = tuple(map(words.setdefault, children, children))
         chain[p] = 1 + max(map(chain.get, children, repeat(0)))
-    reached = set(steps).union(*steps.values())
     return ReductionTrace(
         mode=mode,
         n=n,
         d=d,
         sources=tuple(sorted(steps)),
         steps=tuple(sorted(steps.items())),
-        visited=len(reached),
+        visited=len(words),
         max_depth=max(chain.values(), default=0),
-        terminal_support=frozenset(reached - steps.keys()),
+        terminal_support=frozenset(words.keys() - steps.keys()),
         complement_size=complement_size,
     )
 

@@ -6,11 +6,14 @@ hook-length good count against one longest-decreasing sweep and under its
 ceiling, greedy-form structure, chunk size accounting, rearrangement growth,
 and the two rewriting closures.  A suite's runner checks one degree n and
 returns (checked, failures, info); run_suite alone loops over the degrees
-1..n_max and adds them up in degree order.  A runner checks nothing at a
-degree below its suite's first one (Suite.min_n), but may still report
-info there.  The per-permutation suites share one runner, _each_word, and
-state only their check, which maps an image tuple to its failures.  badsize
-and dilworth instead read the one longest-decreasing table per degree
+1..n_max and adds them up in degree order.  Below its suite's first
+degree (Suite.min_n) a runner counts no check, but may still report info
+there, and main's runner still works there: at n = 2 it builds
+main_closure(2, 2), whose ball is empty, reports its info line and runs the
+closure-wide depth and ball-plus-complement checks, which can fail.  The
+per-permutation suites share one runner, _each_word, and state only their
+check, which maps an image tuple to its failures.  badsize and dilworth
+instead read the one longest-decreasing table per degree
 (perm.decreasing_table), which the classic closures share.  Failures are
 collected as printable counterexample strings, never raised.
 """
@@ -194,6 +197,7 @@ def _run_classic(n: int) -> _Outcome:
                 failures.append(f"n={n} d={d}: {one_line(parent)} has non-descending child")
         if len(trace.terminal_support) > count_d_good(n, d):
             failures.append(f"n={n} d={d}: terminal support exceeds good count")
+        del trace  # free this degree's closure before the next one is built
     return checked, failures, info
 
 
@@ -228,6 +232,7 @@ def _run_main(n: int) -> _Outcome:
             failures.append(f"n={n} d={d}: depth exceeds C(n,2)")
         if len(trace.sources) + trace.complement_size != math.factorial(n):
             failures.append(f"n={n} d={d}: ball and complement do not add up to n!")
+        del trace  # free this degree's closure before the next one is built
     return checked, failures, info
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, strategies as st
 
 import codimgeo
 from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, ball_radius, compare_bounds
-from codimgeo.cli import _json_text, main
+from codimgeo.cli import _JSON_BATCH, _json_text, _write_json, main
 from codimgeo.errors import FalsificationError, ScaleError
 from codimgeo.greedy import _reorder_lengths, chunk_stats, left_greedy_form, rearrangements
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
@@ -40,8 +40,12 @@ def run(capsys, *argv):
 
 
 def python(code, **popen):
-    """A fresh interpreter running code, with this checkout's codimgeo importable."""
+    """A fresh interpreter running code, with this checkout's codimgeo importable.
+
+    Its stdout is block-buffered, as a user's is, even under PYTHONUNBUFFERED.
+    """
     env = {**os.environ, "PYTHONPATH": str(Path(codimgeo.__file__).resolve().parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen([sys.executable, "-c", code], env=env, **popen)
 
 
@@ -708,6 +712,49 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("n", ["5", "200"])
+@pytest.mark.parametrize("target", ["stdout", "/dev/full"])
+def test_a_failed_write_is_a_usage_error(n, target):
+    # /dev/full refuses every write; the short row fails at the flush, the long one mid-stream
+    argv = ["mahonian", "--n", n] + ([] if target == "stdout" else ["--output", target])
+    with open("/dev/full", "w") as full:
+        proc = python(
+            f"import sys; from codimgeo.cli import main; sys.exit(main({argv!r}))",
+            stdout=full,
+            stderr=subprocess.PIPE,
+        )
+        _, err = proc.communicate(timeout=60)
+    expected = f"error: cannot write {target}: No space left on device\n"
+    assert (proc.returncode, err.decode()) == (2, expected)
+
+
+# sha256 of each output, recorded from a writer that built the whole text first
+STREAMED = {
+    ("mahonian", "--n", "200", "--check"): {
+        "table": "sha256:354410f1f9f3b679",
+        "csv": "sha256:054a8afa31ecec65",
+        "json": "sha256:1efc339b8dc02229",
+    },
+    ("reduce", "--n", "7", "--d", "3", "--mode", "classic", "--closure"): {
+        "table": "sha256:9230ad79686fb157",
+        "csv": "sha256:7c985f38930b1139",
+        "json": "sha256:86b754d7b1c7a3d4",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("argv", list(STREAMED), ids=" ".join)
+def test_streamed_output_is_the_same_bytes(capsys, tmp_path, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--format", fmt, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+    assert _digest(out) == STREAMED[argv][fmt]
+
+
 def test_meta_adds_comment_headers(capsys):
     code, out, _ = run(capsys, "crossover", "--d-max", "3", "--format", "csv", "--meta")
     assert code == 0
@@ -780,6 +827,42 @@ def test_closed_pipe_exits_quietly():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (141, b"")
+
+
+# A fresh interpreter that runs each command in a child and prints the children's
+# (exit code, ru_maxrss in KiB).  Linux carries a process's peak RSS across
+# exec into the child it spawns, so this small launcher, not the far larger
+# test process, must spawn them, and it reads none of their output.
+PEAK_LAUNCHER = """
+import json, os, subprocess, sys
+peaks = []
+for argv in {commands!r}:
+    code = f"import sys; from codimgeo.cli import main; sys.exit(main({{argv!r}}))"
+    child = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    peaks.append((os.waitstatus_to_exitcode(status), usage.ru_maxrss))
+print(json.dumps(peaks))
+"""
+
+# MiB a command may use above `mahonian --n 2`; a writer that holds each output
+# whole takes about 33, 32, 26 (table, CSV, JSON) and 12
+PEAK_BOUNDS_MIB = {
+    **{("mahonian", "--n", "200", "--format", fmt): 20 for fmt in ("table", "csv", "json")},
+    ("verify", "--suites", "classic", "--n-max", "7"): 7,
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss as KiB, as Linux reports it")
+def test_peak_memory_over_a_baseline():
+    commands = [["mahonian", "--n", "2"], *map(list, PEAK_BOUNDS_MIB)]
+    proc = python(PEAK_LAUNCHER.format(commands=commands), stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    (base_code, base), *peaks = json.loads(out)
+    assert base_code == 0
+    for argv, (code, peak) in zip(PEAK_BOUNDS_MIB, peaks):
+        assert code == 0, argv
+        assert (peak - base) / 1024 < PEAK_BOUNDS_MIB[argv], argv
 
 
 def test_main_step_measures_each_child_once(capsys, monkeypatch):
@@ -1277,6 +1360,19 @@ _JSON_VALUES = st.recursive(
 @example([float("inf"), float("-inf"), float("nan"), -0.0, 1e16, True, False, None])
 def test_json_writer_matches_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_writes_in_batches():
+    # more chunks than one batch, in a list inside a dict and a dict inside a list
+    obj = {
+        "rows": [str(i) for i in range(3 * _JSON_BATCH)],
+        "nested": [{"k": list(range(_JSON_BATCH))}, {f"k{i}": [i] for i in range(_JSON_BATCH)}],
+    }
+    pieces = []
+    _write_json(obj, pieces.append)
+    expected = json.dumps(obj, indent=2)
+    assert "".join(pieces) == expected
+    assert len(pieces) > 4 and max(map(len, pieces)) < len(expected) // 4
 
 
 def test_json_writer_rejects_a_non_str_key():

@@ -1,5 +1,6 @@
 import math
 import re
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,6 +336,23 @@ def test_closure_equals_worklist_oracle(mode, closure):
     for n in range(2, 7):
         for d in range(2, n + 1):
             assert closure(n, d) == worklist_closure(mode, n, d), (n, d)
+
+
+@pytest.mark.parametrize("closure, n", [(classic_closure, 7), (main_closure, 8)])
+def test_closures_share_their_words(closure, n):
+    for d in range(2, n + 1):
+        trace = closure(n, d)
+        one = {p: p for p in chain(trace.sources, trace.terminal_support)}
+        ids = set(map(id, chain(trace.sources, trace.terminal_support)))
+        for parent, children in trace.steps:
+            assert parent is one[parent]
+            assert all(child is one[child] for child in children), (d, parent)
+            ids.update(map(id, children))
+        assert len(ids) == trace.visited, d
+        # oracle: every word reached is a parent or a child
+        reached = set(dict(trace.steps)).union(*(children for _, children in trace.steps))
+        assert trace.visited == len(reached), d
+        assert trace.terminal_support == reached - set(trace.sources), d
 
 
 def test_every_word_within_n_minus_d_decomposes():
