@@ -14,8 +14,10 @@ since an indent sends json to its pure-Python encoder.  _render streams to
 one sink, stdout or the --output file opened once: table and CSV lines are
 written as they are made, and JSON chunks are joined and written whenever
 more than _JSON_BATCH are pending, so the whole text is never held.  A
-reduce step prints each child's length from the step's block table, in
-classic mode as in main mode, counting none.
+reduce step prints each child's length from the step's block table and its
+text joined from the blocks' text, in classic mode as in main mode, so it
+counts, builds and renders no child.  A closure's word lists are rendered
+only for JSON, the one format that prints them.
 Exit codes: 0 success, 1 verification or falsification failure, 2 usage or
 precondition error (a failed open, write or close of --output or stdout
 included), 141 when the reader of stdout closed it early (as in
@@ -43,7 +45,7 @@ from .errors import FalsificationError, effective_cap
 from .greedy import chunk_stats, left_greedy_form
 from .mahonian import brute_force_row, mahonian_knuth, mahonian_row
 from .perm import one_line, parse_permutation, word_length
-from .reduction import _classic_step_lengths, classic_closure, main_closure, main_step
+from .reduction import _step_rows, classic_closure, main_closure
 from .verify import SUITES, check_request, run_suite
 
 EXIT_OK = 0
@@ -385,7 +387,7 @@ def _cmd_reduce(args) -> Result:
             rows.append(("complement_size", trace.complement_size))
         # the JSON summary has no source count; the full payload lists the sources
         payload = {"mode": trace.mode, "n": trace.n, "d": trace.d, "summary": dict(rows[1:])}
-        if not args.summary_only:
+        if not args.summary_only and args.format == "json":  # table and CSV print the summary
             # one string per word reached (each is a source or terminal), shared by all three
             names = {p: one_line(p) for p in chain(trace.sources, trace.terminal_support)}
             payload["sources"] = [names[p] for p in trace.sources]
@@ -403,20 +405,19 @@ def _cmd_reduce(args) -> Result:
     if args.n is not None or args.summary_only:
         raise ValueError("a single step takes --perm, not --n or --summary-only")
     perm = parse_permutation(args.perm).image
-    step = _classic_step_lengths if args.mode == "classic" else main_step
-    children = step(perm, args.d)  # each child comes with its length from the block table
-    rows = [(one_line(c), length) for c, length in children]
+    rows = _step_rows(perm, args.d, args.mode)  # each child's text and length, from its blocks
+    parent = one_line(perm)
     payload = {
         "mode": args.mode,
         "d": args.d,
-        "parent": one_line(perm),
+        "parent": parent,
         "children": [{"perm": c, "word_length": length} for c, length in rows],
     }
     return Result(
         columns=("child", "word_length"),
         rows=rows,
         payload=payload,
-        before=(f"parent: {one_line(perm)}  |sigma| = {word_length(perm)}",),
+        before=(f"parent: {parent}  |sigma| = {word_length(perm)}",),
     )
 
 

@@ -22,8 +22,8 @@ end of the word.  A decomposition into p pieces is its tuple of cuts
 piece ends at n.  chunk_preserving_cuts is the one statement of this rule:
 the main step rearranges its first tuple, and the growth suite checks that
 every listed tuple's rearrangements are longer.  Both spanning steps replace
-a word by the nonidentity reorderings of consecutive blocks; _reorder builds
-them for both.
+a word by the nonidentity reorderings of consecutive blocks; _orders lists
+those orders once, and _reorder builds the children in them for both.
 
 A reordering's length follows from the parent's.  With
 cross(a, b) = #{x in B_a, y in B_b : x > y}, and so
@@ -31,14 +31,17 @@ cross(b, a) = |B_a| |B_b| - cross(a, b), a child's length is |sigma| plus
 |B_a| |B_b| - 2 cross(a, b) for each block pair a < b that it puts in
 reverse order; the head before the blocks never moves.  _reorder_lengths
 measures every child of a step from one table of those pair weights: each
-main step's, and the CLI's single classic step's.
+main step's, and a single CLI step's in either mode.  A child's one-line
+text is likewise its blocks' text in the child's order: _reorder_text
+renders the head and each block once and joins them per child, so a single
+CLI step builds and renders no child tuple.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
 
-from .perm import Image, word_length
+from .perm import Image, one_line, word_length
 
 
 def left_greedy_form(perm: Image) -> tuple[tuple[int, int], ...]:
@@ -112,11 +115,36 @@ def chunk_preserving_cuts(perm: Image, pieces: int):
         yield from place(1, pieces - 1)
 
 
+def _orders(items):
+    """Every nonidentity order of items, by position in dictionary order.
+
+    The one source of a step's order: _reorder, _reorder_lengths and
+    _reorder_text each draw from it, so their children line up.
+
+    >>> list(_orders("ab"))
+    [('b', 'a')]
+    """
+    orders = itertools.permutations(items)
+    next(orders)  # the identity order
+    return orders
+
+
 def _reorder(head: Image, blocks: list[Image]) -> tuple[Image, ...]:
     """head and then the blocks, in each nonidentity order (dictionary order)."""
-    orders = itertools.permutations(blocks)
-    next(orders)  # the identity order
-    return tuple(sum(order, head) for order in orders)
+    return tuple(sum(order, head) for order in _orders(blocks))
+
+
+def _reorder_text(head: Image, blocks: list[Image]) -> tuple[str, ...]:
+    """one_line of each of _reorder's children, in the same order.
+
+    Joined from the head's and each block's text, each rendered once, so a
+    child costs one join instead of building and rendering its tuple.
+
+    >>> _reorder_text((10,), [(3, 2), (11,)])
+    ('10,11,3,2',)
+    """
+    lead = one_line(head) + "," if head else ""
+    return tuple(lead + text for text in map(",".join, _orders(list(map(one_line, blocks)))))
 
 
 def _reorder_lengths(length: int, blocks: list[Image]) -> tuple[int, ...]:
@@ -126,9 +154,9 @@ def _reorder_lengths(length: int, blocks: list[Image]) -> tuple[int, ...]:
     child's length is length + sum(|B_a| |B_b| - 2 cross(a, b)) over the
     block pairs a < b that it reverses, whether or not the cuts are sum cuts,
     so each child costs O(d^2) table lookups instead of an O(n log n) count.
-    Its two users: main_step prices its chunk-preserving pieces, and
-    reduction._classic_step_lengths (the CLI's single classic step) prices
-    the blocks cut at a d-bad witness, where a child may be shorter.
+    Its users: the main step prices its chunk-preserving pieces, and a
+    single classic CLI step (reduction._step_rows) prices the blocks cut at a
+    d-bad witness, where a child may be shorter.
 
     >>> _reorder_lengths(1, [(1,), (3, 2), (4,)])
     (3, 3, 4, 4, 6)
@@ -143,10 +171,11 @@ def _reorder_lengths(length: int, blocks: list[Image]) -> tuple[int, ...]:
         cross = size - sum(map(bisect_right, itertools.repeat(ranked[a]), blocks[b]))
         table[a, b] = 0
         table[b, a] = size - 2 * cross
-    orders = itertools.permutations(range(len(blocks)))
-    next(orders)  # the identity order
     weight = table.__getitem__
-    return tuple(sum(map(weight, itertools.combinations(order, 2)), length) for order in orders)
+    return tuple(
+        sum(map(weight, itertools.combinations(order, 2)), length)
+        for order in _orders(range(len(blocks)))
+    )
 
 
 def _pieces(perm: Image, cuts: tuple[int, ...]) -> list[Image]:

@@ -11,9 +11,12 @@ parent's length plus |P_a| |P_b| - 2 cross(a, b) for each piece pair a < b
 the child reverses, where cross(a, b) counts the inversions between pieces
 a and b (greedy._reorder_lengths; one table per step, O(d^2) a child).
 Both steps build their children with greedy's one block-reordering kernel.
-classic_step returns bare children; the CLI's single classic step prices
-them from the same table over the witness blocks (_classic_step_lengths),
-where a child may also be shorter, since witness cuts need not be sum cuts.
+classic_step returns bare children.  A single CLI step (_step_rows), in
+either mode, builds no child: it joins each child's text from its blocks'
+text (greedy._reorder_text), as it prices the length from the blocks'
+table; a classic child may also be shorter, since witness cuts need not be
+sum cuts.  main_step and _step_rows share one function for the main step's
+checks (_main_pieces).
 
 A closure's sources are every rewritable word, and it rewrites each once.
 The classic sources are the words whose longest decreasing subsequence is
@@ -30,7 +33,7 @@ from itertools import repeat
 
 from .bounds import ball_radius
 from .errors import FalsificationError, check_d_within, check_scale
-from .greedy import _pieces, _reorder, _reorder_lengths, chunk_preserving_cuts
+from .greedy import _pieces, _reorder, _reorder_lengths, _reorder_text, chunk_preserving_cuts
 from .mahonian import ball_complement_count
 from .perm import (
     Image,
@@ -90,27 +93,12 @@ def classic_step(p: Image, d: int) -> tuple[Image, ...]:
     With witness positions i_1 < ... < i_d, the blocks are w_0 = [1, i_1 - 1],
     w_j = [i_j, i_{j+1} - 1], w_d = [i_d, n].  The d! - 1 children keep w_0
     fixed and permute w_1 .. w_d; each is strictly dictionary-smaller than p.
-    It measures no child; _classic_step_lengths adds the lengths.
+    It measures and renders no child; a single CLI step does both (_step_rows).
 
     >>> classic_step((2, 1), 2)
     ((1, 2),)
     """
     return _reorder(*_witness_blocks(p, d))
-
-
-def _classic_step_lengths(p: Image, d: int) -> tuple[tuple[Image, int], ...]:
-    """classic_step's children in its order, each with its word length.
-
-    The lengths come from one table of block-pair weights
-    (greedy._reorder_lengths), O(d^2) a child; the witness cuts need not be
-    sum cuts, so a child may be shorter than p.  A single CLI step uses it;
-    the closures and the classic suite need no lengths and never call it.
-
-    >>> _classic_step_lengths((2, 1), 2)
-    (((1, 2), 0),)
-    """
-    head, blocks = _witness_blocks(p, d)
-    return tuple(zip(_reorder(head, blocks), _reorder_lengths(word_length(p), blocks)))
 
 
 def main_step(p: Image, d: int) -> tuple[tuple[Image, int], ...]:
@@ -134,6 +122,17 @@ def main_step(p: Image, d: int) -> tuple[tuple[Image, int], ...]:
     >>> main_step((1, 2, 3), 2)
     (((2, 3, 1), 2),)
     """
+    pieces, lengths = _main_pieces(p, d)
+    return tuple(zip(_reorder((), pieces), lengths))
+
+
+def _main_pieces(p: Image, d: int) -> tuple[list[Image], tuple[int, ...]]:
+    """A main step's d pieces and its children's lengths, once every check has passed.
+
+    The degree, radius, decomposition and growth checks of main_step, which
+    builds the children from the pieces; a single CLI step renders them
+    instead (_step_rows).  Only a failing child is built here, for its message.
+    """
     n = len(p)
     _check_step_degree(n, d)
     radius = ball_radius(n, d)
@@ -150,15 +149,35 @@ def main_step(p: Image, d: int) -> tuple[tuple[Image, int], ...]:
             "existence is claimed for every word inside the ball"
         )
     pieces = _pieces(p, cuts)
-    children = tuple(zip(_reorder((), pieces), _reorder_lengths(base, pieces)))
-    for child, length in children:
-        if length <= base:
-            raise FalsificationError(
-                f"rearrangement of {one_line(p)} produced {one_line(child)} with word "
-                f"length {length} <= {base}; growth is claimed for every "
-                "nontrivial rearrangement"
-            )
-    return children
+    lengths = _reorder_lengths(base, pieces)
+    if min(lengths) <= base:
+        index, length = next((i, k) for i, k in enumerate(lengths) if k <= base)
+        raise FalsificationError(
+            f"rearrangement of {one_line(p)} produced {one_line(_reorder((), pieces)[index])} "
+            f"with word length {length} <= {base}; growth is claimed for every "
+            "nontrivial rearrangement"
+        )
+    return pieces, lengths
+
+
+def _step_rows(p: Image, d: int, mode: str) -> list[tuple[str, int]]:
+    """A single step's children in the step's order, each as (one-line text, word length).
+
+    The text is joined from the blocks' text (greedy._reorder_text) and the
+    length priced from their pair table (greedy._reorder_lengths), so no
+    child is built, rendered or counted.  The classic witness cuts need not
+    be sum cuts, so a classic child may be shorter than p.  Only the CLI's
+    single step calls it; the closures and the suites never do.
+
+    >>> _step_rows((2, 1), 2, MODE_CLASSIC)
+    [('1,2', 0)]
+    """
+    if mode == MODE_MAIN:
+        head, (blocks, lengths) = (), _main_pieces(p, d)
+    else:
+        head, blocks = _witness_blocks(p, d)
+        lengths = _reorder_lengths(word_length(p), blocks)
+    return list(zip(_reorder_text(head, blocks), lengths))
 
 
 def _close(

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -25,11 +26,12 @@ from codimgeo.perm import (
     decreasing_histogram,
     decreasing_table,
     inversion_set,
+    is_d_good,
     one_line,
     reversal,
     word_length,
 )
-from codimgeo.reduction import STEP_MAX_D, classic_closure, main_closure
+from codimgeo.reduction import STEP_MAX_D, classic_closure, classic_step, main_closure, main_step
 from codimgeo.verify import SUITES, run_suite
 
 
@@ -625,9 +627,15 @@ def test_reduce_main_outside_ball_exit(capsys):
 
 @pytest.mark.parametrize("mode", ["classic", "main"])
 def test_reduce_step_degree_limit(capsys, monkeypatch, mode):
-    # refused before any child is built
-    for kernel in ("codimgeo.greedy._reorder", "codimgeo.reduction._reorder"):
-        monkeypatch.setattr(kernel, lambda head, blocks: pytest.fail("built children"))
+    # refused before any child is built, priced or rendered, and before any order is listed
+    for kernel in (
+        "codimgeo.greedy._orders",
+        "codimgeo.greedy._reorder",
+        "codimgeo.reduction._reorder",
+        "codimgeo.reduction._reorder_lengths",
+        "codimgeo.reduction._reorder_text",
+    ):
+        monkeypatch.setattr(kernel, lambda *args, kernel=kernel: pytest.fail(f"ran {kernel}"))
     perm = ",".join(map(str, range(40, 0, -1) if mode == "classic" else range(1, 41)))
     code, out, err = run(capsys, "reduce", "--perm", perm, "--d", str(STEP_MAX_D + 1), "--mode", mode)
     assert (code, out) == (2, "")
@@ -915,6 +923,78 @@ def test_classic_step_measures_each_child_once(capsys, monkeypatch):
     assert (code, out) == (0, 'child,word_length\n"1,2",0\n')
 
 
+def test_reduce_main_step_reports_a_child_that_does_not_grow(capsys, monkeypatch):
+    # a kernel that prices the second child at |sigma|: exit 1, no output, the child named
+    def shrunk(length, blocks):
+        first, _, *rest = _reorder_lengths(length, blocks)
+        return (first, length, *rest)
+
+    monkeypatch.setattr("codimgeo.reduction._reorder_lengths", shrunk)
+    code, out, err = run(capsys, "reduce", "--perm", "1,3,2,4,5,6", "--d", "3", "--mode", "main")
+    assert (code, out) == (1, "")
+    assert err == (
+        "falsification: rearrangement of 1,3,2,4,5,6 produced 3,2,1,4,5,6 with word length "
+        "1 <= 1; growth is claimed for every nontrivial rearrangement\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, word, d",
+    [
+        ("classic", ",".join(map(str, (20, 25, 24, 23, 22, 21, *range(1, 20)))), 5),
+        ("main", ",".join(map(str, (1, 3, 2, *range(4, 23)))), 5),
+    ],
+)
+def test_reduce_step_renders_blocks_not_children(capsys, monkeypatch, mode, word, d):
+    calls = []
+
+    def counted(image):
+        calls.append(image)
+        return one_line(image)
+
+    for module in ("cli", "greedy", "reduction"):
+        monkeypatch.setattr(f"codimgeo.{module}.one_line", counted)
+    monkeypatch.setattr("codimgeo.reduction._reorder", lambda *args: pytest.fail("built children"))
+    code, out, _ = run(
+        capsys, "reduce", "--perm", word, "--d", str(d), "--mode", mode, "--format", "json"
+    )
+    assert code == 0
+    assert len(json.loads(out)["children"]) == math.factorial(d) - 1
+    assert len(calls) <= d + 2  # the head, the d blocks and the parent; no child
+
+
+def test_reduce_step_children_match_the_library(capsys):
+    # seeded words shaped like the benchmark's single steps, main d = 3..5 and classic d = 4
+    rng = random.Random(25)
+    for n in range(12, 33, 5):
+        for mode, d in [("main", 3), ("main", 4), ("main", 5), ("classic", 4)]:
+            if mode == "main":
+                word = list(range(1, n + 1))
+                for _ in range(rng.randrange(math.ceil(ball_radius(n, d)))):
+                    i = rng.choice([i for i in range(n - 1) if word[i] < word[i + 1]])
+                    word[i], word[i + 1] = word[i + 1], word[i]
+                children = [c for c, _ in main_step(tuple(word), d)]
+            else:
+                word = rng.sample(range(1, n + 1), n)
+                while is_d_good(tuple(word), d):
+                    word = rng.sample(range(1, n + 1), n)
+                children = classic_step(tuple(word), d)
+            argv = ("--perm", ",".join(map(str, word)), "--d", str(d), "--mode", mode)
+            code, out, _ = run(capsys, "reduce", *argv, "--format", "json")
+            assert code == 0
+            rows = [(c["perm"], c["word_length"]) for c in json.loads(out)["children"]]
+            assert rows == [(one_line(c), word_length(c)) for c in children], argv
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_reduce_closure_renders_words_only_for_json(capsys, monkeypatch, fmt):
+    # table and CSV print only the summary, so no word is rendered for them
+    monkeypatch.setattr("codimgeo.cli.one_line", lambda image: pytest.fail("rendered a word"))
+    argv = ("reduce", "--n", "5", "--d", "3", "--mode", "classic", "--closure", "--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "visited" in out
+
+
 def test_closures_and_suites_measure_no_classic_child(capsys, monkeypatch):
     calls = []
 
@@ -944,6 +1024,13 @@ GOLDEN_SHAPES = {
     "greedy-one-chunk": ("greedy", "--perm", "4,3,2,1"),
     "reduce-classic": ("reduce", "--perm", "3,2,1", "--d", "3", "--mode", "classic"),
     "reduce-main": ("reduce", "--perm", "1,3,2,4,5,6", "--d", "3", "--mode", "main"),
+    # the witness starts at position 2: the head "10" stays put in every child
+    "reduce-classic-head": (
+        "reduce", "--perm", "10,13,12,11,1,2,3,4,5,6,7,8,9", "--d", "3", "--mode", "classic",
+    ),
+    "reduce-main-wide": (
+        "reduce", "--perm", "1,2,4,3,5,6,7,8,9,10,11,12", "--d", "3", "--mode", "main",
+    ),
     "closure-classic": ("reduce", "--n", "4", "--d", "3", "--mode", "classic", "--closure"),
     "closure-main": ("reduce", "--n", "6", "--d", "4", "--mode", "main", "--closure"),
     "closure-summary": (
@@ -1130,6 +1217,42 @@ GOLDEN = {
         '"4,5,6,3,2,1",12\n'
     ),
     ("reduce-main", "json"): "sha256:4f564f25798efd7e",
+    ("reduce-classic-head", "table"): (
+        "parent: 10,13,12,11,1,2,3,4,5,6,7,8,9  |sigma| = 39\n"
+        "child                          word_length\n"
+        "10,13,11,1,2,3,4,5,6,7,8,9,12  29\n"
+        "10,12,13,11,1,2,3,4,5,6,7,8,9  38\n"
+        "10,12,11,1,2,3,4,5,6,7,8,9,13  28\n"
+        "10,11,1,2,3,4,5,6,7,8,9,13,12  19\n"
+        "10,11,1,2,3,4,5,6,7,8,9,12,13  18\n"
+    ),
+    ("reduce-classic-head", "csv"): (
+        "child,word_length\n"
+        '"10,13,11,1,2,3,4,5,6,7,8,9,12",29\n'
+        '"10,12,13,11,1,2,3,4,5,6,7,8,9",38\n'
+        '"10,12,11,1,2,3,4,5,6,7,8,9,13",28\n'
+        '"10,11,1,2,3,4,5,6,7,8,9,13,12",19\n'
+        '"10,11,1,2,3,4,5,6,7,8,9,12,13",18\n'
+    ),
+    ("reduce-classic-head", "json"): "sha256:62fa836beee55fdc",
+    ("reduce-main-wide", "table"): (
+        "parent: 1,2,4,3,5,6,7,8,9,10,11,12  |sigma| = 1\n"
+        "child                       word_length\n"
+        "1,4,3,5,6,7,8,9,10,11,12,2  11\n"
+        "2,1,4,3,5,6,7,8,9,10,11,12  2\n"
+        "2,4,3,5,6,7,8,9,10,11,12,1  12\n"
+        "4,3,5,6,7,8,9,10,11,12,1,2  21\n"
+        "4,3,5,6,7,8,9,10,11,12,2,1  22\n"
+    ),
+    ("reduce-main-wide", "csv"): (
+        "child,word_length\n"
+        '"1,4,3,5,6,7,8,9,10,11,12,2",11\n'
+        '"2,1,4,3,5,6,7,8,9,10,11,12",2\n'
+        '"2,4,3,5,6,7,8,9,10,11,12,1",12\n'
+        '"4,3,5,6,7,8,9,10,11,12,1,2",21\n'
+        '"4,3,5,6,7,8,9,10,11,12,2,1",22\n'
+    ),
+    ("reduce-main-wide", "json"): "sha256:9e0e7aff5bd8b38f",
     ("closure-classic", "table"): (
         "key            value\n"
         "sources        10\n"

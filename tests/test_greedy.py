@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from codimgeo.greedy import (
     _reorder,
     _reorder_lengths,
+    _reorder_text,
     chunk_preserving_cuts,
     chunk_stats,
     left_greedy_form,
@@ -15,6 +17,7 @@ from codimgeo.perm import (
     all_permutations,
     identity,
     inversion_set,
+    one_line,
     reversal,
     word_length,
 )
@@ -232,6 +235,32 @@ def test_reorder_lengths_match_word_length():
                         assert _reorder_lengths(length, blocks) == expected, (p, head, cuts)
                         checked += len(children)
     assert checked == 1_399_466
+
+
+def test_reorder_text_matches_one_line():
+    # every head and every split of the rest into 2 or more blocks, n <= 5
+    checked = 0
+    for n in range(2, 6):
+        for p in all_permutations(n):
+            for head in range(n - 1):
+                for count in range(1, n - head):
+                    for cuts in combinations(range(head + 1, n), count):
+                        bounds = (head, *cuts, n)
+                        blocks = [p[a:b] for a, b in zip(bounds, bounds[1:])]
+                        expected = tuple(map(one_line, _reorder(p[:head], blocks)))
+                        assert _reorder_text(p[:head], blocks) == expected, (p, head, cuts)
+                        checked += len(expected)
+    assert checked == 36_506
+    # two-digit letters behind a nonempty head, up to 5 blocks
+    rng = random.Random(25)
+    for n in range(12, 33):
+        p = tuple(rng.sample(range(1, n + 1), n))
+        head = rng.randrange(1, n - 1)
+        cuts = sorted(rng.sample(range(head + 1, n), rng.randrange(1, min(5, n - head))))
+        bounds = (head, *cuts, n)
+        blocks = [p[a:b] for a, b in zip(bounds, bounds[1:])]
+        expected = tuple(map(one_line, _reorder(p[:head], blocks)))
+        assert _reorder_text(p[:head], blocks) == expected, (p, head, cuts)
 
 
 def test_chunk_stats_examples():

@@ -14,12 +14,14 @@ from codimgeo.perm import (
     all_permutations,
     identity,
     is_d_good,
+    one_line,
     reversal,
     word_length,
 )
 from codimgeo.reduction import (
     ReductionTrace,
-    _classic_step_lengths,
+    MODE_CLASSIC,
+    _step_rows,
     classic_closure,
     classic_step,
     main_closure,
@@ -87,12 +89,13 @@ def test_classic_step_lengths_match_a_recount():
             for p in all_permutations(n):
                 if is_d_good(p, d):
                     continue
-                measured = _classic_step_lengths(p, d)
-                assert measured == tuple((c, word_length(c)) for c in classic_step(p, d)), (p, d)
+                measured = _step_rows(p, d, MODE_CLASSIC)
+                expected = [(one_line(c), word_length(c)) for c in classic_step(p, d)]
+                assert measured == expected, (p, d)
                 shorter += sum(length < word_length(p) for _, length in measured)
     assert shorter > 0
-    assert _classic_step_lengths((2, 1), 2) == (((1, 2), 0),)
-    assert _classic_step_lengths((3, 2, 1), 3)[-1] == ((1, 2, 3), 0)
+    assert _step_rows((2, 1), 2, MODE_CLASSIC) == [("1,2", 0)]
+    assert _step_rows((3, 2, 1), 3, MODE_CLASSIC)[-1] == ("1,2,3", 0)
 
 
 def test_classic_closure_small():
