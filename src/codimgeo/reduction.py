@@ -173,7 +173,8 @@ def _step_rows(p: Image, d: int, mode: str) -> list[tuple[str, int]]:
     [('1,2', 0)]
     """
     if mode == MODE_MAIN:
-        head, (blocks, lengths) = (), _main_pieces(p, d)
+        head = ()
+        blocks, lengths = _main_pieces(p, d)
     else:
         head, blocks = _witness_blocks(p, d)
         lengths = _reorder_lengths(word_length(p), blocks)
