@@ -1,0 +1,187 @@
+"""Rerun the pinned mutants: each recorded edit to the package must meet its recorded fate.
+
+Each entry of MUTANTS is (file, old, new, status, first_failing_test): a
+file under src/, a text that must occur in it exactly once, its
+replacement, and "killed" (a tier-1 test fails) or "survives" (a known gap:
+every test passes, and the comment above it says why), with the test that
+fails first ("" for a survivor).  For each entry the script copies src/,
+tests/, scripts/, README.md and pyproject.toml (what tier-1 reads) to a
+temporary directory and applies the edit there.  It runs the recorded test,
+and only if that passes, tier-1 with -x, less the check of this list.
+One pytest process runs at a time, each under TIMEOUT seconds; a run that
+times out counts as killed, since a test caught the mutant by hanging.
+Exits 1 when a text does not occur exactly once, a recorded test does not
+exist, or a mutant's outcome differs from its status.  Takes no options:
+
+    python scripts/mutants.py
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300
+PYTEST = (sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider")
+# the tier-1 check of this list, which a mutated copy fails by construction
+SELF_CHECK = "--deselect=tests/test_scripts.py::test_mutant_list_matches_the_tree"
+
+MUTANTS = (
+    # the scale cap compared with >=: every exhaustive operation refuses its own cap
+    (
+        "src/codimgeo/errors.py",
+        "    if n > cap:\n",
+        "    if n >= cap:\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_03_word_metric_equals_bfs",
+    ),
+    # decreasing_table without its cap: n = 0 passes and n = 10 sweeps 10! words
+    (
+        "src/codimgeo/perm.py",
+        '    check_scale(n, COUNT_GOOD_MAX_N, "decreasing_table")\n',
+        "",
+        "killed",
+        "tests/test_errors.py::test_precondition_table[decreasing_table n=0]",
+    ),
+    # verify's default degree read as the suite's cap: classic runs at 7, main at 8
+    (
+        "src/codimgeo/verify.py",
+        "        n_max = suite.default_n\n",
+        "        n_max = suite.cap\n",
+        "killed",
+        "tests/test_cli.py::test_checked_counts_below_each_cap[classic]",
+    ),
+    # a step's length kernel without the complement |B_a| |B_b|
+    (
+        "src/codimgeo/greedy.py",
+        "        table[b, a] = size - 2 * cross\n",
+        "        table[b, a] = -2 * cross\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_08_ball_escape_closure_and_strict_bound",
+    ),
+    # the kernel's pair orientation swapped
+    (
+        "src/codimgeo/greedy.py",
+        "        table[a, b] = 0\n        table[b, a] = size - 2 * cross\n",
+        "        table[a, b] = size - 2 * cross\n        table[b, a] = 0\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_08_ball_escape_closure_and_strict_bound",
+    ),
+    # every child's length shifted by one
+    (
+        "src/codimgeo/greedy.py",
+        "combinations(order, 2)), length)",
+        "combinations(order, 2)), length + 1)",
+        "killed",
+        "tests/test_cli.py::test_main_step_measures_each_child_once",
+    ),
+    # a step's child text without the comma after a nonempty head
+    (
+        "src/codimgeo/greedy.py",
+        'lead = one_line(head) + "," if head else ""',
+        'lead = one_line(head) if head else ""',
+        "killed",
+        "tests/test_cli.py::test_reduce_step_children_match_the_library",
+    ),
+    # the child text's orders with the identity kept
+    (
+        "src/codimgeo/greedy.py",
+        "_orders(list(map(one_line, blocks)))",
+        "itertools.permutations(list(map(one_line, blocks)))",
+        "killed",
+        "tests/test_cli.py::test_main_step_measures_each_child_once",
+    ),
+    # the blocks' text taken in reverse
+    (
+        "src/codimgeo/greedy.py",
+        "list(map(one_line, blocks))",
+        "list(map(one_line, reversed(blocks)))",
+        "killed",
+        "tests/test_cli.py::test_main_step_measures_each_child_once",
+    ),
+    # the cut search admits one atom too many: it enters branches that yield
+    # nothing, which changes no cut tuple, only the work; a test that counts
+    # dead branches would kill it
+    (
+        "src/codimgeo/greedy.py",
+        "return r <= atoms[s] and",
+        "return r <= atoms[s] + 1 and",
+        "survives",
+        "",
+    ),
+)
+
+
+def pytest(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    """One pytest run over tree, its own src/ first on the path; TimeoutExpired past TIMEOUT."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        (*PYTEST, *args), cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT
+    )
+
+
+def list_problems() -> list[str]:
+    """What is wrong with MUTANTS against the tree: a text not found once, a missing test."""
+    problems = []
+    for file, old, *_ in MUTANTS:
+        count = (ROOT / file).read_text().count(old)
+        if count != 1:
+            problems.append(f"{file}: {old!r} occurs {count} times")
+    listed = pytest(ROOT, "--collect-only", *sorted({test for *_, test in MUTANTS if test}))
+    if listed.returncode != 0:
+        problems.append(f"collecting the recorded tests failed:\n{listed.stdout}{listed.stderr}")
+    return problems
+
+
+def first_failure(tree: Path, *args: str) -> str | None:
+    """The first test a pytest run over tree fails, "timeout", or None if it passes."""
+    try:
+        done = pytest(tree, *args)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    if done.returncode == 0:
+        return None
+    for line in done.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" ", 1)[1].split(" - ")[0]
+    return f"exit {done.returncode}"
+
+
+def run_mutant(file: str, old: str, new: str, test: str) -> str | None:
+    """The first failure under one mutant, applied to a copy of the tree, or None if it survives."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__")
+        for name in ("src", "tests", "scripts"):
+            shutil.copytree(ROOT / name, tree / name, ignore=ignore)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, tree)
+        path = tree / file
+        path.write_text(path.read_text().replace(old, new))
+        failure = first_failure(tree, test) if test else None
+        return failure or first_failure(tree, "-x", "--continue-on-collection-errors", SELF_CHECK)
+
+
+def main() -> int:
+    problems = list_problems()
+    for problem in problems:
+        print(f"error: {problem}")
+    if problems:
+        return 1
+    wrong = 0
+    for file, old, new, status, test in MUTANTS:
+        failure = run_mutant(file, old, new, test)
+        outcome = "killed" if failure else "survives"
+        wrong += outcome != status
+        mark = "ok " if outcome == status else "BAD"
+        print(f"{mark} {outcome:<8} {file}: {old.strip()!r} -> {new.strip()!r}", flush=True)
+        if failure and failure != test:
+            print(f"      first failure: {failure}", flush=True)
+    print(f"{len(MUTANTS) - wrong} of {len(MUTANTS)} mutants as recorded")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""Shared exception types, the argument rules and the global scale cap.
+"""Shared exception types, the argument rules and the scale check.
 
 Three rules on the degree n and on d (as in d-good, d pieces) are stated
 here once, each with its one message, and every library function that
@@ -8,14 +8,9 @@ ValueError.
 
 Exhaustive operations (Cayley BFS, closures, brute-force counting) carry a
 hard per-operation cap on n; check_scale applies the degree rule first, then
-the cap.  The environment variable CODIM_MAX_N can lower every cap at once
-for constrained environments; it can never raise one.
+the cap.
 """
 from __future__ import annotations
-
-import os
-
-ENV_CAP = "CODIM_MAX_N"
 
 
 class ScaleError(ValueError):
@@ -39,18 +34,6 @@ class InvalidInversionSetError(ValueError):
         super().__init__(f"{axiom} fails at positions {witness}")
 
 
-def effective_cap(hard_cap: int) -> int:
-    """The hard cap, lowered (never raised) by CODIM_MAX_N if set."""
-    raw = os.environ.get(ENV_CAP)
-    if raw is None:
-        return hard_cap
-    try:
-        env_cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_CAP} must be an integer, got {raw!r}") from exc
-    return min(hard_cap, env_cap)
-
-
 def check_degree(n: int) -> None:
     """The degree rule, n >= 1."""
     if n < 1:
@@ -69,9 +52,8 @@ def check_d_within(d: int, n: int) -> None:
         raise ValueError(f"need 2 <= d <= n, got d = {d}, n = {n}")
 
 
-def check_scale(n: int, hard_cap: int, operation: str) -> None:
-    """The degree rule, then ScaleError if n exceeds the operation's effective cap."""
+def check_scale(n: int, cap: int, operation: str) -> None:
+    """The degree rule, then ScaleError if n exceeds the operation's cap."""
     check_degree(n)
-    cap = effective_cap(hard_cap)
     if n > cap:
         raise ScaleError(f"{operation} is capped at n <= {cap}, got n = {n}")

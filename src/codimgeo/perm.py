@@ -369,23 +369,19 @@ def count_d_good(n: int, d: int) -> int:
     )
 
 
+@lru_cache(maxsize=None)
 def decreasing_table(n: int) -> bytes:
     """longest_decreasing of every word of degree n, one byte each, in dictionary order.
 
     Built once per degree on first use and cached, so the sweeps that need
     it (the histogram, the classic closures' sources and the badsize suite)
-    share one pass over the n! words.  The cap n <= 9 is checked on every
-    call, before the cache, so a lower CODIM_MAX_N still refuses.
+    share one pass over the n! words.  Capped at n <= 9; a refused n raises on
+    every call, since lru_cache does not cache exceptions.
 
     >>> list(decreasing_table(3))
     [1, 2, 2, 2, 2, 3]
     """
     check_scale(n, COUNT_GOOD_MAX_N, "decreasing_table")
-    return _decreasing_table(n)
-
-
-@lru_cache(maxsize=None)
-def _decreasing_table(n: int) -> bytes:
     return bytes(map(longest_decreasing, all_permutations(n)))
 
 

@@ -25,7 +25,7 @@ from itertools import chain
 from typing import Callable
 
 from .bounds import ball_radius, classic_bound
-from .errors import FalsificationError, effective_cap
+from .errors import FalsificationError
 from .greedy import (
     chunk_preserving_cuts,
     chunk_stats,
@@ -240,13 +240,9 @@ def _run_main(n: int) -> _Outcome:
 class Suite:
     name: str
     min_n: int
-    hard_cap: int
+    cap: int
     default_n: int
     runner: Callable[[int], _Outcome] = field(repr=False)  # checks one degree n
-
-    @property
-    def cap(self) -> int:
-        return effective_cap(self.hard_cap)
 
 
 SUITES: dict[str, Suite] = {
@@ -271,7 +267,7 @@ def check_request(name: str, n_max: int | None = None) -> int:
         raise ValueError(f"unknown suite {name!r} (known: {','.join(SUITES)})")
     suite = SUITES[name]
     if n_max is None:
-        n_max = min(suite.default_n, suite.cap)
+        n_max = suite.default_n
     if n_max < suite.min_n:
         raise ValueError(f"suite {name} needs n_max at least {suite.min_n}, got {n_max}")
     if n_max > suite.cap:

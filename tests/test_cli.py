@@ -17,14 +17,12 @@ from hypothesis import example, given, strategies as st
 import codimgeo
 from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, ball_radius, compare_bounds
 from codimgeo.cli import _JSON_BATCH, _json_text, _write_json, main
-from codimgeo.errors import FalsificationError, ScaleError
+from codimgeo.errors import FalsificationError
 from codimgeo.greedy import _reorder_lengths, chunk_stats, left_greedy_form, rearrangements
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
 from codimgeo.perm import (
     cayley_distance_bfs,
     count_d_good,
-    decreasing_histogram,
-    decreasing_table,
     inversion_set,
     is_d_good,
     one_line,
@@ -32,7 +30,7 @@ from codimgeo.perm import (
     word_length,
 )
 from codimgeo.reduction import STEP_MAX_D, classic_closure, classic_step, main_closure, main_step
-from codimgeo.verify import SUITES, run_suite
+from codimgeo.verify import SUITES, check_request, run_suite
 
 
 def run(capsys, *argv):
@@ -112,24 +110,11 @@ def test_mahonian_rejects_bad_degree(capsys):
     assert "error" in err
 
 
-def test_mahonian_row_limit(capsys, monkeypatch):
-    # the row limit is a cost guard of its own: CODIM_MAX_N caps exhaustive work only
-    monkeypatch.setenv("CODIM_MAX_N", "5")
+def test_mahonian_row_limit(capsys):
     assert run(capsys, "mahonian", "--n", "6")[0] == 0
     code, out, err = run(capsys, "mahonian", "--n", str(ROW_MAX_N + 1))
     assert (code, out) == (2, "")
     assert err == f"error: a full row is capped at n <= {ROW_MAX_N}, got n = {ROW_MAX_N + 1}\n"
-
-
-def test_mahonian_check_under_env_cap(capsys, monkeypatch):
-    # a lowered cap skips the brute-force histogram instead of failing on it
-    monkeypatch.setenv("CODIM_MAX_N", "5")
-    code, out, err = run(capsys, "mahonian", "--n", "6", "--check")
-    assert (code, err) == (0, "")
-    assert out.splitlines()[-1] == "check: OK (closed form k <= n)"
-    code, out, _ = run(capsys, "mahonian", "--n", "5", "--check")
-    assert code == 0
-    assert out.splitlines()[-1] == "check: OK (closed form k <= n; brute force)"
 
 
 def test_bounds_csv_roundtrip(capsys):
@@ -285,11 +270,27 @@ CHECKED_BELOW_CAP = {
 }
 
 
+# the degree a suite runs at when no --n-max is given
+DEFAULT_N = {
+    "metric": 6,
+    "roundtrip": 7,
+    "badsize": 8,
+    "dilworth": 8,
+    "lgf": 7,
+    "chunks": 7,
+    "growth": 6,
+    "classic": 6,
+    "main": 7,
+}
+
+
 @pytest.mark.parametrize("name", list(SUITES))
 def test_checked_counts_below_each_cap(name):
     suite = SUITES[name]
-    degrees = range(suite.min_n, suite.hard_cap)
+    degrees = range(suite.min_n, suite.cap)
     assert tuple(run_suite(name, n).checked for n in degrees) == CHECKED_BELOW_CAP[name]
+    assert check_request(name) == suite.default_n == DEFAULT_N[name]
+    assert suite.min_n <= suite.default_n <= suite.cap
 
 
 def test_main_reports_its_empty_ball_at_degree_two():
@@ -785,43 +786,20 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
-def test_env_cap_lowers_limits(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mahonian", "--n", "6", "--check"),
+        ("verify", "--suites", "badsize"),
+        ("reduce", "--n", "7", "--d", "3", "--mode", "classic", "--closure", "--summary-only"),
+    ],
+)
+def test_output_does_not_depend_on_the_environment(capsys, monkeypatch, argv):
+    # a result depends on its arguments alone, whatever the environment holds
+    unset = run(capsys, *argv)
     monkeypatch.setenv("CODIM_MAX_N", "5")
-    code, _, err = run(capsys, "verify", "--n-max", "6", "--suites", "metric")
-    assert code == 2
-    assert "capped" in err
-    code, _, _ = run(capsys, "verify", "--n-max", "5", "--suites", "metric")
-    assert code == 0
-    # a default lowered below a suite's first degree would check nothing
-    monkeypatch.setenv("CODIM_MAX_N", "1")
-    code, out, err = run(capsys, "verify", "--suites", "main")
-    assert code == 2 and out == ""
-    assert "at least 3" in err
-
-
-def test_env_cap_survives_the_decreasing_table_cache(capsys, monkeypatch):
-    # the table is cached per degree, but the cap is checked on every call
-    decreasing_table(8)
-    monkeypatch.setenv("CODIM_MAX_N", "5")
-    with pytest.raises(ScaleError):
-        decreasing_histogram(8)
-    with pytest.raises(ScaleError):
-        decreasing_table(8)
-    code, out, err = run(capsys, "verify", "--suites", "badsize", "--n-max", "8")
-    assert (code, out) == (2, "")
-    assert err == "error: suite badsize is capped at n <= 5, got 8\n"
-
-
-def test_env_cap_cannot_raise_limits(capsys, monkeypatch):
-    monkeypatch.setenv("CODIM_MAX_N", "50")
-    code, _, err = run(capsys, "verify", "--n-max", "8", "--suites", "metric")
-    assert code == 2
-
-
-@pytest.mark.parametrize("argv", [("verify",), ("mahonian", "--n", "4", "--check")])
-def test_env_cap_must_be_an_integer(capsys, monkeypatch, argv):
-    monkeypatch.setenv("CODIM_MAX_N", "abc")
-    assert run(capsys, *argv) == (2, "", "error: CODIM_MAX_N must be an integer, got 'abc'\n")
+    assert run(capsys, *argv) == unset
+    assert unset[0] == 0
 
 
 def test_closed_pipe_exits_quietly():

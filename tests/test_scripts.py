@@ -100,3 +100,8 @@ def test_code_lines_defaults_to_the_package(capsys):
     names = [line.split()[1] for line in lines[:-1]]
     assert names == sorted(p.name for p in (SCRIPTS.parent / "src" / "codimgeo").glob("*.py"))
     assert int(lines[-1].split()[0]) == sum(int(line.split()[0]) for line in lines[:-1])
+
+
+def test_mutant_list_matches_the_tree():
+    # each pinned mutation's text occurs once, and each recorded first failure is a test
+    assert load("mutants").list_problems() == []
