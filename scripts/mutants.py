@@ -53,6 +53,38 @@ MUTANTS = (
         "killed",
         "tests/test_cli.py::test_checked_counts_below_each_cap[classic]",
     ),
+    # the length table's recurrence shifting block c by c + 1
+    (
+        "src/codimgeo/perm.py",
+        "rest.translate(bytes(range(c, 256)) + bytes(c))",
+        "rest.translate(bytes(range(c + 1, 256)) + bytes(c + 1))",
+        "killed",
+        "tests/test_perm.py::test_length_table_is_the_per_word_sweep",
+    ),
+    # the length table's blocks in reverse order
+    (
+        "src/codimgeo/perm.py",
+        "for c in range(n))",
+        "for c in reversed(range(n)))",
+        "killed",
+        "tests/test_perm.py::test_length_table_is_the_per_word_sweep",
+    ),
+    # badsize's floor weakened to C(L - 1, 2)
+    (
+        "src/codimgeo/verify.py",
+        "if length < longest * (longest - 1) // 2:",
+        "if length < (longest - 1) * (longest - 2) // 2:",
+        "killed",
+        "tests/test_cli.py::test_failures_are_listed_degree_by_degree",
+    ),
+    # badsize's increasing bound weakened by one
+    (
+        "src/codimgeo/verify.py",
+        "if increasing < n - length:",
+        "if increasing < n - length - 1:",
+        "killed",
+        "tests/test_cli.py::test_badsize_reports_a_short_increasing_run",
+    ),
     # a step's length kernel without the complement |B_a| |B_b|
     (
         "src/codimgeo/greedy.py",

@@ -20,6 +20,12 @@ the hook-length formula (Frame-Robinson-Thrall 1954) gives
 f^lambda = n! / prod(hooks).  That costs O(n) exact multiplications per
 partition, against the n! words of decreasing_histogram, the brute-force
 oracle; both keep the cap COUNT_GOOD_MAX_N.
+
+Two per-degree byte tables serve the exhaustive sweeps, one entry per word in
+dictionary order and cached under the same cap: decreasing_table holds each
+word's longest decreasing run, one patience sort per word, and length_table
+its word length, built in C from the factorial-base recurrence on the words'
+Lehmer codes, with word_length as its oracle.
 """
 from __future__ import annotations
 
@@ -383,6 +389,29 @@ def decreasing_table(n: int) -> bytes:
     """
     check_scale(n, COUNT_GOOD_MAX_N, "decreasing_table")
     return bytes(map(longest_decreasing, all_permutations(n)))
+
+
+@lru_cache(maxsize=None)
+def length_table(n: int) -> bytes:
+    """word_length of every word of degree n, one byte each, in dictionary order.
+
+    The r-th word's Lehmer code (its count of smaller letters after each
+    position) is r written in the factorial base, and |sigma| is its digit
+    sum.  A word starting with c + 1 has c inversions at its first letter and
+    is followed by the words of degree n - 1 in dictionary order, so the table
+    is n blocks, block c being length_table(n - 1) shifted up by c, each one
+    bytes.translate.  Cached per degree and capped at n <= 9 like
+    decreasing_table; word_length is its exhaustive oracle.
+
+    >>> list(length_table(3))
+    [0, 1, 1, 2, 2, 3]
+    """
+    check_scale(n, COUNT_GOOD_MAX_N, "length_table")
+    if n == 1:
+        return b"\x00"
+    rest = length_table(n - 1)
+    # the translation maps x to x + c for x < 256 - c, and no length exceeds C(9, 2)
+    return b"".join(rest.translate(bytes(range(c, 256)) + bytes(c)) for c in range(n))
 
 
 def decreasing_histogram(n: int) -> tuple[int, ...]:

@@ -1,12 +1,13 @@
 """Exhaustive property suites behind the verify command.
 
 Each suite checks one cluster of structural claims exhaustively: the
-word-metric identity, inversion-set round-trips, the d-bad length floor, the
-hook-length good count against one longest-decreasing sweep and under its
-ceiling, greedy-form structure, chunk size accounting, rearrangement growth,
-and the two rewriting closures.  A suite's runner checks one degree n and
-returns (checked, failures, info); run_suite alone loops over the degrees
-1..n_max and adds them up in degree order.  Below its suite's first
+word-metric identity, inversion-set round-trips, the d-bad length floor and
+the increasing-run bound, the hook-length good count against one
+longest-decreasing sweep and under its ceiling, greedy-form structure, chunk
+size accounting, rearrangement growth, and the two rewriting closures.  A
+suite's runner checks one degree n and returns (checked, failures, info);
+run_suite alone loops over the degrees 1..n_max and adds them up in degree
+order.  Below its suite's first
 degree (Suite.min_n) a runner counts no check, but may still report info
 there, and main's runner still works there: at n = 2 it builds
 main_closure(2, 2), whose ball is empty, reports its info line and runs the
@@ -14,8 +15,9 @@ closure-wide depth and ball-plus-complement checks, which can fail.  The
 per-permutation suites share one runner, _each_word, and state only their
 check, which maps an image tuple to its failures.  badsize and dilworth
 instead read the one longest-decreasing table per degree
-(perm.decreasing_table), which the classic closures share.  Failures are
-collected as printable counterexample strings, never raised.
+(perm.decreasing_table), which the classic closures share; badsize reads
+each word's length from perm.length_table too, and calls no word_length.
+Failures are collected as printable counterexample strings, never raised.
 """
 from __future__ import annotations
 
@@ -43,6 +45,7 @@ from .perm import (
     from_inversion_set,
     inversion_set,
     is_d_good,
+    length_table,
     one_line,
     word_length,
 )
@@ -99,14 +102,28 @@ def _check_roundtrip(p: Image) -> list[str]:
 
 
 def _run_badsize(n: int) -> _Outcome:
-    # |sigma| >= L(L-1)/2 for L the longest decreasing run covers every d <= L
-    table = decreasing_table(n)
-    failures = [
-        f"{one_line(p)}: length below the {longest}-bad floor"
-        for p, longest in zip(all_permutations(n), table)
-        if word_length(p) < longest * (longest - 1) // 2
-    ]
-    return len(table), failures, []
+    """|sigma| >= L(L-1)/2 and I >= n - |sigma|, for L, I the longest decreasing, increasing runs.
+
+    L letters in decreasing order hold C(L, 2) inversions, so the floor covers
+    every d <= L.  Deleting one letter of each inversion leaves an increasing
+    word, so I >= n - |sigma|.  Complementing values (v -> n + 1 - v) swaps
+    decreasing and increasing runs and reverses dictionary order, so the
+    increasing runs are decreasing_table(n) read backwards.  checked counts
+    the words, each checked both ways.
+    """
+    decreasing = decreasing_table(n)
+    failures = []
+    for p, length, longest, increasing in zip(
+        all_permutations(n), length_table(n), decreasing, reversed(decreasing)
+    ):
+        if length < longest * (longest - 1) // 2:
+            failures.append(f"{one_line(p)}: length below the {longest}-bad floor")
+        if increasing < n - length:
+            failures.append(
+                f"{one_line(p)}: longest increasing run {increasing} below n - |sigma| "
+                f"= {n - length}"
+            )
+    return len(decreasing), failures, []
 
 
 def _run_dilworth(n: int) -> _Outcome:

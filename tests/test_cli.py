@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -16,16 +17,19 @@ from hypothesis import example, given, strategies as st
 
 import codimgeo
 from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, ball_radius, compare_bounds
-from codimgeo.cli import _JSON_BATCH, _json_text, _write_json, main
+from codimgeo.cli import _JSON_BATCH, Result, _json_text, _write, _write_json, main
 from codimgeo.errors import FalsificationError
 from codimgeo.greedy import _reorder_lengths, chunk_stats, left_greedy_form, rearrangements
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
 from codimgeo.perm import (
     cayley_distance_bfs,
     count_d_good,
+    decreasing_table,
     inversion_set,
     is_d_good,
+    length_table,
     one_line,
+    parse_permutation,
     reversal,
     word_length,
 )
@@ -301,8 +305,25 @@ def test_main_reports_its_empty_ball_at_degree_two():
     )
 
 
+# The words of degree <= 4 whose inversions share no letter: there the longest
+# increasing run is exactly n - |sigma|, so badsize's increasing bound is tight.
+TIGHT_INCREASING = (
+    "1", "1,2", "2,1", "1,2,3", "1,3,2", "2,1,3",
+    "1,2,3,4", "1,2,4,3", "1,3,2,4", "2,1,3,4", "2,1,4,3",
+)
+
+
+def _increasing_failures(shortfall):
+    """badsize's increasing-bound failures when each run falls short by shortfall."""
+    failures = []
+    for word in TIGHT_INCREASING:
+        bound = word.count(",") + 1 - word_length(parse_permutation(word).image) + shortfall
+        failures.append(f"{word}: longest increasing run {bound - 1} below n - |sigma| = {bound}")
+    return tuple(failures)
+
+
 def test_failures_are_listed_degree_by_degree(monkeypatch):
-    monkeypatch.setattr("codimgeo.verify.word_length", lambda p: word_length(p) - 1)
+    monkeypatch.setattr("codimgeo.verify.length_table", lambda n: [x - 1 for x in length_table(n)])
     floors = (
         ("1", 1),
         ("1,2", 1), ("2,1", 2),
@@ -311,7 +332,19 @@ def test_failures_are_listed_degree_by_degree(monkeypatch):
         ("2,1,3,4", 2), ("3,2,1,4", 3), ("4,3,2,1", 4),
     )
     expected = tuple(f"{word}: length below the {floor}-bad floor" for word, floor in floors)
-    assert run_suite("badsize", 4).failures == expected
+    failures = run_suite("badsize", 4).failures
+    assert tuple(f for f in failures if f.endswith("-bad floor")) == expected
+    # one inversion short also breaks the increasing bound wherever it is tight
+    assert tuple(f for f in failures if not f.endswith("-bad floor")) == _increasing_failures(1)
+
+
+def test_badsize_reports_a_short_increasing_run(monkeypatch):
+    monkeypatch.setattr(
+        "codimgeo.verify.decreasing_table", lambda n: bytes(x - 1 for x in decreasing_table(n))
+    )
+    result = run_suite("badsize", 4)
+    assert result.checked == 33  # still one check per word
+    assert result.failures == _increasing_failures(0)
 
 
 def test_verify_cap_exceeded(capsys):
@@ -1434,6 +1467,20 @@ def test_csv_rows_are_as_wide_as_their_header(capsys, tmp_path):
         lines = _golden_run(capsys, tmp_path, key).splitlines()
         header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
         assert rows and all(len(row) == len(header) for row in rows), key
+
+
+def test_csv_is_what_csv_writer_writes(capsys, monkeypatch):
+    results = []
+    monkeypatch.setattr("codimgeo.cli._render", lambda _, result: results.append(result))
+    for argv in GOLDEN_SHAPES.values():
+        assert run(capsys, *argv, "--format", "csv")[0] == 0
+    assert len(results) == len(GOLDEN_SHAPES)
+    odd = Result(("a,b", "c"), [("x,y", 'say "hi"'), ("", '"'), ('a,"b"', "")], {})
+    for result in [*results, odd]:
+        ours, theirs = io.StringIO(), io.StringIO()
+        _write(argparse.Namespace(format="csv", meta=False), result, ours)
+        csv.writer(theirs, lineterminator="\n").writerows([result.columns, *result.rows])
+        assert ours.getvalue() == theirs.getvalue(), result.columns
 
 
 _JSON_SCALARS = st.one_of(

@@ -32,6 +32,7 @@ from codimgeo.perm import (
     find_d_bad_witness,
     from_inversion_set,
     is_d_good,
+    length_table,
     validate_inversion_set,
 )
 from codimgeo.reduction import classic_closure, classic_step, main_closure, main_step
@@ -97,6 +98,7 @@ PRECONDITIONS = {
     "count_d_good d rule first": (lambda: count_d_good(0, 1), d_rule(1)),
     "decreasing_table n=0": (lambda: decreasing_table(0), DEGREE),
     "decreasing_histogram n=0": (lambda: decreasing_histogram(0), DEGREE),
+    "length_table n=0": (lambda: length_table(0), DEGREE),
     "cayley_distance_bfs n=0": (lambda: cayley_distance_bfs(()), DEGREE),
     # reduction
     "classic_step n=0": (lambda: classic_step((), 2), within(2, 0)),
@@ -133,6 +135,11 @@ def test_d_past_n_is_accepted_where_no_rule_needs_d_within_n():
 def test_histogram_refuses_through_its_table():
     with pytest.raises(ScaleError, match="^decreasing_table is capped at n <= 9, got n = 10$"):
         decreasing_histogram(10)
+
+
+def test_length_table_refuses_past_its_cap():
+    with pytest.raises(ScaleError, match="^length_table is capped at n <= 9, got n = 10$"):
+        length_table(10)
 
 
 RULE_MESSAGES = (DEGREE, "d must be at least 2, got", "need 2 <= d <= n, got")

@@ -19,6 +19,7 @@ from codimgeo.perm import (
     identity,
     inversion_set,
     is_d_good,
+    length_table,
     longest_decreasing,
     parse_permutation,
     reversal,
@@ -353,3 +354,11 @@ def test_decreasing_table_is_the_per_word_sweep():
         decreasing_table(10)
     with pytest.raises(ValueError, match="degree must be at least 1"):
         decreasing_table(0)
+
+
+def test_length_table_is_the_per_word_sweep():
+    for n in range(1, 9):
+        table = length_table(n)
+        assert isinstance(table, bytes)
+        assert list(table) == [word_length(p) for p in all_permutations(n)]
+        assert length_table(n) is table  # built once per degree
