@@ -88,24 +88,24 @@ MUTANTS = (
     # a step's length kernel without the complement |B_a| |B_b|
     (
         "src/codimgeo/greedy.py",
-        "        table[b, a] = size - 2 * cross\n",
-        "        table[b, a] = -2 * cross\n",
+        "        weight[a][x] = size - 2 * cross\n",
+        "        weight[a][x] = -2 * cross\n",
         "killed",
         "tests/test_acceptance.py::test_criterion_08_ball_escape_closure_and_strict_bound",
     ),
-    # the kernel's pair orientation swapped
+    # the kernel's pair orientation swapped: the weight counted for pairs kept in order
     (
         "src/codimgeo/greedy.py",
-        "        table[a, b] = 0\n        table[b, a] = size - 2 * cross\n",
-        "        table[a, b] = size - 2 * cross\n        table[b, a] = 0\n",
+        "        weight[a][x] = size - 2 * cross\n",
+        "        weight[x][a] = size - 2 * cross\n",
         "killed",
         "tests/test_acceptance.py::test_criterion_08_ball_escape_closure_and_strict_bound",
     ),
     # every child's length shifted by one
     (
         "src/codimgeo/greedy.py",
-        "combinations(order, 2)), length)",
-        "combinations(order, 2)), length + 1)",
+        "lengths = [[length]]",
+        "lengths = [[length + 1]]",
         "killed",
         "tests/test_cli.py::test_main_step_measures_each_child_once",
     ),
@@ -132,6 +132,30 @@ MUTANTS = (
         "list(map(one_line, reversed(blocks)))",
         "killed",
         "tests/test_cli.py::test_main_step_measures_each_child_once",
+    ),
+    # a JSON table's int column admits bool, which it then writes as 1 and 0
+    (
+        "src/codimgeo/cli.py",
+        "elif kinds == {int}:",
+        "elif kinds <= {int, bool}:",
+        "killed",
+        "tests/test_cli.py::test_table_writer_refuses_a_column_of_other_cells[bool]",
+    ),
+    # a JSON table's row template without the comma between keys
+    (
+        "src/codimgeo/cli.py",
+        '"{" + ",".join(fields)',
+        '"{" + "".join(fields)',
+        "killed",
+        "tests/test_cli.py::test_table_writer_matches_json_dumps_of_its_dicts",
+    ),
+    # dilworth's good < theorem_bound weakened to good <= theorem_bound
+    (
+        "src/codimgeo/verify.py",
+        "if count >= bound:",
+        "if count > bound:",
+        "killed",
+        "tests/test_cli.py::test_verify_dilworth_reports_a_count_not_below_the_theorem_bound",
     ),
     # the cut search admits one atom too many: it enters branches that yield
     # nothing, which changes no cut tuple, only the work; a test that counts

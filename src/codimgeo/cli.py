@@ -12,10 +12,15 @@ _command alone: flags in the parser's definition order, an abbreviation or
 flags (--format, --output, --meta) never recorded, so rerunning it with the
 same output flags reproduces the output.  JSON is byte-identical to
 json.dumps(payload, indent=2) but written by one stdlib writer (_dump),
-since an indent sends json to its pure-Python encoder.  _render streams to
-one sink, stdout or the --output file opened once: table and CSV lines are
-written as they are made, and JSON chunks are joined and written whenever
-more than _JSON_BATCH are pending, so the whole text is never held.  A
+since an indent sends json to its pure-Python encoder.  A list of objects
+that share their keys (a step's children, the bounds and crossover rows) is
+handed to it as a Table of keys and rows, the rows Result.rows holds for
+table and CSV, and is written column by column: each column's cells are
+rendered by one map and each row by one %-template (_dump_table).
+_render streams to one sink, stdout or the --output file opened once: table
+and CSV lines are written as they are made, and JSON chunks are joined and
+written whenever more than _JSON_BATCH are pending (a Table's rows, as
+many as their dicts' chunks would be), so the whole text is never held.  A
 reduce step prints each child's length from the step's block table and its
 text joined from the blocks' text, in classic mode as in main mode, so it
 counts, builds and renders no child.  A closure's word lists are rendered
@@ -36,7 +41,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, TextIO
 
@@ -65,8 +70,9 @@ class Result:
     """What one command produced, before it is rendered in the chosen format.
 
     Table and CSV show columns and rows (raw cell values, printed with str);
-    JSON shows payload.  The table leaves out the first csv_only columns and
-    adds the lines before and after it.  failed marks a falsified claim.
+    JSON shows payload, where a Table stands for its list of objects.  The
+    table leaves out the first csv_only columns and adds the lines before
+    and after it.  failed marks a falsified claim.
     """
 
     columns: tuple[str, ...]
@@ -76,6 +82,17 @@ class Result:
     after: tuple[str, ...] = ()
     csv_only: int = 0
     failed: bool = False
+
+
+@dataclass(frozen=True)
+class Table:
+    """A JSON list of objects given as its keys and rows: [dict(zip(keys, row)) ...].
+
+    Each column holds only str or only exact int cells (_dump_table).
+    """
+
+    keys: tuple[str, ...]
+    rows: list[tuple]
 
 
 # _dump joins its pending chunks into one write once they pass this many, so
@@ -94,11 +111,12 @@ def _dump(obj, newline: str, out: list[str], write: Callable[[str], object]) -> 
     escaper and exact ints by int.__repr__; a str item, or an int dict value,
     goes out with its separator as one chunk.  Any other scalar (bool, None,
     float) goes through json.dumps, so true, null, Infinity and NaN match by
-    construction, and a tuple renders as a list.  A dict key must be a str:
-    json would convert other keys, and no codim payload has one.  After each
-    list item, more than _JSON_BATCH pending chunks are joined, passed to
-    write and cleared.  Every long codim payload is a list or holds lists, so
-    a dict's own items go unchecked, which keeps small payloads cheap.
+    construction, a tuple renders as a list, and a Table as its list of
+    objects (_dump_table).  A dict key must be a str: json would convert
+    other keys, and no codim payload has one.  After each list item, more
+    than _JSON_BATCH pending chunks are joined, passed to write and cleared.
+    Every long codim payload is a list or a Table or holds them, so a dict's
+    own items go unchecked, which keeps small payloads cheap.
     """
     inner = newline + "  "
     if isinstance(obj, dict):
@@ -138,8 +156,56 @@ def _dump(obj, newline: str, out: list[str], write: Callable[[str], object]) -> 
         out.append(_quote(obj))
     elif type(obj) is int:
         out.append(int.__repr__(obj))
+    elif isinstance(obj, Table):
+        _dump_table(obj, newline, out, write)
     else:
         out.append(json.dumps(obj))
+
+
+def _dump_table(
+    table: Table, newline: str, out: list[str], write: Callable[[str], object]
+) -> None:
+    """Append the chunks of a Table's list of objects to out, at indent newline, column by column.
+
+    Each column's cells are rendered in one C-level map: by json's escaper
+    when all are str, by int.__repr__ when all are exact ints (so a bool is
+    refused), else TypeError.  One %-template per table then formats each
+    row.  As the dict form costs _dump a chunk per key and one more, every
+    _JSON_BATCH // (keys + 1) rows are joined into one chunk and written with
+    what is pending, so a table is held no longer at once than its list of
+    objects would be.  A key must be a str, as in _dump, and each row
+    as long as the keys (ValueError), since dict(zip(keys, row)) would drop
+    cells.  No rows make [] whatever the keys, as the list of objects does.
+    """
+    if not table.rows:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    cells = []
+    fields = []
+    for key, column in zip(table.keys, zip(*table.rows, strict=True), strict=True):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            cells.append(map(_quote, column))
+        elif kinds == {int}:
+            cells.append(map(int.__repr__, column))
+        else:
+            names = ", ".join(sorted(kind.__name__ for kind in kinds))
+            raise TypeError(f"column {key!r} must be all str or all int, not {names}")
+        fields.append(inner + "  " + _quote(key).replace("%", "%%") + ": %s")
+    template = "{" + ",".join(fields) + inner + "}" if fields else "{}"
+    rendered = map(template.__mod__, zip(*cells) if cells else repeat((), len(table.rows)))
+    sep, joiner = "[" + inner, "," + inner
+    size = _JSON_BATCH // (len(fields) + 1) or 1  # the rows _dump's batch of chunks holds
+    while batch := list(islice(rendered, size)):
+        out.append(sep + joiner.join(batch))
+        sep = joiner
+        if len(batch) == size:
+            write("".join(out))
+            out.clear()
+    out.append(newline + "]")
 
 
 def _write_json(obj, write: Callable[[str], object]) -> None:
@@ -302,7 +368,7 @@ def _cmd_bounds(args) -> Result:
     return Result(
         columns=columns,
         rows=rows,
-        payload={"d": args.d, "rows": [dict(zip(columns, row)) for row in rows]},
+        payload={"d": args.d, "rows": Table(columns, rows)},
     )
 
 
@@ -317,7 +383,7 @@ def _cmd_crossover(args) -> Result:
     return Result(
         columns=columns,
         rows=rows,
-        payload={"rows": [dict(zip(columns, row)) for row in rows]},
+        payload={"rows": Table(columns, rows)},
     )
 
 
@@ -431,7 +497,7 @@ def _cmd_reduce(args) -> Result:
         "mode": args.mode,
         "d": args.d,
         "parent": parent,
-        "children": [{"perm": c, "word_length": length} for c, length in rows],
+        "children": Table(("perm", "word_length"), rows),
     }
     return Result(
         columns=("child", "word_length"),

@@ -3,8 +3,9 @@
 Each suite checks one cluster of structural claims exhaustively: the
 word-metric identity, inversion-set round-trips, the d-bad length floor and
 the increasing-run bound, the hook-length good count against one
-longest-decreasing sweep and under its ceiling, greedy-form structure, chunk
-size accounting, rearrangement growth, and the two rewriting closures.  A
+longest-decreasing sweep, under its ceiling and strictly under the theorem
+bound, greedy-form structure, chunk size accounting, rearrangement growth,
+and the two rewriting closures.  A
 suite's runner checks one degree n and returns (checked, failures, info);
 run_suite alone loops over the degrees 1..n_max and adds them up in degree
 order.  Below its suite's first
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable
 
-from .bounds import ball_radius, classic_bound
+from .bounds import ball_radius, classic_bound, theorem_bound
 from .errors import FalsificationError
 from .greedy import (
     chunk_preserving_cuts,
@@ -127,6 +128,20 @@ def _run_badsize(n: int) -> _Outcome:
 
 
 def _run_dilworth(n: int) -> _Outcome:
+    """The d-good count, hook length against one sweep, below both bounds, each 2 <= d <= n.
+
+    It must stay under the classic ceiling (d-1)^(2n) and strictly under
+    theorem_bound(n, d), the words outside the ball B((n - d)/2).  Proof of
+    the second: a word's longest increasing run is at least n - |sigma|
+    (deleting one letter of each inversion leaves an increasing word).  A
+    word in the ball has |sigma| <= (n - d - 1)/2, so its increasing run is
+    at least (n + d + 1)/2 >= d, and its reversal (positions read backwards)
+    is d-bad.  Reversal is injective, so the ball has at most as many words
+    as the d-bad set.  It misses reversal(d) followed by the identity, which
+    is d-bad and the reversal of a word of length C(n, 2) - C(d, 2), at
+    least n - d and so outside the ball.  So the ball is strictly smaller
+    than the d-bad set, and good < theorem.  checked counts the degrees d.
+    """
     histogram = decreasing_histogram(n)
     failures = []
     info = []
@@ -139,6 +154,9 @@ def _run_dilworth(n: int) -> _Outcome:
             failures.append(f"n={n} d={d}: hook-length count {count} != swept count {swept}")
         if count > ceiling:
             failures.append(f"n={n} d={d}: {count} good exceeds {ceiling}")
+        bound = theorem_bound(n, d)
+        if count >= bound:
+            failures.append(f"n={n} d={d}: {count} good not below the theorem bound {bound}")
     return len(info), failures, info
 
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, strategies as st
 
 import codimgeo
 from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, ball_radius, compare_bounds
-from codimgeo.cli import _JSON_BATCH, Result, _json_text, _write, _write_json, main
+from codimgeo.cli import _JSON_BATCH, Result, Table, _json_text, _write, _write_json, main
 from codimgeo.errors import FalsificationError
 from codimgeo.greedy import _reorder_lengths, chunk_stats, left_greedy_form, rearrangements
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
@@ -459,6 +459,21 @@ def test_verify_dilworth_reports_a_count_above_its_ceiling(capsys, monkeypatch):
     assert "FAIL" in out
     counterexamples = [line for line in out.splitlines() if "counterexample" in line]
     assert counterexamples[0] == "  dilworth counterexample: n=2 d=2: 1 good exceeds 0"
+
+
+def test_verify_dilworth_reports_a_count_not_below_the_theorem_bound(capsys, monkeypatch):
+    # a theorem bound equal to the good count: good < bound fails at every (n, d), alone
+    monkeypatch.setattr("codimgeo.verify.theorem_bound", count_d_good)
+    code, out, _ = run(capsys, "verify", "--n-max", "4", "--suites", "dilworth")
+    assert code == 1
+    assert out.splitlines()[1].split() == ["dilworth", "4", "6", "FAIL"]  # checked unchanged
+    counterexamples = [line for line in out.splitlines() if "counterexample" in line]
+    assert counterexamples == [
+        f"  dilworth counterexample: n={n} d={d}: {count_d_good(n, d)} good not below "
+        f"the theorem bound {count_d_good(n, d)}"
+        for n in range(2, 5)
+        for d in range(2, n + 1)
+    ]
 
 
 def test_verify_main_propagates_other_errors(monkeypatch):
@@ -1531,7 +1546,13 @@ def test_json_writer_rejects_a_non_str_key():
 
 def test_no_cli_payload_has_a_non_str_key(capsys, monkeypatch):
     # the writer raises on a non-str key; no payload of any command shape has one
+    tables = []
+
     def keys(obj):
+        if isinstance(obj, Table):  # the keys of each of its objects
+            tables.append(obj)
+            yield from obj.keys
+            obj = obj.rows
         if isinstance(obj, dict):
             yield from obj
             obj = list(obj.values())
@@ -1545,6 +1566,85 @@ def test_no_cli_payload_has_a_non_str_key(capsys, monkeypatch):
         assert run(capsys, *argv, "--format", "json")[0] == 0
     assert len(payloads) == len(GOLDEN_SHAPES)
     assert all(isinstance(key, str) for payload in payloads for key in keys(payload))
+    # bounds, crossover and the four single steps
+    assert sorted(table.keys for table in tables) == sorted(
+        [("n", "classic", "theorem", "phi", "factorial", "winner"), ("d", "n")]
+        + [("perm", "word_length")] * 4
+    )
+
+
+_TABLE_STRS = st.one_of(
+    st.text(),
+    st.sampled_from(
+        ['"', "\\", "\x00\x1f\x7f\n\t", "é€😀\u2028", 'a"b\\c', "%s", "%%", "%(k)s"]
+    ),
+)
+_TABLE_INTS = st.one_of(
+    st.integers(min_value=-(2**100), max_value=10**300),
+    st.sampled_from([-(2**100), 10**300, 0, -1]),
+)
+
+
+@st.composite
+def _tables(draw):
+    keys = draw(st.lists(_TABLE_STRS, max_size=4, unique=True))
+    columns = [draw(st.sampled_from([_TABLE_STRS, _TABLE_INTS])) for _ in keys]
+    return Table(tuple(keys), draw(st.lists(st.tuples(*columns), max_size=5)))
+
+
+@given(_tables())
+@example(Table(("perm", "word_length"), []))
+@example(Table(("perm", "word_length"), [("3,1,2", 2)]))
+@example(Table((), [(), ()]))
+def test_table_writer_matches_json_dumps_of_its_dicts(table):
+    dicts = [dict(zip(table.keys, row)) for row in table.rows]
+    assert _json_text(table) == json.dumps(dicts, indent=2)
+    assert _json_text({"a": [table, 1], "b": table}) == json.dumps(
+        {"a": [dicts, 1], "b": dicts}, indent=2
+    )
+
+
+def test_table_writer_writes_in_batches():
+    # a row of three keys counts as the four chunks of its dict: more than _JSON_BATCH
+    # rows, four full batches and five more, make five writes, the last with the brackets
+    size = _JSON_BATCH // 4
+    rows = [(f'"{i}"\\%s', i * 10**40, "é") for i in range(4 * size + 5)]
+    table = Table(("perm", "length", "note"), rows)
+    pieces = []
+    _write_json({"rows": table}, pieces.append)
+    expected = json.dumps({"rows": [dict(zip(table.keys, row)) for row in rows]}, indent=2)
+    assert "".join(pieces) == expected
+    assert len(rows) > _JSON_BATCH
+    assert [piece.count('"perm": ') for piece in pieces] == [size] * 4 + [5]
+
+
+@pytest.mark.parametrize(
+    "column, kinds",
+    [
+        ([True, False], "bool"),
+        ([1, True], "bool, int"),
+        ([1.5, 2], "float, int"),
+        ([None], "NoneType"),
+        (["1", 1], "int, str"),
+    ],
+    ids=["bool", "bool-and-int", "float", "none", "str-and-int"],
+)
+def test_table_writer_refuses_a_column_of_other_cells(column, kinds):
+    table = Table(("perm", "word_length"), [("1", cell) for cell in column])
+    with pytest.raises(TypeError) as raised:
+        _json_text(table)
+    assert str(raised.value) == f"column 'word_length' must be all str or all int, not {kinds}"
+
+
+def test_table_writer_refuses_a_non_str_key_or_a_malformed_row():
+    with pytest.raises(TypeError) as raised:
+        _json_text(Table(("perm", 1), [("1", 0)]))
+    assert str(raised.value) == "keys must be str, not int"
+    # dict(zip(keys, row)) would drop the cells or keys past the shorter one
+    with pytest.raises(ValueError):
+        _json_text(Table(("perm", "word_length"), [("1", 0), ("2",)]))
+    with pytest.raises(ValueError):
+        _json_text(Table(("perm",), [("1", 0)]))
 
 
 def test_json_output_needs_no_pure_python_encoder(capsys, tmp_path, monkeypatch):

@@ -240,6 +240,26 @@ def test_reorder_lengths_match_word_length():
     assert checked == 1_399_466
 
 
+def test_reorder_lengths_past_the_exhaustive_range():
+    # 7 and 8 blocks, which the sweep above never reaches: a seeded word, head and
+    # split per degree 9 <= n <= 14, each child counted by word_length
+    rng = random.Random(28)
+    checked = 0
+    for n in range(9, 15):
+        p = tuple(rng.sample(range(1, n + 1), n))
+        for count in (7, 8):
+            head = rng.randrange(n - count + 1)
+            cuts = sorted(rng.sample(range(head + 1, n), count - 1))
+            bounds = (head, *cuts, n)
+            blocks = [p[a:b] for a, b in zip(bounds, bounds[1:])]
+            expected = tuple(map(word_length, _reorder(p[:head], blocks)))
+            assert _reorder_lengths(word_length(p), blocks) == expected, (p, head, cuts)
+            checked += len(expected)
+    assert checked == 6 * (5039 + 40319)
+    # no block, or one, has no nonidentity order
+    assert _reorder_lengths(3, []) == _reorder_lengths(3, [(2, 1)]) == ()
+
+
 def test_reorder_text_matches_one_line():
     # every head and every split of the rest into 2 or more blocks, n <= 5
     checked = 0
