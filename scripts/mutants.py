@@ -29,13 +29,90 @@ PYTEST = (sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider")
 SELF_CHECK = "--deselect=tests/test_scripts.py::test_mutant_list_matches_the_tree"
 
 MUTANTS = (
-    # the scale cap compared with >=: every exhaustive operation refuses its own cap
+    # the cap compared with >=: every capped operation refuses its own cap
     (
         "src/codimgeo/errors.py",
-        "    if n > cap:\n",
-        "    if n >= cap:\n",
+        "    if value > cap:\n",
+        "    if value >= cap:\n",
         "killed",
         "tests/test_acceptance.py::test_criterion_03_word_metric_equals_bfs",
+    ),
+    # the cap raising a plain ValueError, not ScaleError
+    (
+        "src/codimgeo/errors.py",
+        '        raise ScaleError(f"{operation} is capped',
+        '        raise ValueError(f"{operation} is capped',
+        "killed",
+        "tests/test_bounds.py::test_crossover_cap",
+    ),
+    # check_scale without the degree rule: n = 0 passes every cap
+    (
+        "src/codimgeo/errors.py",
+        "    check_degree(n)\n    check_cap(n, cap, operation)\n",
+        "    check_cap(n, cap, operation)\n",
+        "killed",
+        "tests/test_errors.py::test_precondition_table[mahonian_row n=0]",
+    ),
+    # a hand cap guard back in mahonian_row, with its own ValueError
+    (
+        "src/codimgeo/mahonian.py",
+        '    check_scale(n, ROW_MAX_N, "a full row")\n',
+        "    check_degree(n)\n"
+        "    if n > ROW_MAX_N:\n"
+        '        raise ValueError(f"a full row is capped at n <= {ROW_MAX_N}, got n = {n}")\n',
+        "killed",
+        "tests/test_errors.py::test_cap_table[mahonian_row]",
+    ),
+    # compare_bounds' cap checked at its last degree, after every smaller row is built
+    (
+        "src/codimgeo/bounds.py",
+        '    check_cap(n_max, BOUNDS_MAX_N, "a bounds table", "n_max")\n'
+        "    radius = ball_radius(n_max, d)\n"
+        "    heads = itertools.islice(_heads(radius), d - 1, None)\n"
+        "    factorial = math.factorial(d - 1)\n"
+        "    rows = []\n"
+        "    for n, head in zip(range(d, n_max + 1), heads):\n",
+        "    radius = ball_radius(n_max, d)\n"
+        "    heads = itertools.islice(_heads(radius), d - 1, None)\n"
+        "    factorial = math.factorial(d - 1)\n"
+        "    rows = []\n"
+        "    for n, head in zip(range(d, n_max + 1), heads):\n"
+        "        if n == n_max:\n"
+        '            check_cap(n_max, BOUNDS_MAX_N, "a bounds table", "n_max")\n',
+        "killed",
+        "tests/test_cli.py::test_bounds_degree_limit",
+    ),
+    # classic_bound without the degree rule
+    (
+        "src/codimgeo/bounds.py",
+        "    check_degree(n)\n    return (d - 1) ** (2 * n)\n",
+        "    return (d - 1) ** (2 * n)\n",
+        "killed",
+        "tests/test_errors.py::test_precondition_table[classic_bound n=0]",
+    ),
+    # the ball radius floor((n - d)/2), not ceil: the ball loses its outer layer when n - d is odd
+    (
+        "src/codimgeo/bounds.py",
+        "    return (n - d + 1) // 2\n",
+        "    return (n - d) // 2\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_08_ball_escape_closure_and_strict_bound",
+    ),
+    # run_suite skipping degree 1
+    (
+        "src/codimgeo/verify.py",
+        "range(1, n_max + 1)",
+        "range(2, n_max + 1)",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_03_word_metric_equals_bfs",
+    ),
+    # run_suite starting at the suite's first degree: main's runner no longer runs at n = 2
+    (
+        "src/codimgeo/verify.py",
+        "range(1, n_max + 1)",
+        "range(SUITES[name].min_n, n_max + 1)",
+        "killed",
+        "tests/test_cli.py::test_main_reports_its_empty_ball_at_degree_two",
     ),
     # decreasing_table without its cap: n = 0 passes and n = 10 sweeps 10! words
     (

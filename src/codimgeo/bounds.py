@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import check_d, check_d_within, check_degree
+from .errors import check_cap, check_d, check_d_within, check_degree
 from .mahonian import _heads, ball_complement_count
 
 WINNER_CLASSIC = "classic"
@@ -136,8 +136,7 @@ def crossover_n(d: int) -> int:
     [2, 9, 22, 41]
     """
     check_d(d)
-    if d > CROSSOVER_MAX_D:
-        raise ValueError(f"crossover is capped at d <= {CROSSOVER_MAX_D}, got d = {d}")
+    check_cap(d, CROSSOVER_MAX_D, "crossover", "d")
     return _least_factorial_dominance((d - 1) ** 2)
 
 
@@ -213,8 +212,7 @@ def compare_bounds(d: int, n_max: int) -> tuple[BoundRow, ...]:
     check_d(d)
     if n_max < d:
         raise ValueError(f"need n_max >= d, got n_max = {n_max}, d = {d}")
-    if n_max > BOUNDS_MAX_N:
-        raise ValueError(f"a bounds table is capped at n_max <= {BOUNDS_MAX_N}, got {n_max}")
+    check_cap(n_max, BOUNDS_MAX_N, "a bounds table", "n_max")
     radius = ball_radius(n_max, d)
     heads = itertools.islice(_heads(radius), d - 1, None)
     factorial = math.factorial(d - 1)

@@ -47,7 +47,7 @@ from typing import Callable, TextIO
 
 from . import __version__
 from .bounds import CROSSOVER_MAX_D, compare_bounds, crossover_n
-from .errors import FalsificationError
+from .errors import FalsificationError, check_cap
 from .greedy import chunk_stats, left_greedy_form
 from .mahonian import brute_force_row, mahonian_knuth, mahonian_row
 from .perm import one_line, parse_permutation, word_length
@@ -108,15 +108,16 @@ def _dump(obj, newline: str, out: list[str], write: Callable[[str], object]) -> 
     """Append the chunks of json.dumps(obj, indent=2) to out, at indent newline.
 
     newline is "\n" and the current indent.  Strings are quoted by json's own
-    escaper and exact ints by int.__repr__; a str item, or an int dict value,
-    goes out with its separator as one chunk.  Any other scalar (bool, None,
-    float) goes through json.dumps, so true, null, Infinity and NaN match by
-    construction, a tuple renders as a list, and a Table as its list of
-    objects (_dump_table).  A dict key must be a str: json would convert
-    other keys, and no codim payload has one.  After each list item, more
-    than _JSON_BATCH pending chunks are joined, passed to write and cleared.
-    Every long codim payload is a list or a Table or holds them, so a dict's
-    own items go unchecked, which keeps small payloads cheap.
+    escaper and exact ints by int.__repr__; a str list item goes out with its
+    separator as one chunk, and a dict value after its key's chunk.  Any
+    other scalar (bool, None, float) goes through json.dumps, so true, null,
+    Infinity and NaN match by construction, a tuple renders as a list, and a
+    Table as its list of objects (_dump_table).  A dict key must be a str:
+    json would convert other keys, and no codim payload has one.  After each
+    list item, more than _JSON_BATCH pending chunks are joined, passed to
+    write and cleared.  Every long codim payload is a list or a Table or
+    holds them, so a dict's own items go unchecked, which keeps small
+    payloads cheap.
     """
     inner = newline + "  "
     if isinstance(obj, dict):
@@ -127,13 +128,8 @@ def _dump(obj, newline: str, out: list[str], write: Callable[[str], object]) -> 
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            if isinstance(value, str):
-                out.append(sep + _quote(key) + ": " + _quote(value))
-            elif type(value) is int:
-                out.append(sep + _quote(key) + ": " + int.__repr__(value))
-            else:
-                out.append(sep + _quote(key) + ": ")
-                _dump(value, inner, out, write)
+            out.append(sep + _quote(key) + ": ")
+            _dump(value, inner, out, write)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(obj, (list, tuple)):
@@ -375,9 +371,8 @@ def _cmd_bounds(args) -> Result:
 def _cmd_crossover(args) -> Result:
     if args.d_max < 2:
         raise ValueError("--d-max must be at least 2")
-    if args.d_max > CROSSOVER_MAX_D:
-        # crossover_n refuses it too, but only after every smaller degree has run
-        raise ValueError(f"--d-max must be at most {CROSSOVER_MAX_D}")
+    # crossover_n refuses it too, but only after every smaller degree has run
+    check_cap(args.d_max, CROSSOVER_MAX_D, "crossover", "d")
     columns = ("d", "n")
     rows = [(d, crossover_n(d)) for d in range(2, args.d_max + 1)]
     return Result(

@@ -1,4 +1,4 @@
-"""Shared exception types, the argument rules and the scale check.
+"""Shared exception types, the argument rules and the cap rule.
 
 Three rules on the degree n and on d (as in d-good, d pieces) are stated
 here once, each with its one message, and every library function that
@@ -6,15 +6,18 @@ takes n or d calls the check for its rule: check_degree (n >= 1), check_d
 (d >= 2) and check_d_within (2 <= d <= n).  A bad argument raises
 ValueError.
 
-Exhaustive operations (Cayley BFS, closures, brute-force counting) carry a
-hard per-operation cap on n; check_scale applies the degree rule first, then
-the cap.
+Every operation whose cost grows without limit in its argument carries a
+hard cap on it: the exhaustive ones (Cayley BFS, closures, brute-force
+counting) and the others (a full Mahonian row, a bounds table, the
+crossover, a single step).  check_cap states the cap rule once and raises
+ScaleError, before any work; check_scale applies the degree rule first,
+then the cap on n.
 """
 from __future__ import annotations
 
 
 class ScaleError(ValueError):
-    """An exhaustive operation was requested beyond its enforced cap."""
+    """An operation was requested beyond its enforced cap (check_cap)."""
 
 
 class FalsificationError(RuntimeError):
@@ -52,8 +55,13 @@ def check_d_within(d: int, n: int) -> None:
         raise ValueError(f"need 2 <= d <= n, got d = {d}, n = {n}")
 
 
+def check_cap(value: int, cap: int, operation: str, name: str = "n") -> None:
+    """The cap rule: ScaleError if the argument called name exceeds the operation's cap."""
+    if value > cap:
+        raise ScaleError(f"{operation} is capped at {name} <= {cap}, got {name} = {value}")
+
+
 def check_scale(n: int, cap: int, operation: str) -> None:
-    """The degree rule, then ScaleError if n exceeds the operation's cap."""
+    """The degree rule, then the cap rule on n."""
     check_degree(n)
-    if n > cap:
-        raise ScaleError(f"{operation} is capped at n <= {cap}, got n = {n}")
+    check_cap(n, cap, operation)

@@ -26,7 +26,7 @@ at least d, read off perm.decreasing_table(n), one table for every d.
 Traces record every expansion edge, and the recorded depth is the longest
 rewrite chain, bounded by C(n,2) in main mode (word length ascends) and by
 the dictionary order in classic mode (images descend).  A step builds d! - 1
-children, so it is capped at d <= STEP_MAX_D.
+children, so its d has a cap, STEP_MAX_D.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .bounds import ball_radius
-from .errors import FalsificationError, check_d_within, check_scale
+from .errors import FalsificationError, check_cap, check_d_within, check_scale
 from .greedy import _pieces, _reorder, _reorder_lengths, _reorder_text, chunk_preserving_cuts
 from .mahonian import ball_complement_count
 from .perm import (
@@ -75,8 +75,7 @@ class ReductionTrace:
 
 def _check_step_degree(n: int, d: int) -> None:
     check_d_within(d, n)
-    if d > STEP_MAX_D:
-        raise ValueError(f"a step is capped at d <= {STEP_MAX_D}, got d = {d}")
+    check_cap(d, STEP_MAX_D, "a step", "d")
 
 
 def _witness_blocks(p: Image, d: int) -> tuple[Image, list[Image]]:

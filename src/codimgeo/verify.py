@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Callable
 
 from .bounds import ball_radius, classic_bound, theorem_bound
-from .errors import FalsificationError
+from .errors import FalsificationError, check_cap
 from .greedy import (
     chunk_preserving_cuts,
     chunk_stats,
@@ -297,7 +297,10 @@ SUITES: dict[str, Suite] = {
 
 
 def check_request(name: str, n_max: int | None = None) -> int:
-    """The degree cap a run of suite name uses; ValueError for a bad request."""
+    """The degree cap a run of suite name uses.
+
+    ValueError for a bad request, and ScaleError past the suite's cap.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r} (known: {','.join(SUITES)})")
     suite = SUITES[name]
@@ -305,8 +308,7 @@ def check_request(name: str, n_max: int | None = None) -> int:
         n_max = suite.default_n
     if n_max < suite.min_n:
         raise ValueError(f"suite {name} needs n_max at least {suite.min_n}, got {n_max}")
-    if n_max > suite.cap:
-        raise ValueError(f"suite {name} is capped at n <= {suite.cap}, got {n_max}")
+    check_cap(n_max, suite.cap, f"suite {name}")
     return n_max
 
 

@@ -18,6 +18,7 @@ from codimgeo.bounds import (
     q_constant,
     theorem_bound,
 )
+from codimgeo.errors import ScaleError
 from codimgeo.mahonian import mahonian_row
 
 
@@ -130,7 +131,7 @@ def test_robbins_verdict_agrees_with_exact_integers():
 
 
 def test_crossover_cap():
-    with pytest.raises(ValueError, match=f"d <= {CROSSOVER_MAX_D}"):
+    with pytest.raises(ScaleError, match=f"d <= {CROSSOVER_MAX_D}"):
         crossover_n(CROSSOVER_MAX_D + 1)
 
 

@@ -195,11 +195,17 @@ def test_guard_paths_pin_stderr(capsys, argv, err):
 
 
 def test_bounds_degree_limit(capsys, monkeypatch):
-    # refused before any row is computed
-    monkeypatch.setattr("codimgeo.bounds.theorem_bound", lambda n, d: pytest.fail(f"computed n = {n}"))
-    code, out, err = run(capsys, "bounds", "--d", "3", "--n-max", str(BOUNDS_MAX_N + 1))
+    # refused before any row is computed: each function compare_bounds builds its rows from fails
+    for target in (
+        "codimgeo.bounds._heads",
+        "codimgeo.bounds.classic_bound",
+        "codimgeo.bounds.complement_lower_bound",
+    ):
+        monkeypatch.setattr(target, lambda *args, target=target: pytest.fail(f"ran {target}"))
+    n_max = BOUNDS_MAX_N + 1
+    code, out, err = run(capsys, "bounds", "--d", "3", "--n-max", str(n_max))
     assert (code, out) == (2, "")
-    assert err == f"error: a bounds table is capped at n_max <= {BOUNDS_MAX_N}, got {BOUNDS_MAX_N + 1}\n"
+    assert err == f"error: a bounds table is capped at n_max <= {BOUNDS_MAX_N}, got n_max = {n_max}\n"
 
 
 def test_crossover_table(capsys):
@@ -215,9 +221,10 @@ def test_crossover_table(capsys):
 def test_crossover_degree_limit(capsys, monkeypatch):
     # refused before any crossover is computed
     monkeypatch.setattr("codimgeo.cli.crossover_n", lambda d: pytest.fail(f"computed d = {d}"))
-    code, out, err = run(capsys, "crossover", "--d-max", str(CROSSOVER_MAX_D + 1))
+    d_max = CROSSOVER_MAX_D + 1
+    code, out, err = run(capsys, "crossover", "--d-max", str(d_max))
     assert (code, out) == (2, "")
-    assert err == f"error: --d-max must be at most {CROSSOVER_MAX_D}\n"
+    assert err == f"error: crossover is capped at d <= {CROSSOVER_MAX_D}, got d = {d_max}\n"
 
 
 def test_verify_selected_suites(capsys):

@@ -1,4 +1,4 @@
-"""The argument rules: one statement each in errors, one precondition table."""
+"""The argument rules and the cap rule: one statement each in errors, one table each."""
 import re
 from pathlib import Path
 
@@ -6,6 +6,8 @@ import pytest
 
 import codimgeo
 from codimgeo.bounds import (
+    BOUNDS_MAX_N,
+    CROSSOVER_MAX_D,
     ball_radius,
     classic_bound,
     compare_bounds,
@@ -16,6 +18,8 @@ from codimgeo.bounds import (
 )
 from codimgeo.errors import ScaleError
 from codimgeo.mahonian import (
+    BRUTE_FORCE_MAX_N,
+    ROW_MAX_N,
     ball_complement_count,
     ball_count,
     brute_force_row,
@@ -23,6 +27,8 @@ from codimgeo.mahonian import (
     mahonian_row,
 )
 from codimgeo.perm import (
+    CAYLEY_BFS_MAX_N,
+    COUNT_GOOD_MAX_N,
     Permutation,
     ball_layers,
     cayley_distance_bfs,
@@ -35,7 +41,16 @@ from codimgeo.perm import (
     length_table,
     validate_inversion_set,
 )
-from codimgeo.reduction import classic_closure, classic_step, main_closure, main_step
+from codimgeo.reduction import (
+    CLASSIC_CLOSURE_MAX_N,
+    MAIN_CLOSURE_MAX_N,
+    STEP_MAX_D,
+    classic_closure,
+    classic_step,
+    main_closure,
+    main_step,
+)
+from codimgeo.verify import SUITES, check_request
 
 DEGREE = "degree must be at least 1"
 
@@ -125,6 +140,88 @@ def test_precondition_table(case):
     assert str(info.value) == message
 
 
+def capped(operation, cap, name="n"):
+    return f"{operation} is capped at {name} <= {cap}, got {name} = {cap + 1}"
+
+
+def word(n):
+    return tuple(range(1, n + 1))
+
+
+# (call, exact message): every capped entry point one past its cap, with
+# arguments that pass every rule, so only the cap can refuse it.
+CAPS = {
+    # perm
+    "cayley_distance_bfs": (
+        lambda: cayley_distance_bfs(word(CAYLEY_BFS_MAX_N + 1)),
+        capped("cayley_distance_bfs", CAYLEY_BFS_MAX_N),
+    ),
+    "count_d_good": (
+        lambda: count_d_good(COUNT_GOOD_MAX_N + 1, 3),
+        capped("count_d_good", COUNT_GOOD_MAX_N),
+    ),
+    "decreasing_table": (
+        lambda: decreasing_table(COUNT_GOOD_MAX_N + 1),
+        capped("decreasing_table", COUNT_GOOD_MAX_N),
+    ),
+    # the histogram refuses through its table
+    "decreasing_histogram": (
+        lambda: decreasing_histogram(COUNT_GOOD_MAX_N + 1),
+        capped("decreasing_table", COUNT_GOOD_MAX_N),
+    ),
+    "length_table": (
+        lambda: length_table(COUNT_GOOD_MAX_N + 1),
+        capped("length_table", COUNT_GOOD_MAX_N),
+    ),
+    # mahonian
+    "brute_force_row": (
+        lambda: brute_force_row(BRUTE_FORCE_MAX_N + 1),
+        capped("brute_force_row", BRUTE_FORCE_MAX_N),
+    ),
+    "mahonian_row": (lambda: mahonian_row(ROW_MAX_N + 1), capped("a full row", ROW_MAX_N)),
+    # bounds
+    "compare_bounds": (
+        lambda: compare_bounds(3, BOUNDS_MAX_N + 1),
+        capped("a bounds table", BOUNDS_MAX_N, "n_max"),
+    ),
+    "crossover_n": (
+        lambda: crossover_n(CROSSOVER_MAX_D + 1),
+        capped("crossover", CROSSOVER_MAX_D, "d"),
+    ),
+    # reduction
+    "classic_closure": (
+        lambda: classic_closure(CLASSIC_CLOSURE_MAX_N + 1, 3),
+        capped("classic_closure", CLASSIC_CLOSURE_MAX_N),
+    ),
+    "main_closure": (
+        lambda: main_closure(MAIN_CLOSURE_MAX_N + 1, 3),
+        capped("main_closure", MAIN_CLOSURE_MAX_N),
+    ),
+    "classic_step": (
+        lambda: classic_step(word(40)[::-1], STEP_MAX_D + 1),
+        capped("a step", STEP_MAX_D, "d"),
+    ),
+    "main_step": (
+        lambda: main_step(word(40), STEP_MAX_D + 1),
+        capped("a step", STEP_MAX_D, "d"),
+    ),
+    # verify
+    "check_request": (
+        lambda: check_request("metric", SUITES["metric"].cap + 1),
+        capped("suite metric", SUITES["metric"].cap),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CAPS)
+def test_cap_table(case):
+    call, message = CAPS[case]
+    with pytest.raises(ScaleError) as info:
+        call()
+    assert type(info.value) is ScaleError
+    assert str(info.value) == message
+
+
 def test_d_past_n_is_accepted_where_no_rule_needs_d_within_n():
     assert is_d_good((1, 2, 3), 4)
     assert find_d_bad_witness((3, 2, 1), 4) is None
@@ -132,18 +229,10 @@ def test_d_past_n_is_accepted_where_no_rule_needs_d_within_n():
     assert classic_bound(3, 4) == 3**6
 
 
-def test_histogram_refuses_through_its_table():
-    with pytest.raises(ScaleError, match="^decreasing_table is capped at n <= 9, got n = 10$"):
-        decreasing_histogram(10)
-
-
-def test_length_table_refuses_past_its_cap():
-    with pytest.raises(ScaleError, match="^length_table is capped at n <= 9, got n = 10$"):
-        length_table(10)
-
-
-RULE_MESSAGES = (DEGREE, "d must be at least 2, got", "need 2 <= d <= n, got")
+RULE_MESSAGES = (DEGREE, "d must be at least 2, got", "need 2 <= d <= n, got", "is capped at")
 HAND_GUARD = re.compile(r"\bif\s+(?:n\s*<\s*1\b|d\s*<\s*2\b|n\s*<\s*d\b|not\s*\(\s*2\s*<=\s*d\s*<=\s*n\s*\))")
+# an if that compares with a cap (a *_MAX_* constant or a name cap) and then raises
+HAND_CAP = re.compile(r"\bif\b[^\n]*(?:\w_MAX_\w|\bcap\b)[^\n]*:\s*(?:#[^\n]*\s*)*raise\b")
 
 
 def test_each_rule_is_stated_once_in_errors():
@@ -154,3 +243,4 @@ def test_each_rule_is_stated_once_in_errors():
     for name, text in sources.items():
         if name != "errors.py":
             assert not HAND_GUARD.search(text), name
+            assert not HAND_CAP.search(text), name

@@ -90,7 +90,7 @@ def test_row_equals_full_row_oracle():
 
 
 def test_row_cap():
-    with pytest.raises(ValueError, match=f"n <= {ROW_MAX_N}"):
+    with pytest.raises(ScaleError, match=f"n <= {ROW_MAX_N}"):
         mahonian_row(ROW_MAX_N + 1)
 
 
