@@ -1,7 +1,7 @@
 """Rerun the pinned mutants: each recorded edit to the package must meet its recorded fate.
 
 Each entry of MUTANTS is (file, old, new, status, first_failing_test): a
-file under src/, a text that must occur in it exactly once, its
+file under src/ or tests/, a text that must occur in it exactly once, its
 replacement, and "killed" (a tier-1 test fails) or "survives" (a known gap:
 every test passes, and the comment above it says why), with the test that
 fails first ("" for a survivor).  For each entry the script copies src/,
@@ -233,6 +233,59 @@ MUTANTS = (
         "if count > bound:",
         "killed",
         "tests/test_cli.py::test_verify_dilworth_reports_a_count_not_below_the_theorem_bound",
+    ),
+    # the closed form's pentagonal sign flipped: every term negated
+    (
+        "src/codimgeo/mahonian.py",
+        "            total += -term if j % 2 else term\n",
+        "            total += term if j % 2 else -term\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_02_closed_form_matches_product",
+    ),
+    # the closed form's binomial top one too high: C(n + k - g, n - 1)
+    (
+        "src/codimgeo/mahonian.py",
+        "math.comb(n - 1 + k - g, n - 1)",
+        "math.comb(n + k - g, n - 1)",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_02_closed_form_matches_product",
+    ),
+    # the closed form's j range without its last j, whose g = j(3j - 1)/2 is <= k
+    (
+        "src/codimgeo/mahonian.py",
+        "for j in range(-m, m + 1):",
+        "for j in range(-m, m):",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_02_closed_form_matches_product",
+    ),
+    # a hand degree guard back in the CLI, restating mahonian_row's rule; the
+    # stderr pin fails first, and HAND_GUARD in test_errors also kills it
+    (
+        "src/codimgeo/cli.py",
+        "def _cmd_mahonian(args) -> Result:\n",
+        "def _cmd_mahonian(args) -> Result:\n"
+        "    if args.n < 1:\n"
+        '        raise ValueError("--n must be at least 1")\n',
+        "killed",
+        "tests/test_cli.py::test_guard_paths_pin_stderr[mahonian --n 0-degree must be at least 1]",
+    ),
+    # the s_4 certificate with one coefficient raised: it no longer vanishes on every consequence
+    (
+        "tests/test_identity.py",
+        "    (5, 4, 3, 2, 1): 3,\n",
+        "    (5, 4, 3, 2, 1): 4,\n",
+        "killed",
+        "tests/test_identity.py::test_good_words_outside_the_ball_need_not_span_modulo_one_identity",
+    ),
+    # the pentagonal numbers as j(3j + 1)/2: j -> -j maps them onto j(3j - 1)/2
+    # and keeps (-1)^j, and the j range is symmetric, so the terms are the same;
+    # an equivalent mutant, which no test can kill
+    (
+        "src/codimgeo/mahonian.py",
+        "g = j * (3 * j - 1) // 2",
+        "g = j * (3 * j + 1) // 2",
+        "survives",
+        "",
     ),
     # the cut search admits one atom too many: it enters branches that yield
     # nothing, which changes no cut tuple, only the work; a test that counts

@@ -15,7 +15,7 @@ import argparse
 import math
 
 from codimgeo.bounds import complement_lower_bound, mahonian_asymptotic, q_constant
-from codimgeo.mahonian import ROW_MAX_N, mahonian_row
+from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
 
 # I_n(n - k) at k = 0 lies inside the row only when n <= C(n, 2)
 RATIO_MIN_N = 3
@@ -25,11 +25,10 @@ PHI_MAX_N = 200
 
 def ratio_table(n, k_max):
     q = q_constant()
-    row = mahonian_row(n)
     print(f"# tail accuracy at n = {n} (q = {q:.13f})")
     print(f"{'k':>3}  {'exact':>24}  {'estimate':>14}  {'est/exact':>9}")
     for k in range(0, k_max + 1):
-        exact = row[n - k]
+        exact = mahonian_knuth(n, n - k)
         value, _ = mahonian_asymptotic(n, k)
         print(f"{k:>3}  {exact:>24}  {value:>14.6e}  {value / exact:>9.4f}")
 
@@ -52,6 +51,7 @@ def main(argv=None):
     parser.add_argument("--phi-from", type=int, default=20)
     parser.add_argument("--phi-to", type=int, default=40)
     args = parser.parse_args(argv)
+    # mahonian_knuth has no cost guard of its own, so --n keeps a full row's cap
     if not RATIO_MIN_N <= args.n <= ROW_MAX_N:
         parser.error(f"--n must be in {RATIO_MIN_N}..{ROW_MAX_N}, got {args.n}")
     if not 0 <= args.k_max <= args.n:

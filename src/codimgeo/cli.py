@@ -47,7 +47,7 @@ from typing import Callable, TextIO
 
 from . import __version__
 from .bounds import CROSSOVER_MAX_D, compare_bounds, crossover_n
-from .errors import FalsificationError, check_cap
+from .errors import FalsificationError, check_cap, check_d
 from .greedy import chunk_stats, left_greedy_form
 from .mahonian import brute_force_row, mahonian_knuth, mahonian_row
 from .perm import one_line, parse_permutation, word_length
@@ -328,8 +328,6 @@ def _render(args, result: Result) -> None:
 
 
 def _cmd_mahonian(args) -> Result:
-    if args.n < 1:
-        raise ValueError("--n must be at least 1")
     row = mahonian_row(args.n)
     after = ()
     if args.check:
@@ -369,9 +367,9 @@ def _cmd_bounds(args) -> Result:
 
 
 def _cmd_crossover(args) -> Result:
-    if args.d_max < 2:
-        raise ValueError("--d-max must be at least 2")
-    # crossover_n refuses it too, but only after every smaller degree has run
+    # the loop below calls crossover_n at no d under 2, and at d_max only after
+    # every smaller degree has run, so both rules are checked here first
+    check_d(args.d_max)
     check_cap(args.d_max, CROSSOVER_MAX_D, "crossover", "d")
     columns = ("d", "n")
     rows = [(d, crossover_n(d)) for d in range(2, args.d_max + 1)]
@@ -399,8 +397,8 @@ def _cmd_verify(args) -> Result:
             "n_max": r.n_max,
             "checked": r.checked,
             "passed": r.passed,
-            "failures": list(r.failures),
-            "info": list(r.info),
+            "failures": r.failures,
+            "info": r.info,
         }
         for r in results
     ]
@@ -433,8 +431,8 @@ def _cmd_greedy(args) -> Result:
         shown.append(f"({letters})" if kind == "y" else f"[{letters}]")
     payload = {
         "perm": one_line(perm),
-        "chunks": [list(chunk) for chunk in chunks],
-        "gaps": [None if gap is None else list(gap) for gap in gaps],
+        "chunks": chunks,
+        "gaps": gaps,
         "stats": {
             "chunk_count": chunk_count,
             "total_chunk_length": chunk_letters,

@@ -13,9 +13,9 @@ I_n(0..C(n,2)); a ball count needs only the head below its radius, in O(n L)
 big-integer additions, and bounds.compare_bounds reads one head per degree
 from the same sequence.  The brute-force histogram counts each word's
 inversions on its own, over all n! words, and stays a test oracle.  A
-closed form due to Knuth expresses I_n(k) as an alternating sum of binomials
-indexed by the generalized pentagonal numbers.  Radii are integers: word
-lengths are, so a real radius K acts as ceil(K).
+closed form due to Knuth expresses I_n(k), for k <= n, as one signed sum of
+binomials over Euler's generalized pentagonal numbers.  Radii are integers:
+word lengths are, so a real radius K acts as ceil(K).
 """
 from __future__ import annotations
 
@@ -83,15 +83,14 @@ def brute_force_row(n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _binom(a: int, b: int) -> int:
-    return math.comb(a, b) if b >= 0 else 0
-
-
 def mahonian_knuth(n: int, k: int) -> int:
     """Closed form for I_n(k), valid for 0 <= k <= n.
 
-    Alternating pentagonal-number sum; binomials with a negative lower index
-    vanish, and the sum terminates once both offsets go negative.
+    Knuth's form (TAOCP vol. 3, 5.1.1): the q-factorial is
+    prod_{i<=n} (1 - z^i) / (1 - z)^n, and up to z^n the product is Euler's
+    pentagonal series sum_j (-1)^j z^{j(3j - 1)/2} over all integers j, so
+    I_n(k) = sum (-1)^j C(n - 1 + k - g, n - 1) over every j with
+    g = j(3j - 1)/2 <= k.
 
     >>> mahonian_knuth(4, 3)
     6
@@ -101,19 +100,15 @@ def mahonian_knuth(n: int, k: int) -> int:
     check_degree(n)
     if not (0 <= k <= n):
         raise ValueError(f"closed form requires 0 <= k <= n, got k = {k}, n = {n}")
-    total = _binom(n + k - 1, k)
-    j = 1
-    while True:
-        u = j * (3 * j - 1) // 2  # the generalized pentagonal number
-        lower_far = k - u - j
-        lower_near = k - u
-        if lower_far < 0 and lower_near < 0:
-            return total
-        sign = -1 if j % 2 else 1
-        total += sign * (
-            _binom(n + lower_far - 1, lower_far) + _binom(n + lower_near - 1, lower_near)
-        )
-        j += 1
+    # g <= k exactly when |6j - 1| <= sqrt(24k + 1), so every such j lies in -m..m
+    m = (math.isqrt(24 * k + 1) + 1) // 6
+    total = 0
+    for j in range(-m, m + 1):
+        g = j * (3 * j - 1) // 2
+        if g <= k:
+            term = math.comb(n - 1 + k - g, n - 1)
+            total += -term if j % 2 else term
+    return total
 
 
 def ball_count(n: int, radius: int) -> int:

@@ -5,19 +5,19 @@ at its dictionary-least witness; every child is strictly dictionary-smaller,
 so iterating terminates with d-good support.  The main step decomposes a word
 of length below the threshold K = (n - d)/2 (for integer lengths, below
 ceil(K)) into d chunk-preserving pieces and rearranges; every child is
-strictly longer, so iterating drives all support out of the ball B(K).  It
-returns each child with the word length its growth check computed: the
-parent's length plus |P_a| |P_b| - 2 cross(a, b) for each piece pair a < b
-the child reverses, where cross(a, b) counts the inversions between pieces
-a and b (greedy._reorder_lengths: one table per step, and the lengths of
-every subset of the pieces' orders built from smaller subsets', about e
-C-level additions a child).
-Both steps build their children with greedy's one block-reordering kernel.
-classic_step returns bare children.  A single CLI step (_step_rows), in
-either mode, builds no child: it joins each child's text from its blocks'
-text (greedy._reorder_text), as it prices the length from the blocks'
-table; a classic child may also be shorter, since witness cuts need not be
-sum cuts.  main_step and _step_rows share one function for the main step's
+strictly longer, so iterating drives all support out of the ball B(K).  Its
+growth check prices each child without building it: the parent's length
+plus |P_a| |P_b| - 2 cross(a, b) for each piece pair a < b the child
+reverses, where cross(a, b) counts the inversions between pieces a and b
+(greedy._reorder_lengths: one table per step, and the lengths of every
+subset of the pieces' orders built from smaller subsets', about e C-level
+additions a child).
+Both steps build their children with greedy's one block-reordering kernel,
+and both return bare children.  A single CLI step (_step_rows), in either
+mode, builds no child: it joins each child's text from its blocks' text
+(greedy._reorder_text), as it prices the length from the blocks' table; a
+classic child may also be shorter, since witness cuts need not be sum
+cuts.  main_step and _step_rows share one function for the main step's
 checks (_main_pieces).
 
 A closure's sources are every rewritable word, and it rewrites each once.
@@ -103,13 +103,13 @@ def classic_step(p: Image, d: int) -> tuple[Image, ...]:
     return _reorder(*_witness_blocks(p, d))
 
 
-def main_step(p: Image, d: int) -> tuple[tuple[Image, int], ...]:
+def main_step(p: Image, d: int) -> tuple[Image, ...]:
     """Rearrange the lexicographically first d-piece chunk-preserving decomposition.
 
-    Returns each of the d! - 1 children with the word length its growth check
-    computed from one table of piece-pair weights (greedy._reorder_lengths),
-    not by counting each child.  Requires word_length(p) < ball_radius(n, d).
-    Each child must be strictly longer; a missing decomposition or a
+    Returns the d! - 1 children, each checked to be strictly longer than p
+    by its length priced from one table of piece-pair weights
+    (greedy._reorder_lengths), not by counting the child.  Requires
+    word_length(p) < ball_radius(n, d).  A missing decomposition or a
     non-increasing child is a falsification event, raised as
     FalsificationError rather than ignored.
 
@@ -122,10 +122,10 @@ def main_step(p: Image, d: int) -> tuple[tuple[Image, int], ...]:
     atoms, so it has none.
 
     >>> main_step((1, 2, 3), 2)
-    (((2, 3, 1), 2),)
+    ((2, 3, 1),)
     """
-    pieces, lengths = _main_pieces(p, d)
-    return tuple(zip(_reorder((), pieces), lengths))
+    pieces, _ = _main_pieces(p, d)
+    return _reorder((), pieces)
 
 
 def _main_pieces(p: Image, d: int) -> tuple[list[Image], tuple[int, ...]]:
@@ -243,11 +243,5 @@ def main_closure(n: int, d: int) -> ReductionTrace:
     check_scale(n, MAIN_CLOSURE_MAX_N, "main_closure")
     radius = ball_radius(n, d)
     sources = [p for layer in reversed(ball_layers(n, radius)) for p in layer]
-    return _close(
-        MODE_MAIN,
-        n,
-        d,
-        sources,
-        lambda p, d: tuple(child for child, _ in main_step(p, d)),
-        complement_size=ball_complement_count(n, radius),
-    )
+    complement_size = ball_complement_count(n, radius)
+    return _close(MODE_MAIN, n, d, sources, main_step, complement_size)

@@ -230,7 +230,13 @@ def test_d_past_n_is_accepted_where_no_rule_needs_d_within_n():
 
 
 RULE_MESSAGES = (DEGREE, "d must be at least 2, got", "need 2 <= d <= n, got", "is capped at")
-HAND_GUARD = re.compile(r"\bif\s+(?:n\s*<\s*1\b|d\s*<\s*2\b|n\s*<\s*d\b|not\s*\(\s*2\s*<=\s*d\s*<=\s*n\s*\))")
+# n or d against its rule's bound, bare or as an attribute (args.n < 1), and suffixed in
+# the one-sided rules (args.d_max < 2); n_max < d is compare_bounds' own rule
+N, D = (rf"(?:\w+\.)*{name}(?:_\w+)?" for name in "nd")
+HAND_GUARD = re.compile(
+    rf"\bif\s+(?:{N}\s*<\s*1\b|{D}\s*<\s*2\b|(?:\w+\.)*n\s*<\s*(?:\w+\.)*d\b"
+    rf"|not\s*\(\s*2\s*<=\s*{D}\s*<=\s*{N}\s*\))"
+)
 # an if that compares with a cap (a *_MAX_* constant or a name cap) and then raises
 HAND_CAP = re.compile(r"\bif\b[^\n]*(?:\w_MAX_\w|\bcap\b)[^\n]*:\s*(?:#[^\n]*\s*)*raise\b")
 

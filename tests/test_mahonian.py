@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from codimgeo import mahonian
 from codimgeo.bounds import ball_radius, theorem_bound
@@ -114,6 +114,9 @@ def test_knuth_range_check():
 
 
 @given(st.integers(min_value=1, max_value=30))
+@example(60)
+@example(120)
+@example(200)
 @settings(max_examples=30, deadline=None)
 def test_knuth_matches_product_formula(n):
     row = mahonian_row(n) + (0,) * n  # I_n(k) = 0 past C(n,2)

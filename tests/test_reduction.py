@@ -21,6 +21,7 @@ from codimgeo.perm import (
 from codimgeo.reduction import (
     ReductionTrace,
     MODE_CLASSIC,
+    MODE_MAIN,
     _step_rows,
     classic_closure,
     classic_step,
@@ -138,13 +139,15 @@ def test_main_step_inside_ball():
     assert word_length(p) == 1
     children = main_step(p, 3)
     assert len(children) == 5
-    for child, length in children:
-        assert length == word_length(child) >= 2
+    # the lengths the growth check priced, each equal to the child's counted length
+    assert _step_rows(p, 3, MODE_MAIN) == [(one_line(c), word_length(c)) for c in children]
+    assert all(word_length(child) >= 2 for child in children)
 
 
 def test_main_step_identity_gap_pieces():
-    ((child, length),) = main_step(identity(5), 2)
-    assert length == word_length(child) > 0
+    (child,) = main_step(identity(5), 2)
+    assert _step_rows(identity(5), 2, MODE_MAIN) == [(one_line(child), word_length(child))]
+    assert word_length(child) > 0
 
 
 def test_main_step_domain_errors():
@@ -279,10 +282,10 @@ def test_every_ball_member_rewrites_without_falsification():
 
 
 def main_step_children(p, d):
-    """main_step's children without their lengths, each length checked first."""
+    """main_step's children, each priced length (_step_rows) checked against the child first."""
     children = main_step(p, d)
-    assert all(length == word_length(child) for child, length in children)
-    return tuple(child for child, _ in children)
+    assert _step_rows(p, d, MODE_MAIN) == [(one_line(c), word_length(c)) for c in children]
+    return children
 
 
 def worklist_closure(mode, n, d):
