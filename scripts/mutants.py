@@ -277,6 +277,39 @@ MUTANTS = (
         "killed",
         "tests/test_identity.py::test_good_words_outside_the_ball_need_not_span_modulo_one_identity",
     ),
+    # the Cayley search without its test against earlier layers: a word's
+    # neighbours one step back come again, and the layers never empty
+    (
+        "src/codimgeo/perm.py",
+        "        } - seen)\n",
+        "        })\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_03_word_metric_equals_bfs",
+    ),
+    # the BFS oracle's distances counted from 1
+    (
+        "src/codimgeo/perm.py",
+        "enumerate(layers)",
+        "enumerate(layers, 1)",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_03_word_metric_equals_bfs",
+    ),
+    # the tail rule as 0 <= k < n: the closed form refuses k = n
+    (
+        "src/codimgeo/errors.py",
+        "    if not (0 <= k <= n):\n",
+        "    if not (0 <= k < n):\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_02_closed_form_matches_product",
+    ),
+    # the rearrangements cap on the cuts, not the pieces: 9 pieces pass
+    (
+        "src/codimgeo/greedy.py",
+        "check_cap(len(cuts) + 1,",
+        "check_cap(len(cuts),",
+        "killed",
+        "tests/test_errors.py::test_cap_table[rearrangements]",
+    ),
     # the pentagonal numbers as j(3j + 1)/2: j -> -j maps them onto j(3j - 1)/2
     # and keeps (-1)^j, and the j range is symmetric, so the terms are the same;
     # an equivalent mutant, which no test can kill

@@ -11,12 +11,13 @@ _command alone: flags in the parser's definition order, an abbreviation or
 --flag=value form written out in full, values shell-quoted, and the output
 flags (--format, --output, --meta) never recorded, so rerunning it with the
 same output flags reproduces the output.  JSON is byte-identical to
-json.dumps(payload, indent=2) but written by one stdlib writer (_dump),
-since an indent sends json to its pure-Python encoder.  A list of objects
-that share their keys (a step's children, the bounds and crossover rows) is
-handed to it as a Table of keys and rows, the rows Result.rows holds for
-table and CSV, and is written column by column: each column's cells are
-rendered by one map and each row by one %-template (_dump_table).
+json.dumps(payload, indent=2) but written by one stdlib writer
+(_write_json, over _dump), since an indent sends json to its pure-Python
+encoder.  A list of objects that share their keys (a step's children, the
+bounds and crossover rows) is handed to it as a Table of keys and rows, the
+rows Result.rows holds for table and CSV, and is written column by column:
+each column's cells are rendered by one map and each row by one %-template
+(_dump_table).
 _render streams to one sink, stdout or the --output file opened once: table
 and CSV lines are written as they are made, and JSON chunks are joined and
 written whenever more than _JSON_BATCH are pending (a Table's rows, as
@@ -205,16 +206,12 @@ def _dump_table(
 
 
 def _write_json(obj, write: Callable[[str], object]) -> None:
-    """Pass json.dumps(obj, indent=2) to write, a batch of _JSON_BATCH chunks or so at a time."""
-    out: list[str] = []
-    _dump(obj, "\n", out, write)
-    write("".join(out))
+    """Pass json.dumps(obj, indent=2) to write, a batch of _JSON_BATCH chunks or so at a time.
 
+    Byte for byte json's text, without json's pure-Python encoder; a small
+    payload is written in one piece.
 
-def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2), byte for byte, without json's pure-Python encoder.
-
-    >>> print(_json_text({"a": [1, "b", None], "c": {}}))
+    >>> _write_json({"a": [1, "b", None], "c": {}}, print)
     {
       "a": [
         1,
@@ -224,9 +221,9 @@ def _json_text(obj) -> str:
       "c": {}
     }
     """
-    pieces: list[str] = []
-    _write_json(obj, pieces.append)
-    return "".join(pieces)
+    out: list[str] = []
+    _dump(obj, "\n", out, write)
+    write("".join(out))
 
 
 # Namespace entries _command leaves out: the subcommand (written first), the

@@ -1,10 +1,10 @@
 """Shared exception types, the argument rules and the cap rule.
 
-Three rules on the degree n and on d (as in d-good, d pieces) are stated
-here once, each with its one message, and every library function that
-takes n or d calls the check for its rule: check_degree (n >= 1), check_d
-(d >= 2) and check_d_within (2 <= d <= n).  A bad argument raises
-ValueError.
+Four rules on the degree n, on d (as in d-good, d pieces) and on the tail
+index k are stated here once, each with its one message, and every library
+function that takes n, d or k calls the check for its rule: check_degree
+(n >= 1), check_d (d >= 2), check_d_within (2 <= d <= n) and check_k_within
+(0 <= k <= n).  A bad argument raises ValueError.
 
 Every operation whose cost grows without limit in its argument carries a
 hard cap on it: the exhaustive ones (Cayley BFS, closures, brute-force
@@ -53,6 +53,13 @@ def check_d_within(d: int, n: int) -> None:
     """The rule 2 <= d <= n, for operations that need d positions."""
     if not (2 <= d <= n):
         raise ValueError(f"need 2 <= d <= n, got d = {d}, n = {n}")
+
+
+def check_k_within(k: int, n: int) -> None:
+    """The degree rule, then the rule 0 <= k <= n, for a tail index k."""
+    check_degree(n)
+    if not (0 <= k <= n):
+        raise ValueError(f"need 0 <= k <= n, got k = {k}, n = {n}")
 
 
 def check_cap(value: int, cap: int, operation: str, name: str = "n") -> None:

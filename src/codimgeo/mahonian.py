@@ -24,7 +24,7 @@ import math
 from collections.abc import Iterator
 from operator import gt, sub
 
-from .errors import check_degree, check_scale
+from .errors import check_degree, check_k_within, check_scale
 
 BRUTE_FORCE_MAX_N = 9
 # A full row costs O(n^3) additions of O(n log n)-bit integers: n = 400 takes
@@ -97,9 +97,7 @@ def mahonian_knuth(n: int, k: int) -> int:
     >>> mahonian_knuth(5, 2)
     9
     """
-    check_degree(n)
-    if not (0 <= k <= n):
-        raise ValueError(f"closed form requires 0 <= k <= n, got k = {k}, n = {n}")
+    check_k_within(k, n)
     # g <= k exactly when |6j - 1| <= sqrt(24k + 1), so every such j lies in -m..m
     m = (math.isqrt(24 * k + 1) + 1) // 6
     total = 0

@@ -9,8 +9,11 @@ library; its .image is what gets passed in.  The inversion set of sigma is
 
 a frozenset of position pairs, and the word metric |sigma| = #R(sigma)
 equals the Cayley-graph distance from the identity with respect to the
-adjacent transpositions.  A permutation is d-good when it admits no strictly
-decreasing value subsequence at d increasing positions, and d-bad otherwise.
+adjacent transpositions.  ball_layers lists that graph's distance layers by
+one breadth-first search, which uses no fact about inversions, so
+cayley_distance_bfs reads its oracle for word_length off the same layers.
+A permutation is d-good when it admits no strictly decreasing value
+subsequence at d increasing positions, and d-bad otherwise.
 
 The d-good words of degree n are counted without listing them.  By
 Robinson-Schensted (Schensted 1961) a word's longest decreasing subsequence
@@ -22,16 +25,16 @@ partition, against the n! words of decreasing_histogram, the brute-force
 oracle; both keep the cap COUNT_GOOD_MAX_N.
 
 Two per-degree byte tables serve the exhaustive sweeps, one entry per word in
-dictionary order and cached under the same cap: decreasing_table holds each
-word's longest decreasing run, one patience sort per word, and length_table
-its word length, built in C from the factorial-base recurrence on the words'
-Lehmer codes, with word_length as its oracle.
+dictionary order and under the same cap: decreasing_table holds each word's
+longest decreasing run, one patience sort per word, cached since several
+sweeps share it, and length_table its word length, built in C from the
+factorial-base recurrence on the words' Lehmer codes, with word_length as its
+oracle; its one reader asks for each degree once, so it is not cached.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
@@ -117,23 +120,26 @@ def all_permutations(n: int):
 def ball_layers(n: int, radius: int) -> list[list[Image]]:
     """The words of each length l < radius, one dictionary-sorted layer per l.
 
-    Layer 0 is the identity.  Swapping an adjacent ascent adds exactly one
-    inversion, and every word of length l + 1 arises so from one of length l.
-    No word is longer than C(n,2), so a radius past C(n,2) + 1 is clamped to it.
+    A breadth-first search of the Cayley graph of the n - 1 adjacent
+    transpositions: layer 0 is the identity, and layer l + 1 is every
+    neighbour of layer l that no earlier layer holds.  It stops at the radius
+    or at the first empty layer.  The search uses no fact about inversions,
+    since the metric oracle (cayley_distance_bfs) reads its layers.
 
     >>> ball_layers(3, 3)
     [[(1, 2, 3)], [(1, 3, 2), (2, 1, 3)], [(2, 3, 1), (3, 1, 2)]]
     """
     check_degree(n)
-    radius = min(radius, n * (n - 1) // 2 + 1)
     layers = [[identity(n)]] if radius > 0 else []
+    seen = {identity(n)}
     while len(layers) < radius:
-        layers.append(sorted({
-            p[:i] + (p[i + 1], p[i]) + p[i + 2:]
-            for p in layers[-1]
-            for i in range(n - 1)
-            if p[i] < p[i + 1]
-        }))
+        layer = sorted({
+            p[:i] + (p[i + 1], p[i]) + p[i + 2:] for p in layers[-1] for i in range(n - 1)
+        } - seen)
+        if not layer:
+            break
+        layers.append(layer)
+        seen.update(layer)
     return layers
 
 
@@ -167,24 +173,16 @@ def word_length(image: Image) -> int:
 
 @lru_cache(maxsize=None)
 def _cayley_distances(n: int) -> dict[tuple[int, ...], int]:
-    start = tuple(range(1, n + 1))
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        image = queue.popleft()
-        d = dist[image]
-        for i in range(n - 1):
-            swapped = image[:i] + (image[i + 1], image[i]) + image[i + 2:]
-            if swapped not in dist:
-                dist[swapped] = d + 1
-                queue.append(swapped)
-    return dist
+    # n! bounds the number of layers without assuming the diameter
+    layers = ball_layers(n, math.factorial(n))
+    return {p: length for length, layer in enumerate(layers) for p in layer}
 
 
 def cayley_distance_bfs(image: Image) -> int:
     """Distance to the identity in the adjacent-transposition Cayley graph.
 
-    Independent BFS oracle for word_length; exhaustive, so capped at n <= 6.
+    The BFS oracle for word_length, read off ball_layers' search, which uses
+    no fact about inversions; exhaustive, so capped at n <= 6.
     """
     check_scale(len(image), CAYLEY_BFS_MAX_N, "cayley_distance_bfs")
     return _cayley_distances(len(image))[image]
@@ -391,7 +389,6 @@ def decreasing_table(n: int) -> bytes:
     return bytes(map(longest_decreasing, all_permutations(n)))
 
 
-@lru_cache(maxsize=None)
 def length_table(n: int) -> bytes:
     """word_length of every word of degree n, one byte each, in dictionary order.
 
@@ -400,8 +397,9 @@ def length_table(n: int) -> bytes:
     sum.  A word starting with c + 1 has c inversions at its first letter and
     is followed by the words of degree n - 1 in dictionary order, so the table
     is n blocks, block c being length_table(n - 1) shifted up by c, each one
-    bytes.translate.  Cached per degree and capped at n <= 9 like
-    decreasing_table; word_length is its exhaustive oracle.
+    bytes.translate.  Capped at n <= 9 like decreasing_table but not cached,
+    as its one reader, the badsize suite, asks for each degree once;
+    word_length is its exhaustive oracle.
 
     >>> list(length_table(3))
     [0, 1, 1, 2, 2, 3]

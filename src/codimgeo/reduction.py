@@ -26,7 +26,7 @@ at least d, read off perm.decreasing_table(n), one table for every d.
 Traces record every expansion edge, and the recorded depth is the longest
 rewrite chain, bounded by C(n,2) in main mode (word length ascends) and by
 the dictionary order in classic mode (images descend).  A step builds d! - 1
-children, so its d has a cap, STEP_MAX_D.
+children, so its d has greedy's cap on the pieces of a reordering, STEP_MAX_D.
 """
 from __future__ import annotations
 
@@ -35,7 +35,9 @@ from itertools import repeat
 
 from .bounds import ball_radius
 from .errors import FalsificationError, check_cap, check_d_within, check_scale
-from .greedy import _pieces, _reorder, _reorder_lengths, _reorder_text, chunk_preserving_cuts
+from .greedy import (
+    STEP_MAX_D, _pieces, _reorder, _reorder_lengths, _reorder_text, chunk_preserving_cuts
+)
 from .mahonian import ball_complement_count
 from .perm import (
     Image,
@@ -52,10 +54,6 @@ MODE_MAIN = "main"
 
 CLASSIC_CLOSURE_MAX_N = 7
 MAIN_CLOSURE_MAX_N = 8
-# A step builds d! - 1 children: main_step(identity(40), 8) takes about 0.15 s,
-# d = 9 about 1.5 s (Python 3.11, 2-CPU shared host).  Every closure at its
-# cap needs d <= 8.
-STEP_MAX_D = 8
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from hypothesis import example, given, strategies as st
 
 import codimgeo
 from codimgeo.bounds import BOUNDS_MAX_N, CROSSOVER_MAX_D, ball_radius, compare_bounds
-from codimgeo.cli import _JSON_BATCH, Result, Table, _json_text, _write, _write_json, main
+from codimgeo.cli import _JSON_BATCH, Result, Table, _write, _write_json, main
 from codimgeo.errors import FalsificationError
 from codimgeo.greedy import _reorder_lengths, chunk_stats, left_greedy_form, rearrangements
 from codimgeo.mahonian import ROW_MAX_N, mahonian_knuth
@@ -1523,6 +1523,13 @@ _JSON_VALUES = st.recursive(
     ),
     max_leaves=20,
 )
+
+
+def _json_text(obj) -> str:
+    """The whole text _write_json passes to its sink."""
+    pieces: list[str] = []
+    _write_json(obj, pieces.append)
+    return "".join(pieces)
 
 
 @given(_JSON_VALUES)

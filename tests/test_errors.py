@@ -17,6 +17,7 @@ from codimgeo.bounds import (
     theorem_bound,
 )
 from codimgeo.errors import ScaleError
+from codimgeo.greedy import rearrangements
 from codimgeo.mahonian import (
     BRUTE_FORCE_MAX_N,
     ROW_MAX_N,
@@ -63,9 +64,14 @@ def within(d, n):
     return f"need 2 <= d <= n, got d = {d}, n = {n}"
 
 
+def k_within(k, n):
+    return f"need 0 <= k <= n, got k = {k}, n = {n}"
+
+
 # (call, exact message): n = 0 and d = 1 wherever a function takes n or d,
-# and d = n + 1 where it requires d <= n.  A function taking a word reads n
-# as its length, so the empty word is refused as degree 0.
+# d = n + 1 where it requires d <= n, and k = -1 and k = n + 1 where it
+# requires 0 <= k <= n.  A function taking a word reads n as its length, so
+# the empty word is refused as degree 0.
 PRECONDITIONS = {
     # bounds
     "classic_bound n=0": (lambda: classic_bound(0, 2), DEGREE),
@@ -79,6 +85,8 @@ PRECONDITIONS = {
     "theorem_bound d=n+1": (lambda: theorem_bound(5, 6), within(6, 5)),
     "crossover_n d=1": (lambda: crossover_n(1), d_rule(1)),
     "mahonian_asymptotic n=0": (lambda: mahonian_asymptotic(0, 0), DEGREE),
+    "mahonian_asymptotic k=-1": (lambda: mahonian_asymptotic(10, -1), k_within(-1, 10)),
+    "mahonian_asymptotic k=n+1": (lambda: mahonian_asymptotic(10, 11), k_within(11, 10)),
     "complement_lower_bound n=0": (lambda: complement_lower_bound(0, 2), within(2, 0)),
     "complement_lower_bound d=1": (lambda: complement_lower_bound(5, 1), within(1, 5)),
     "complement_lower_bound d=n+1": (lambda: complement_lower_bound(5, 6), within(6, 5)),
@@ -95,6 +103,8 @@ PRECONDITIONS = {
     "mahonian_row n=0": (lambda: mahonian_row(0), DEGREE),
     "brute_force_row n=0": (lambda: brute_force_row(0), DEGREE),
     "mahonian_knuth n=0": (lambda: mahonian_knuth(0, 0), DEGREE),
+    "mahonian_knuth k=-1": (lambda: mahonian_knuth(4, -1), k_within(-1, 4)),
+    "mahonian_knuth k=n+1": (lambda: mahonian_knuth(4, 5), k_within(5, 4)),
     "ball_count n=0": (lambda: ball_count(0, 1), DEGREE),
     "ball_complement_count n=0": (lambda: ball_complement_count(0, 1), DEGREE),
     # perm
@@ -188,6 +198,11 @@ CAPS = {
         lambda: crossover_n(CROSSOVER_MAX_D + 1),
         capped("crossover", CROSSOVER_MAX_D, "d"),
     ),
+    # greedy
+    "rearrangements": (
+        lambda: rearrangements(word(40), tuple(range(1, STEP_MAX_D + 1))),
+        capped("rearrangements", STEP_MAX_D, "pieces"),
+    ),
     # reduction
     "classic_closure": (
         lambda: classic_closure(CLASSIC_CLOSURE_MAX_N + 1, 3),
@@ -229,7 +244,13 @@ def test_d_past_n_is_accepted_where_no_rule_needs_d_within_n():
     assert classic_bound(3, 4) == 3**6
 
 
-RULE_MESSAGES = (DEGREE, "d must be at least 2, got", "need 2 <= d <= n, got", "is capped at")
+RULE_MESSAGES = (
+    DEGREE,
+    "d must be at least 2, got",
+    "need 2 <= d <= n, got",
+    "need 0 <= k <= n, got",
+    "is capped at",
+)
 # n or d against its rule's bound, bare or as an attribute (args.n < 1), and suffixed in
 # the one-sided rules (args.d_max < 2); n_max < d is compare_bounds' own rule
 N, D = (rf"(?:\w+\.)*{name}(?:_\w+)?" for name in "nd")

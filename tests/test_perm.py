@@ -361,4 +361,3 @@ def test_length_table_is_the_per_word_sweep():
         table = length_table(n)
         assert isinstance(table, bytes)
         assert list(table) == [word_length(p) for p in all_permutations(n)]
-        assert length_table(n) is table  # built once per degree
