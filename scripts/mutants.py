@@ -310,6 +310,38 @@ MUTANTS = (
         "killed",
         "tests/test_errors.py::test_cap_table[rearrangements]",
     ),
+    # the main closure recording the theorem bound of the next degree
+    (
+        "src/codimgeo/reduction.py",
+        "main_step, theorem_bound(n, d))",
+        "main_step, theorem_bound(n, d + 1))",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_08_ball_escape_closure_and_strict_bound",
+    ),
+    # the crossover bisection stepping past mid on a false verdict
+    (
+        "src/codimgeo/bounds.py",
+        "            lo = mid\n",
+        "            lo = mid + 1\n",
+        "killed",
+        "tests/test_bounds.py::test_crossover_equals_incremental_oracle",
+    ),
+    # the crossover's exact fallback dropped: an undecided verdict counts as false
+    (
+        "src/codimgeo/bounds.py",
+        "        if below is None:\n            below = base**mid < math.factorial(mid)\n",
+        "",
+        "killed",
+        "tests/test_bounds.py::test_crossover_falls_back_to_exact_integers",
+    ),
+    # a ball count without its cap: the degree rule kept, the cap raised to n itself
+    (
+        "src/codimgeo/mahonian.py",
+        '    check_scale(n, ROW_MAX_N, "a ball count")\n',
+        '    check_scale(n, n, "a ball count")\n',
+        "killed",
+        "tests/test_errors.py::test_cap_table[ball_count]",
+    ),
     # the pentagonal numbers as j(3j + 1)/2: j -> -j maps them onto j(3j - 1)/2
     # and keeps (-1)^j, and the j range is symmetric, so the terms are the same;
     # an equivalent mutant, which no test can kill

@@ -9,10 +9,12 @@ numbers round out the toolkit.  Results are plain values: compare_bounds
 returns a tuple of BoundRow, one per degree, q_constant the float q, and
 mahonian_asymptotic the pair (value, log2_value).
 
-Every bound is an exact integer.  compare_bounds carries one Mahonian head,
-truncated at its largest radius, across all its degrees instead of calling
-theorem_bound per row.  crossover_n bisects on base**m < m!, decided by
-Robbins' bracket on log m! and by exact integers only inside its margin.
+Every bound is an exact integer.  theorem_bound states the paper's bound
+once; reduction.main_closure records it.  compare_bounds carries one Mahonian
+head, truncated at its largest radius, across all its degrees instead of
+calling theorem_bound per row.  crossover_n is one bisection on
+base**m < m!, decided by Robbins' bracket on log m! and by exact integers
+only inside its margin; its docstring proves the search.
 """
 from __future__ import annotations
 
@@ -68,6 +70,7 @@ def theorem_bound(n: int, d: int) -> int:
 
     n! minus the sum of the Mahonian head below the radius K = ceil((n - d)/2),
     so it costs O(n K) big-integer additions rather than a full O(n^3) row.
+    It has the ball count's cap, n <= mahonian.ROW_MAX_N.
 
     >>> theorem_bound(6, 4)
     719
@@ -99,44 +102,36 @@ def _robbins_verdict(base: int, m: int) -> bool | None:
     return None
 
 
-def _power_below_factorial(base: int, m: int) -> bool:
-    """base**m < m!: Robbins' verdict where it is certain, exact integers otherwise."""
-    verdict = _robbins_verdict(base, m)
-    if verdict is None:
-        return base**m < math.factorial(m)
-    return verdict
+def crossover_n(d: int) -> int:
+    """Least n with (d - 1)^(2n) < n!, for 2 <= d <= CROSSOVER_MAX_D.
 
-
-def _least_factorial_dominance(base: int) -> int:
-    """Least m >= 1 with base**m < m!, for base >= 1.
-
-    The ratio m!/base**m starts at 1 for m = 0 and is multiplied by m/base at
+    With base = (d - 1)^2 this is the least m >= 1 with base**m < m!.  The
+    ratio m!/base**m starts at 1 for m = 0 and is multiplied by m/base at
     step m, so it does not rise while m <= base and rises strictly after.  So
     base**m < m! fails for every m <= base and, once it holds, holds for every
     larger m.  At m = 3 base + 2, m! > (m/e)^m > base**m.  So one bisection
-    over (base, 3 base + 2] on _power_below_factorial, keeping the predicate
-    false at lo and true at hi, ends at the least m after at most
-    ceil(log2(2 base + 2)) comparisons.
-    """
-    lo, hi = base, 3 * base + 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _power_below_factorial(base, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def crossover_n(d: int) -> int:
-    """Least n with (d - 1)^(2n) < n!, for 2 <= d <= CROSSOVER_MAX_D.
+    over (base, 3 base + 2], keeping the predicate false at lo and true at hi,
+    ends at the least m after at most ceil(log2(2 base + 2)) comparisons.  Each
+    comparison takes Robbins' verdict where it is certain and exact integers
+    otherwise.
 
     >>> [crossover_n(d) for d in (2, 3, 4, 5)]
     [2, 9, 22, 41]
     """
     check_d(d)
     check_cap(d, CROSSOVER_MAX_D, "crossover", "d")
-    return _least_factorial_dominance((d - 1) ** 2)
+    base = (d - 1) ** 2
+    lo, hi = base, 3 * base + 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        below = _robbins_verdict(base, mid)
+        if below is None:
+            below = base**mid < math.factorial(mid)
+        if below:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def q_constant() -> float:

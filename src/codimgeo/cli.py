@@ -47,8 +47,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, TextIO
 
 from . import __version__
-from .bounds import CROSSOVER_MAX_D, compare_bounds, crossover_n
-from .errors import FalsificationError, check_cap, check_d
+from .bounds import compare_bounds, crossover_n
+from .errors import FalsificationError
 from .greedy import chunk_stats, left_greedy_form
 from .mahonian import brute_force_row, mahonian_knuth, mahonian_row
 from .perm import one_line, parse_permutation, word_length
@@ -365,9 +365,8 @@ def _cmd_bounds(args) -> Result:
 
 def _cmd_crossover(args) -> Result:
     # the loop below calls crossover_n at no d under 2, and at d_max only after
-    # every smaller degree has run, so both rules are checked here first
-    check_d(args.d_max)
-    check_cap(args.d_max, CROSSOVER_MAX_D, "crossover", "d")
+    # every smaller degree has run, so d_max meets crossover_n's rules first
+    crossover_n(args.d_max)
     columns = ("d", "n")
     rows = [(d, crossover_n(d)) for d in range(2, args.d_max + 1)]
     return Result(

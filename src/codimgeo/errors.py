@@ -8,10 +8,12 @@ function that takes n, d or k calls the check for its rule: check_degree
 
 Every operation whose cost grows without limit in its argument carries a
 hard cap on it: the exhaustive ones (Cayley BFS, closures, brute-force
-counting) and the others (a full Mahonian row, a bounds table, the
-crossover, a single step).  check_cap states the cap rule once and raises
-ScaleError, before any work; check_scale applies the degree rule first,
-then the cap on n.
+counting) and the others (a full Mahonian row, a ball count, a bounds
+table, the crossover, a single step).  Two closed forms have no cap yet:
+mahonian.mahonian_knuth (about 3.6 s at n = k = 20,000) and
+bounds.complement_lower_bound (n! takes about 0.14 s at n = 10^5).
+check_cap states the cap rule once and raises ScaleError, before any work;
+check_scale applies the degree rule first, then the cap on n.
 """
 from __future__ import annotations
 

@@ -24,7 +24,7 @@ import math
 from collections.abc import Iterator
 from operator import gt, sub
 
-from .errors import check_degree, check_k_within, check_scale
+from .errors import check_k_within, check_scale
 
 BRUTE_FORCE_MAX_N = 9
 # A full row costs O(n^3) additions of O(n log n)-bit integers: n = 400 takes
@@ -112,12 +112,14 @@ def mahonian_knuth(n: int, k: int) -> int:
 def ball_count(n: int, radius: int) -> int:
     """Number of permutations with word length strictly below the radius.
 
-    #B(K) = sum_{k < K} I_n(k), the sum of the head of length K.
+    #B(K) = sum_{k < K} I_n(k), the sum of the head of length K.  A head
+    costs at most a full row, so a ball count has the row's cap, ROW_MAX_N;
+    ball_complement_count and bounds.theorem_bound are refused through it.
 
     >>> ball_count(4, 3)
     9
     """
-    check_degree(n)
+    check_scale(n, ROW_MAX_N, "a ball count")
     return sum(_head(n, radius))
 
 

@@ -21,6 +21,9 @@ cuts.  main_step and _step_rows share one function for the main step's
 checks (_main_pieces).
 
 A closure's sources are every rewritable word, and it rewrites each once.
+The main closure records bounds.theorem_bound(n, d), the paper's bound, as
+its complement size; verify's main suite checks it against the ball that
+the closure searched.
 The classic sources are the words whose longest decreasing subsequence is
 at least d, read off perm.decreasing_table(n), one table for every d.
 Traces record every expansion edge, and the recorded depth is the longest
@@ -33,12 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
-from .bounds import ball_radius
+from .bounds import ball_radius, theorem_bound
 from .errors import FalsificationError, check_cap, check_d_within, check_scale
 from .greedy import (
     STEP_MAX_D, _pieces, _reorder, _reorder_lengths, _reorder_text, chunk_preserving_cuts
 )
-from .mahonian import ball_complement_count
 from .perm import (
     Image,
     all_permutations,
@@ -234,12 +236,12 @@ def main_closure(n: int, d: int) -> ReductionTrace:
     """Rewrite every permutation inside the ball B((n - d)/2) out of the ball.
 
     Terminates because word length strictly increases, bounded by C(n,2).
-    Records the complement count for cross-reference.  Capped at n <= 8.  The
-    ball goes longest layer first, and every child is longer than its parent.
+    Records theorem_bound(n, d), the paper's count of the ball's complement,
+    as complement_size.  Capped at n <= 8.  The ball goes longest layer
+    first, and every child is longer than its parent.
     """
     check_d_within(d, n)
     check_scale(n, MAIN_CLOSURE_MAX_N, "main_closure")
     radius = ball_radius(n, d)
     sources = [p for layer in reversed(ball_layers(n, radius)) for p in layer]
-    complement_size = ball_complement_count(n, radius)
-    return _close(MODE_MAIN, n, d, sources, main_step, complement_size)
+    return _close(MODE_MAIN, n, d, sources, main_step, theorem_bound(n, d))

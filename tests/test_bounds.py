@@ -61,7 +61,7 @@ def test_theorem_bound_below_factorial_above_diagonal():
 
 @functools.cache
 def incremental_dominance_oracle(base):
-    """Oracle for _least_factorial_dominance: walk m = 1, 2, ... with exact products."""
+    """Oracle for crossover_n's bisection: walk m = 1, 2, ... with exact products."""
     power = factorial = 1
     m = 0
     while True:

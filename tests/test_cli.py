@@ -219,8 +219,10 @@ def test_crossover_table(capsys):
 
 
 def test_crossover_degree_limit(capsys, monkeypatch):
-    # refused before any crossover is computed
-    monkeypatch.setattr("codimgeo.cli.crossover_n", lambda d: pytest.fail(f"computed d = {d}"))
+    # refused before any comparison of a crossover search runs
+    monkeypatch.setattr(
+        "codimgeo.bounds._robbins_verdict", lambda base, m: pytest.fail(f"compared at m = {m}")
+    )
     d_max = CROSSOVER_MAX_D + 1
     code, out, err = run(capsys, "crossover", "--d-max", str(d_max))
     assert (code, out) == (2, "")

@@ -189,7 +189,17 @@ CAPS = {
         capped("brute_force_row", BRUTE_FORCE_MAX_N),
     ),
     "mahonian_row": (lambda: mahonian_row(ROW_MAX_N + 1), capped("a full row", ROW_MAX_N)),
+    "ball_count": (lambda: ball_count(ROW_MAX_N + 1, 1), capped("a ball count", ROW_MAX_N)),
+    # the complement and the theorem bound refuse through the ball count
+    "ball_complement_count": (
+        lambda: ball_complement_count(ROW_MAX_N + 1, 1),
+        capped("a ball count", ROW_MAX_N),
+    ),
     # bounds
+    "theorem_bound": (
+        lambda: theorem_bound(ROW_MAX_N + 1, 3),
+        capped("a ball count", ROW_MAX_N),
+    ),
     "compare_bounds": (
         lambda: compare_bounds(3, BOUNDS_MAX_N + 1),
         capped("a bounds table", BOUNDS_MAX_N, "n_max"),

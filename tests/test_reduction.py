@@ -221,11 +221,10 @@ def test_main_closure_drives_ball_out():
 def test_main_suite_catches_a_wrong_complement_count(monkeypatch):
     # count the complement from one radius too far; the suite must not compare
     # the closure's count with a second call that shares the same fault
-    def shifted(n, radius):
-        return ball_complement_count(n, radius + 1)
-
-    monkeypatch.setattr("codimgeo.reduction.ball_complement_count", shifted)
-    monkeypatch.setattr("codimgeo.verify.ball_complement_count", shifted, raising=False)
+    monkeypatch.setattr(
+        "codimgeo.reduction.theorem_bound",
+        lambda n, d: ball_complement_count(n, ball_radius(n, d) + 1),
+    )
     result = run_suite("main", 6)
     assert not result.passed
     assert result.failures[0].startswith("n=2 d=2:")
