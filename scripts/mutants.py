@@ -114,6 +114,24 @@ MUTANTS = (
         "killed",
         "tests/test_cli.py::test_main_reports_its_empty_ball_at_degree_two",
     ),
+    # the (n, d) runner starting at d = 3: dilworth, classic and main skip d = 2
+    (
+        "src/codimgeo/verify.py",
+        "for d in range(2, n + 1)",
+        "for d in range(3, n + 1)",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_05_good_counts_under_ceiling",
+    ),
+    # classic counting its terminal words but not its steps
+    (
+        "src/codimgeo/verify.py",
+        '        failures.append(f"n={n} d={d}: terminal support exceeds good count")\n'
+        "    return len(trace.terminal_support) + len(trace.steps), failures, info\n",
+        '        failures.append(f"n={n} d={d}: terminal support exceeds good count")\n'
+        "    return len(trace.terminal_support), failures, info\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_07_dictionary_descent_closure",
+    ),
     # decreasing_table without its cap: n = 0 passes and n = 10 sweeps 10! words
     (
         "src/codimgeo/perm.py",
@@ -342,6 +360,14 @@ MUTANTS = (
         "killed",
         "tests/test_errors.py::test_cap_table[ball_count]",
     ),
+    # the Cayley search without its cap: the degree rule kept, the cap raised to n itself
+    (
+        "src/codimgeo/perm.py",
+        '    check_scale(n, COUNT_GOOD_MAX_N, "ball_layers")\n',
+        '    check_scale(n, n, "ball_layers")\n',
+        "killed",
+        "tests/test_errors.py::test_cap_table[ball_layers]",
+    ),
     # the pentagonal numbers as j(3j + 1)/2: j -> -j maps them onto j(3j - 1)/2
     # and keeps (-1)^j, and the j range is symmetric, so the terms are the same;
     # an equivalent mutant, which no test can kill
@@ -349,6 +375,16 @@ MUTANTS = (
         "src/codimgeo/mahonian.py",
         "g = j * (3 * j - 1) // 2",
         "g = j * (3 * j + 1) // 2",
+        "survives",
+        "",
+    ),
+    # main counting one check for a closure that raised: the falsification
+    # test reads the status and the counterexample line, not the count, so no
+    # test pins checked on that branch; one that did would kill it
+    (
+        "src/codimgeo/verify.py",
+        'return 0, [f"n={n} d={d}: closure raised {exc}"], []',
+        'return 1, [f"n={n} d={d}: closure raised {exc}"], []',
         "survives",
         "",
     ),

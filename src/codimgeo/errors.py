@@ -7,11 +7,12 @@ function that takes n, d or k calls the check for its rule: check_degree
 (0 <= k <= n).  A bad argument raises ValueError.
 
 Every operation whose cost grows without limit in its argument carries a
-hard cap on it: the exhaustive ones (Cayley BFS, closures, brute-force
-counting) and the others (a full Mahonian row, a ball count, a bounds
-table, the crossover, a single step).  Two closed forms have no cap yet:
-mahonian.mahonian_knuth (about 3.6 s at n = k = 20,000) and
-bounds.complement_lower_bound (n! takes about 0.14 s at n = 10^5).
+hard cap on it: the exhaustive ones (the Cayley BFS and its layers,
+closures, brute-force counting) and the others (a full Mahonian row, a ball
+count, a bounds table, the crossover, a single step).  Three closed forms
+have no cap yet: mahonian.mahonian_knuth (about 3.6 s at n = k = 20,000),
+bounds.complement_lower_bound (n! takes about 0.14 s at n = 10^5) and
+bounds.classic_bound ((d - 1)^(2n) takes about 2.0 s at n = 10^6, d = 100).
 check_cap states the cap rule once and raises ScaleError, before any work;
 check_scale applies the degree rule first, then the cap on n.
 """

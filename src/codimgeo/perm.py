@@ -124,12 +124,14 @@ def ball_layers(n: int, radius: int) -> list[list[Image]]:
     transpositions: layer 0 is the identity, and layer l + 1 is every
     neighbour of layer l that no earlier layer holds.  It stops at the radius
     or at the first empty layer.  The search uses no fact about inversions,
-    since the metric oracle (cayley_distance_bfs) reads its layers.
+    since the metric oracle (cayley_distance_bfs) reads its layers.  It can
+    hold all n! words, so it keeps the cap of perm's other tables of all
+    words, COUNT_GOOD_MAX_N (n <= 9).
 
     >>> ball_layers(3, 3)
     [[(1, 2, 3)], [(1, 3, 2), (2, 1, 3)], [(2, 3, 1), (3, 1, 2)]]
     """
-    check_degree(n)
+    check_scale(n, COUNT_GOOD_MAX_N, "ball_layers")
     layers = [[identity(n)]] if radius > 0 else []
     seen = {identity(n)}
     while len(layers) < radius:

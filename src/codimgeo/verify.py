@@ -5,27 +5,28 @@ word-metric identity, inversion-set round-trips, the d-bad length floor and
 the increasing-run bound, the hook-length good count against one
 longest-decreasing sweep, under its ceiling and strictly under the theorem
 bound, greedy-form structure, chunk size accounting, rearrangement growth,
-and the two rewriting closures.  A
-suite's runner checks one degree n and returns (checked, failures, info);
-run_suite alone loops over the degrees 1..n_max and adds them up in degree
-order.  Below its suite's first
-degree (Suite.min_n) a runner counts no check, but may still report info
-there, and main's runner still works there: at n = 2 it builds
-main_closure(2, 2), whose ball is empty, reports its info line and runs the
-closure-wide depth and ball-plus-complement checks, which can fail.  The
-per-permutation suites share one runner, _each_word, and state only their
-check, which maps an image tuple to its failures.  badsize and dilworth
-instead read the one longest-decreasing table per degree
-(perm.decreasing_table), which the classic closures share; badsize reads
-each word's length from perm.length_table too, and calls no word_length.
-Failures are collected as printable counterexample strings, never raised.
+and the two rewriting closures.  A suite's runner checks one degree n and
+returns (checked, failures, info); run_suite loops over the degrees
+1..n_max.  A suite states one check: of one word (metric, roundtrip, lgf,
+chunks), wrapped by _each_word; of one pair (n, d) (dilworth, classic,
+main), wrapped by _each_d, which loops over 2 <= d <= n; or of one degree
+(badsize, growth), which is its runner.  _total alone adds outcomes up, in
+order.  Below its suite's first degree (Suite.min_n) a runner counts no
+check, but may still report info there, and main's runner still works
+there: at n = 2 it builds main_closure(2, 2), whose ball is empty, reports
+its info line and runs the closure-wide depth and ball-plus-complement
+checks, which can fail.  A per-word check maps an image tuple to its
+failures.  badsize and dilworth instead read the one longest-decreasing
+table per degree (perm.decreasing_table), which the classic closures share;
+badsize reads each word's length from perm.length_table too, and calls no
+word_length.  Failures are collected as printable counterexample strings,
+never raised.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable
+from typing import Callable, Iterable
 
 from .bounds import ball_radius, classic_bound, theorem_bound
 from .errors import FalsificationError, check_cap
@@ -71,8 +72,19 @@ class SuiteResult:
         return not self.failures
 
 
-# What a suite's runner returns for one degree: (checked, failures, info).
+# What a suite's runner returns for one degree, and a pair check for one (n, d):
+# (checked, failures, info).
 _Outcome = tuple[int, list[str], list[str]]
+
+
+def _total(outcomes: Iterable[_Outcome]) -> _Outcome:
+    """The outcomes added up in order: the counts summed, the lists joined."""
+    checked, failures, info = 0, [], []
+    for more_checked, more_failures, more_info in outcomes:
+        checked += more_checked
+        failures += more_failures
+        info += more_info
+    return checked, failures, info
 
 
 def _each_word(check: Callable[[Image], list[str]]) -> Callable[[int], _Outcome]:
@@ -83,6 +95,11 @@ def _each_word(check: Callable[[Image], list[str]]) -> Callable[[int], _Outcome]
         return len(words), [f for p in words for f in check(p)], []
 
     return run
+
+
+def _each_d(check: Callable[[int, int], _Outcome]) -> Callable[[int], _Outcome]:
+    """A runner applying check to each pair (n, d), 2 <= d <= n, in order of d."""
+    return lambda n: _total(check(n, d) for d in range(2, n + 1))
 
 
 def _check_metric(p: Image) -> list[str]:
@@ -127,8 +144,8 @@ def _run_badsize(n: int) -> _Outcome:
     return len(decreasing), failures, []
 
 
-def _run_dilworth(n: int) -> _Outcome:
-    """The d-good count, hook length against one sweep, below both bounds, each 2 <= d <= n.
+def _check_dilworth(n: int, d: int) -> _Outcome:
+    """The d-good count, hook length against one sweep, below both bounds.
 
     It must stay under the classic ceiling (d-1)^(2n) and strictly under
     theorem_bound(n, d), the words outside the ball B((n - d)/2).  Proof of
@@ -140,24 +157,20 @@ def _run_dilworth(n: int) -> _Outcome:
     as the d-bad set.  It misses reversal(d) followed by the identity, which
     is d-bad and the reversal of a word of length C(n, 2) - C(d, 2), at
     least n - d and so outside the ball.  So the ball is strictly smaller
-    than the d-bad set, and good < theorem.  checked counts the degrees d.
+    than the d-bad set, and good < theorem.  checked is 1 for each (n, d).
     """
-    histogram = decreasing_histogram(n)
+    count = count_d_good(n, d)
+    swept = sum(decreasing_histogram(n)[:d])
+    ceiling = classic_bound(n, d)
     failures = []
-    info = []
-    for d in range(2, n + 1):
-        count = count_d_good(n, d)
-        swept = sum(histogram[:d])
-        ceiling = classic_bound(n, d)
-        info.append(f"n={n} d={d} good={count} ceiling={ceiling}")
-        if count != swept:
-            failures.append(f"n={n} d={d}: hook-length count {count} != swept count {swept}")
-        if count > ceiling:
-            failures.append(f"n={n} d={d}: {count} good exceeds {ceiling}")
-        bound = theorem_bound(n, d)
-        if count >= bound:
-            failures.append(f"n={n} d={d}: {count} good not below the theorem bound {bound}")
-    return len(info), failures, info
+    if count != swept:
+        failures.append(f"n={n} d={d}: hook-length count {count} != swept count {swept}")
+    if count > ceiling:
+        failures.append(f"n={n} d={d}: {count} good exceeds {ceiling}")
+    bound = theorem_bound(n, d)
+    if count >= bound:
+        failures.append(f"n={n} d={d}: {count} good not below the theorem bound {bound}")
+    return 1, failures, [f"n={n} d={d} good={count} ceiling={ceiling}"]
 
 
 def _check_lgf(p: Image) -> list[str]:
@@ -209,66 +222,57 @@ def _run_growth(n: int) -> _Outcome:
     return checked, failures, []
 
 
-def _run_classic(n: int) -> _Outcome:
-    checked = 0
-    failures = []
-    info = []
-    for d in range(2, n + 1):
-        trace = classic_closure(n, d)
-        info.append(
-            f"n={n} d={d} visited={trace.visited} "
-            f"terminal={len(trace.terminal_support)} depth={trace.max_depth}"
-        )
-        for p in trace.terminal_support:
-            checked += 1
-            if not is_d_good(p, d):
-                failures.append(f"n={n} d={d}: terminal {one_line(p)} is {d}-bad")
-        expected = math.factorial(d) - 1
-        for parent, children in trace.steps:
-            checked += 1
-            if len(children) != expected or len(set(children)) != expected:
-                failures.append(f"n={n} d={d}: {one_line(parent)} has wrong child count")
-            if max(children) >= parent:
-                failures.append(f"n={n} d={d}: {one_line(parent)} has non-descending child")
-        if len(trace.terminal_support) > count_d_good(n, d):
-            failures.append(f"n={n} d={d}: terminal support exceeds good count")
-        del trace  # free this degree's closure before the next one is built
-    return checked, failures, info
+def _check_classic(n: int, d: int) -> _Outcome:
+    """The classic closure's d-good terminals and descending steps, one check for each."""
+    trace = classic_closure(n, d)
+    info = [
+        f"n={n} d={d} visited={trace.visited} "
+        f"terminal={len(trace.terminal_support)} depth={trace.max_depth}"
+    ]
+    failures = [
+        f"n={n} d={d}: terminal {one_line(p)} is {d}-bad"
+        for p in trace.terminal_support
+        if not is_d_good(p, d)
+    ]
+    expected = math.factorial(d) - 1
+    for parent, children in trace.steps:
+        if len(children) != expected or len(set(children)) != expected:
+            failures.append(f"n={n} d={d}: {one_line(parent)} has wrong child count")
+        if max(children) >= parent:
+            failures.append(f"n={n} d={d}: {one_line(parent)} has non-descending child")
+    if len(trace.terminal_support) > count_d_good(n, d):
+        failures.append(f"n={n} d={d}: terminal support exceeds good count")
+    return len(trace.terminal_support) + len(trace.steps), failures, info
 
 
-def _run_main(n: int) -> _Outcome:
-    checked = 0
-    failures = []
-    info = []
-    for d in range(2, n + 1):
-        radius = ball_radius(n, d)
-        try:
-            trace = main_closure(n, d)
-        except FalsificationError as exc:  # a counterexample, reported as a failure
-            failures.append(f"n={n} d={d}: closure raised {exc}")
-            continue
-        info.append(
-            f"n={n} d={d} sources={len(trace.sources)} visited={trace.visited} "
-            f"terminal={len(trace.terminal_support)} depth={trace.max_depth}"
-        )
-        for p in trace.terminal_support:
-            checked += 1
-            if word_length(p) < radius:
-                failures.append(f"n={n} d={d}: terminal {one_line(p)} is inside the ball")
-        expected = math.factorial(d) - 1
-        for parent, children in trace.steps:
-            checked += 1
-            if len(children) != expected or len(set(children)) != expected:
-                failures.append(f"n={n} d={d}: {one_line(parent)} has wrong child count")
-            base = word_length(parent)
-            if any(word_length(c) <= base for c in children):
-                failures.append(f"n={n} d={d}: {one_line(parent)} has non-growing child")
-        if trace.max_depth > n * (n - 1) // 2:
-            failures.append(f"n={n} d={d}: depth exceeds C(n,2)")
-        if len(trace.sources) + trace.complement_size != math.factorial(n):
-            failures.append(f"n={n} d={d}: ball and complement do not add up to n!")
-        del trace  # free this degree's closure before the next one is built
-    return checked, failures, info
+def _check_main(n: int, d: int) -> _Outcome:
+    """The main closure's terminals outside the ball and growing steps, one check for each."""
+    radius = ball_radius(n, d)
+    try:
+        trace = main_closure(n, d)
+    except FalsificationError as exc:  # a counterexample, reported as a failure
+        return 0, [f"n={n} d={d}: closure raised {exc}"], []
+    info = [
+        f"n={n} d={d} sources={len(trace.sources)} visited={trace.visited} "
+        f"terminal={len(trace.terminal_support)} depth={trace.max_depth}"
+    ]
+    failures = [
+        f"n={n} d={d}: terminal {one_line(p)} is inside the ball"
+        for p in trace.terminal_support
+        if word_length(p) < radius
+    ]
+    expected = math.factorial(d) - 1
+    for parent, children in trace.steps:
+        if len(children) != expected or len(set(children)) != expected:
+            failures.append(f"n={n} d={d}: {one_line(parent)} has wrong child count")
+        base = word_length(parent)
+        if any(word_length(c) <= base for c in children):
+            failures.append(f"n={n} d={d}: {one_line(parent)} has non-growing child")
+    if trace.max_depth > n * (n - 1) // 2:
+        failures.append(f"n={n} d={d}: depth exceeds C(n,2)")
+    if len(trace.sources) + trace.complement_size != math.factorial(n):
+        failures.append(f"n={n} d={d}: ball and complement do not add up to n!")
+    return len(trace.terminal_support) + len(trace.steps), failures, info
 
 
 @dataclass(frozen=True)
@@ -286,12 +290,12 @@ SUITES: dict[str, Suite] = {
         Suite("metric", 1, CAYLEY_BFS_MAX_N, 6, _each_word(_check_metric)),
         Suite("roundtrip", 1, 7, 7, _each_word(_check_roundtrip)),
         Suite("badsize", 1, 8, 8, _run_badsize),
-        Suite("dilworth", 2, 8, 8, _run_dilworth),
+        Suite("dilworth", 2, 8, 8, _each_d(_check_dilworth)),
         Suite("lgf", 1, 7, 7, _each_word(_check_lgf)),
         Suite("chunks", 1, 7, 7, _each_word(_check_chunks)),
         Suite("growth", 2, 6, 6, _run_growth),
-        Suite("classic", 2, CLASSIC_CLOSURE_MAX_N, 6, _run_classic),
-        Suite("main", 3, MAIN_CLOSURE_MAX_N, 7, _run_main),
+        Suite("classic", 2, CLASSIC_CLOSURE_MAX_N, 6, _each_d(_check_classic)),
+        Suite("main", 3, MAIN_CLOSURE_MAX_N, 7, _each_d(_check_main)),
     )
 }
 
@@ -318,5 +322,5 @@ def run_suite(name: str, n_max: int | None = None) -> SuiteResult:
     The counts, failures and info lines of the degrees add up in degree order.
     """
     n_max = check_request(name, n_max)
-    checked, failures, info = zip(*map(SUITES[name].runner, range(1, n_max + 1)))
-    return SuiteResult(name, n_max, sum(checked), tuple(chain(*failures)), tuple(chain(*info)))
+    checked, failures, info = _total(map(SUITES[name].runner, range(1, n_max + 1)))
+    return SuiteResult(name, n_max, checked, tuple(failures), tuple(info))

@@ -162,6 +162,10 @@ def word(n):
 # arguments that pass every rule, so only the cap can refuse it.
 CAPS = {
     # perm
+    "ball_layers": (
+        lambda: ball_layers(COUNT_GOOD_MAX_N + 1, 1),
+        capped("ball_layers", COUNT_GOOD_MAX_N),
+    ),
     "cayley_distance_bfs": (
         lambda: cayley_distance_bfs(word(CAYLEY_BFS_MAX_N + 1)),
         capped("cayley_distance_bfs", CAYLEY_BFS_MAX_N),
