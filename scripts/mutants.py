@@ -379,24 +379,44 @@ MUTANTS = (
         "",
     ),
     # main counting one check for a closure that raised: the falsification
-    # test reads the status and the counterexample line, not the count, so no
-    # test pins checked on that branch; one that did would kill it
+    # test pins the table row's checked count on that branch
     (
         "src/codimgeo/verify.py",
         'return 0, [f"n={n} d={d}: closure raised {exc}"], []',
         'return 1, [f"n={n} d={d}: closure raised {exc}"], []',
-        "survives",
-        "",
+        "killed",
+        "tests/test_cli.py::test_verify_main_reports_falsification",
     ),
     # the cut search admits one atom too many: it enters branches that yield
-    # nothing, which changes no cut tuple, only the work; a test that counts
-    # dead branches would kill it
+    # nothing, which changes no cut tuple, only the work; the test that counts
+    # the search's frames against the yielded prefixes sees them
     (
         "src/codimgeo/greedy.py",
         "return r <= atoms[s] and",
         "return r <= atoms[s] + 1 and",
-        "survives",
-        "",
+        "killed",
+        "tests/test_greedy.py::test_every_branch_of_the_cut_search_yields",
+    ),
+    # the classic closure's position maps memoised on the first witness
+    # position only: a later witness with the same start reuses wrong maps
+    (
+        "src/codimgeo/reduction.py",
+        "        if witness not in getters:\n"
+        "            getters[witness] = [itemgetter(*idx) for idx in _reorder(*_cut(positions, witness))]\n"
+        "        return [child(p) for child in getters[witness]]\n",
+        "        if witness[0] not in getters:\n"
+        "            getters[witness[0]] = [itemgetter(*idx) for idx in _reorder(*_cut(positions, witness))]\n"
+        "        return [child(p) for child in getters[witness[0]]]\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_07_dictionary_descent_closure",
+    ),
+    # the classic closure's position maps cut one position late
+    (
+        "src/codimgeo/reduction.py",
+        "_reorder(*_cut(positions, witness))",
+        "_reorder(*_cut(positions, tuple(i + 1 for i in witness)))",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_07_dictionary_descent_closure",
     ),
 )
 

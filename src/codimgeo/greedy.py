@@ -23,7 +23,9 @@ piece ends at n.  chunk_preserving_cuts is the one statement of this rule:
 the main step rearranges its first tuple, and the growth suite checks that
 every listed tuple's rearrangements are longer.  Both spanning steps replace
 a word by the nonidentity reorderings of consecutive blocks; _orders lists
-those orders once, and _reorder builds the children in them for both.
+those orders once, and _reorder builds the children in them for both.  The
+classic closure also reorders the positions range(n) with it, once per
+witness, and reads each child off its parent through those maps.
 
 A reordering's length follows from the parent's.  With
 cross(a, b) = #{x in B_a, y in B_b : x > y}, and so

@@ -399,7 +399,7 @@ def test_verify_main_reports_falsification(capsys, monkeypatch):
     monkeypatch.setattr("codimgeo.reduction.main_step", falsified)
     code, out, _ = run(capsys, "verify", "--n-max", "4", "--suites", "main")
     assert code == 1
-    assert "FAIL" in out
+    assert out.splitlines()[1].split() == ["main", "4", "0", "FAIL"]  # a raised closure checks nothing
     assert "  main counterexample: n=3 d=2: closure raised no decomposition of 1,2,3\n" in out
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -189,6 +190,27 @@ def test_chunk_preserving_cuts_equal_definition_filter_exhaustively():
         for p in all_permutations(n):
             for pieces in range(1, n + 1):
                 assert _listed(p, pieces) == _definition_filter(p, pieces), (p, pieces)
+
+
+def test_every_branch_of_the_cut_search_yields():
+    # each place frame the search enters holds one prefix of a yielded cut tuple
+    for n in range(1, 7):
+        for p in all_permutations(n):
+            for pieces in range(1, n + 1):
+                frames = set()  # held, so that no frame's id is reused
+
+                def trace(frame, event, arg):
+                    if event == "call" and frame.f_code.co_name == "place":
+                        frames.add(frame)
+
+                previous = sys.gettrace()
+                sys.settrace(trace)
+                try:
+                    listed = _listed(p, pieces)
+                finally:
+                    sys.settrace(previous)
+                prefixes = {cuts[:k] for cuts in listed for k in range(len(cuts) + 1)}
+                assert len(frames) == len(prefixes), (p, pieces)
 
 
 def test_rearrangements_example():

@@ -343,6 +343,13 @@ def test_closure_equals_worklist_oracle(mode, closure):
             assert closure(n, d) == worklist_closure(mode, n, d), (n, d)
 
 
+def test_classic_closure_children_equal_classic_step():
+    # the closure reads children through per-witness position maps; classic_step sums blocks
+    for d in range(2, 8):
+        for parent, children in classic_closure(7, d).steps:
+            assert children == classic_step(parent, d), (parent, d)
+
+
 @pytest.mark.parametrize("closure, n", [(classic_closure, 7), (main_closure, 8)])
 def test_closures_share_their_words(closure, n):
     for d in range(2, n + 1):
