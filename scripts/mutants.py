@@ -418,6 +418,128 @@ MUTANTS = (
         "killed",
         "tests/test_acceptance.py::test_criterion_07_dictionary_descent_closure",
     ),
+    # the classic suite's terminal check missing a run of exactly d: the
+    # failure-branch test fakes a longest run of exactly d
+    (
+        "src/codimgeo/verify.py",
+        "        if longest_decreasing(p) >= d\n",
+        "        if longest_decreasing(p) > d\n",
+        "killed",
+        "tests/test_cli.py::test_failure_branches_pin_counterexamples[classic-bad]",
+    ),
+    # the one sink not flushed: a full stdout then fails at shutdown, past the handler
+    (
+        "src/codimgeo/cli.py",
+        "            sink.flush()\n",
+        "",
+        "killed",
+        "tests/test_cli.py::test_a_failed_write_is_a_usage_error[stdout-5]",
+    ),
+    # the stdout branch of the one handler taken for --output, and not for stdout
+    (
+        "src/codimgeo/cli.py",
+        "        if not args.output:\n",
+        "        if args.output:\n",
+        "killed",
+        "tests/test_cli.py::test_unwritable_output_is_a_usage_error",
+    ),
+    # the witness search's tails exit limited to d <= n: past the degree it
+    # returns a short tuple, where that exit alone must return None
+    (
+        "src/codimgeo/perm.py",
+        "    if len(tails) < d:",
+        "    if len(tails) < d <= n:",
+        "killed",
+        "tests/test_errors.py::test_d_past_n_is_accepted_where_no_rule_needs_d_within_n",
+    ),
+    # the transitivity mask swapped for the interpolation one
+    (
+        "src/codimgeo/perm.py",
+        '"transitivity", rows[j] & ~row',
+        '"transitivity", row & ~rows[j]',
+        "killed",
+        "tests/test_acceptance.py::test_criterion_03_word_metric_equals_bfs",
+    ),
+    # the axiom mask shifted one short, so the witness k reads one too high
+    (
+        "src/codimgeo/perm.py",
+        "bad >>= j + 1",
+        "bad >>= j",
+        "killed",
+        "tests/test_cli.py::test_verify_roundtrip_reports_an_invalid_inversion_set",
+    ),
+    # the pairs ending at j counted at their start
+    (
+        "src/codimgeo/perm.py",
+        "below[j] += 1",
+        "below[i] += 1",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_03_word_metric_equals_bfs",
+    ),
+    # the range check admitting a pair (i, i)
+    (
+        "src/codimgeo/perm.py",
+        "if not (1 <= i < j <= n):",
+        "if not (1 <= i <= j <= n):",
+        "killed",
+        "tests/test_perm.py::test_inversion_set_rejects_out_of_range_pairs",
+    ),
+    # the classic sources missing the words whose longest run is exactly d
+    (
+        "src/codimgeo/reduction.py",
+        "if longest >= d]",
+        "if longest > d]",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_07_dictionary_descent_closure",
+    ),
+    # a terminal child counted as a chain of 1, so every depth reads one high
+    (
+        "src/codimgeo/reduction.py",
+        "children, repeat(0)))",
+        "children, repeat(1)))",
+        "killed",
+        "tests/test_cli.py::test_main_reports_its_empty_ball_at_degree_two",
+    ),
+    # the growth check passing a child of the parent's own length
+    (
+        "src/codimgeo/reduction.py",
+        "    if min(lengths) <= base:\n",
+        "    if min(lengths) < base:\n",
+        "killed",
+        "tests/test_cli.py::test_reduce_main_step_reports_a_child_that_does_not_grow",
+    ),
+    # JSON indented by 3
+    (
+        "src/codimgeo/cli.py",
+        '    inner = newline + "  "\n    if isinstance(obj, dict):',
+        '    inner = newline + "   "\n    if isinstance(obj, dict):',
+        "killed",
+        "tests/test_cli.py::test_streamed_output_is_the_same_bytes[mahonian --n 200 --check-json]",
+    ),
+    # a JSON list's items separated by ", "
+    (
+        "src/codimgeo/cli.py",
+        '            sep = "," + inner\n            if len(out) > _JSON_BATCH:',
+        '            sep = ", " + inner\n            if len(out) > _JSON_BATCH:',
+        "killed",
+        "tests/test_cli.py::test_streamed_output_is_the_same_bytes[mahonian --n 200 --check-json]",
+    ),
+    # --meta's command keeping --format
+    (
+        "src/codimgeo/cli.py",
+        '_UNRECORDED = ("command", "handler", "format", "output", "meta")',
+        '_UNRECORDED = ("command", "handler", "output", "meta")',
+        "killed",
+        "tests/test_cli.py::test_meta_adds_comment_headers",
+    ),
+    # the bisection's branches swapped
+    (
+        "src/codimgeo/bounds.py",
+        "        if below:\n            hi = mid\n        else:\n            lo = mid\n",
+        "        if below:\n            lo = mid\n        else:\n            hi = mid\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_09_crossover_reproduction",
+    ),
 )
 
 

@@ -81,6 +81,9 @@ def theorem_bound(n: int, d: int) -> int:
 def _robbins_verdict(base: int, m: int) -> bool | None:
     """base**m < m! by Robbins' bracket on log m!, or None inside its margin.
 
+    Its domain is crossover_n's bisection: base = (d - 1)^2 >= 1 and
+    base < m <= 3 base + 2, so m >= 2.
+
     The predicate is m log(base) < log m!, and Robbins (Amer. Math. Monthly 62,
     1955) gives S + 1/(12m + 1) < log m! < S + 1/(12m) with
     S = log(2 pi m)/2 + m (log m - 1).  Let A = m log(base) + |S| + 1.  In
@@ -88,10 +91,8 @@ def _robbins_verdict(base: int, m: int) -> bool | None:
     m log(base), S and the bracket each act on a value of size at most 2A, so
     they leave the computed comparison off by less than 1e-14 A.  A verdict is
     returned only when the bracket clears m log(base) by 1e-12 A, a hundredfold
-    more; inside that margin, and for m < 1, the caller compares exact integers.
+    more; inside that margin the caller compares exact integers.
     """
-    if m < 1:
-        return None
     power = m * math.log(base)
     stirling = 0.5 * math.log(2 * math.pi * m) + m * (math.log(m) - 1)
     margin = 1e-12 * (power + abs(stirling) + 1)

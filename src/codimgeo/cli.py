@@ -37,6 +37,7 @@ and reused for the rest of the process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -301,27 +302,25 @@ def _write(args, result: Result, sink: TextIO) -> None:
 def _render(args, result: Result) -> None:
     """Write the result to stdout, or to the --output file, opened once.
 
-    A failed open, write or close is a usage error naming its target, except
+    The file is opened, or stdout taken without closing it, in one with and
+    flushed after the write, so a closed pipe or a full device raises inside
+    the with, not at shutdown, and one handler serves both targets.  A failed
+    open, write, flush or close is a usage error naming its target, except
     that a closed stdout pipe stays a BrokenPipeError for main.  After a
     failed write to stdout, its file descriptor points at devnull.
     """
-    if args.output:
-        try:
-            with open(args.output, "w") as sink:
-                _write(args, result, sink)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
-        return
     try:
-        _write(args, result, sys.stdout)
-        sys.stdout.flush()  # a closed pipe or a full device then raises here, not at shutdown
+        with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as sink:
+            _write(args, result, sink)
+            sink.flush()
     except OSError as exc:
-        # the Python docs' "Note on SIGPIPE": send what stdout still buffers to
-        # devnull, so the flush at shutdown stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if isinstance(exc, BrokenPipeError):
-            raise
-        raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from exc
+        if not args.output:
+            # the Python docs' "Note on SIGPIPE": send what stdout still buffers
+            # to devnull, so the flush at shutdown stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                raise
+        raise ValueError(f"cannot write {args.output or 'stdout'}: {exc.strerror or exc}") from exc
 
 
 def _cmd_mahonian(args) -> Result:

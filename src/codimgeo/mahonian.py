@@ -12,7 +12,8 @@ row, mahonian_row(n), is the head of length C(n,2) + 1 as a plain tuple
 I_n(0..C(n,2)); a ball count needs only the head below its radius, in O(n L)
 big-integer additions, and bounds.compare_bounds reads one head per degree
 from the same sequence.  The brute-force histogram counts each word's
-inversions on its own, over all n! words, and stays a test oracle.  A
+inversions on its own, over all n! words; it stays a test oracle, and
+also backs codim mahonian --check at n <= 8 (cli.CHECK_BRUTE_FORCE_MAX_N).  A
 closed form due to Knuth expresses I_n(k), for k <= n, as one signed sum of
 binomials over Euler's generalized pentagonal numbers.  Radii are integers:
 word lengths are, so a real radius K acts as ceil(K).

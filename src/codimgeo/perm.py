@@ -302,8 +302,6 @@ def find_d_bad_witness(image: Image, d: int) -> tuple[int, ...] | None:
     check_d(d)
     n = len(image)
     check_degree(n)
-    if d > n:
-        return None
     # drop[i] = longest strictly decreasing subsequence starting at position i,
     # by patience sorting from the right: tails[m] is the least first value of
     # a decreasing run of length m + 1 among the positions after i.
@@ -317,7 +315,7 @@ def find_d_bad_witness(image: Image, d: int) -> tuple[int, ...] | None:
             tails.append(v)
         else:
             tails[pos] = v
-    if len(tails) < d:
+    if len(tails) < d:  # every d > n too: n letters hold no longer run
         return None
     witness = []
     prev_value = n + 1

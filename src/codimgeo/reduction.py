@@ -241,7 +241,10 @@ def classic_closure(n: int, d: int) -> ReductionTrace:
     So _reorder lists each witness's position maps once per call, as one
     itemgetter per child, and a step applies them.  At n = 7 a closure meets
     at most C(7, 3) = 35 witnesses and holds at most 5,039 maps, at d = 7;
-    they are freed when it returns.
+    they are freed when it returns.  A step calls find_d_bad_witness
+    directly, not classic_step's checked _witness: 2 <= d <= n <= 7 is
+    checked here, below STEP_MAX_D, and every source is d-bad by
+    decreasing_table, so none of _witness's refusals could fire.
     """
     check_d_within(d, n)
     check_scale(n, CLASSIC_CLOSURE_MAX_N, "classic_closure")
@@ -250,7 +253,7 @@ def classic_closure(n: int, d: int) -> ReductionTrace:
     getters: dict[tuple[int, ...], list[itemgetter]] = {}  # witness -> one per child
 
     def step(p: Image, d: int) -> list[Image]:
-        witness = _witness(p, d)
+        witness = find_d_bad_witness(p, d)
         if witness not in getters:
             getters[witness] = [itemgetter(*idx) for idx in _reorder(*_cut(positions, witness))]
         return [child(p) for child in getters[witness]]

@@ -46,8 +46,8 @@ from .perm import (
     decreasing_table,
     from_inversion_set,
     inversion_set,
-    is_d_good,
     length_table,
+    longest_decreasing,
     one_line,
     word_length,
 )
@@ -232,7 +232,7 @@ def _check_classic(n: int, d: int) -> _Outcome:
     failures = [
         f"n={n} d={d}: terminal {one_line(p)} is {d}-bad"
         for p in trace.terminal_support
-        if not is_d_good(p, d)
+        if longest_decreasing(p) >= d
     ]
     expected = math.factorial(d) - 1
     for parent, children in trace.steps:

@@ -84,13 +84,15 @@ def test_crossover_equals_incremental_oracle():
 @pytest.mark.parametrize("verdict", [True, False])
 def test_crossover_ends_within_one_bisection_of_verdicts(monkeypatch, verdict):
     # a wrong but constant verdict still ends the search: at most
-    # ceil(log2(2 base + 2)) comparisons, whatever they answer
+    # ceil(log2(2 base + 2)) comparisons, whatever they answer, each inside
+    # _robbins_verdict's domain base < m <= 3 base + 2
     for d in range(2, 61):
         base = (d - 1) ** 2
         budget = (2 * base + 1).bit_length()  # ceil(log2(2 base + 2))
         calls = itertools.count(1)
 
-        def constant(*_):
+        def constant(asked, m):
+            assert asked == base < m <= 3 * base + 2, (d, asked, m)
             assert next(calls) <= budget, f"d = {d}: more than {budget} comparisons"
             return verdict
 
@@ -99,10 +101,12 @@ def test_crossover_ends_within_one_bisection_of_verdicts(monkeypatch, verdict):
 
 
 def test_crossover_falls_back_to_exact_integers(monkeypatch):
-    # every comparison undecided; the budget turns a runaway step loop into a failure
+    # every comparison undecided; the budget turns a runaway step loop into a
+    # failure, and each comparison stays inside _robbins_verdict's domain
     calls = itertools.count()
 
     def undecided(base, m):
+        assert base < m <= 3 * base + 2, (base, m)
         assert next(calls) < 10_000, "the exact fallback never settles the comparison"
         return None
 

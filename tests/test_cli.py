@@ -547,7 +547,7 @@ FAILURE_BRANCHES = {
         ("1,2,3: inversion (1,3) longer than |sigma|",),
     ),
     "classic-bad": (
-        "classic", 2, "is_d_good", lambda p, d: False,
+        "classic", 2, "longest_decreasing", lambda p: 2,
         ("n=2 d=2: terminal 1,2 is 2-bad",),
     ),
     "classic-count": (

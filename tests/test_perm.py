@@ -340,7 +340,7 @@ def test_patience_kernels_match_the_quadratic_drop():
     for n in range(1, 8):
         for p in all_permutations(n):
             assert longest_decreasing(p) == max(quadratic_drop(p)), p
-            for d in range(2, n + 2):
+            for d in range(2, n + 3):
                 assert find_d_bad_witness(p, d) == quadratic_witness(p, d), (p, d)
 
 
