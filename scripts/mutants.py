@@ -164,13 +164,14 @@ MUTANTS = (
         "killed",
         "tests/test_perm.py::test_length_table_is_the_per_word_sweep",
     ),
-    # badsize's floor weakened to C(L - 1, 2)
+    # badsize's floor weakened to C(L - 1, 2): the increasing row's shortened
+    # runs now break it at L = 0, and the floor row fails too
     (
         "src/codimgeo/verify.py",
         "if length < longest * (longest - 1) // 2:",
         "if length < (longest - 1) * (longest - 2) // 2:",
         "killed",
-        "tests/test_cli.py::test_failures_are_listed_degree_by_degree",
+        "tests/test_cli.py::test_failure_branches_pin_counterexamples[badsize-increasing]",
     ),
     # badsize's increasing bound weakened by one
     (
@@ -178,7 +179,7 @@ MUTANTS = (
         "if increasing < n - length:",
         "if increasing < n - length - 1:",
         "killed",
-        "tests/test_cli.py::test_badsize_reports_a_short_increasing_run",
+        "tests/test_cli.py::test_failure_branches_pin_counterexamples[badsize-increasing]",
     ),
     # a step's length kernel without the complement |B_a| |B_b|
     (
@@ -250,7 +251,7 @@ MUTANTS = (
         "if count >= bound:",
         "if count > bound:",
         "killed",
-        "tests/test_cli.py::test_verify_dilworth_reports_a_count_not_below_the_theorem_bound",
+        "tests/test_cli.py::test_failure_branches_pin_counterexamples[dilworth-theorem]",
     ),
     # the closed form's pentagonal sign flipped: every term negated
     (
@@ -378,14 +379,14 @@ MUTANTS = (
         "survives",
         "",
     ),
-    # main counting one check for a closure that raised: the falsification
-    # test pins the table row's checked count on that branch
+    # main counting one check for a closure that raised: the failure-branch
+    # row pins the checked count that the suite's table row prints
     (
         "src/codimgeo/verify.py",
         'return 0, [f"n={n} d={d}: closure raised {exc}"], []',
         'return 1, [f"n={n} d={d}: closure raised {exc}"], []',
         "killed",
-        "tests/test_cli.py::test_verify_main_reports_falsification",
+        "tests/test_cli.py::test_failure_branches_pin_counterexamples[main-raised]",
     ),
     # the cut search admits one atom too many: it enters branches that yield
     # nothing, which changes no cut tuple, only the work; the test that counts
@@ -466,7 +467,7 @@ MUTANTS = (
         "bad >>= j + 1",
         "bad >>= j",
         "killed",
-        "tests/test_cli.py::test_verify_roundtrip_reports_an_invalid_inversion_set",
+        "tests/test_cli.py::test_failure_branches_pin_counterexamples[roundtrip-axioms]",
     ),
     # the pairs ending at j counted at their start
     (
@@ -539,6 +540,179 @@ MUTANTS = (
         "        if below:\n            lo = mid\n        else:\n            hi = mid\n",
         "killed",
         "tests/test_acceptance.py::test_criterion_09_crossover_reproduction",
+    ),
+    # a round trip that compares lengths only: a wrong rebuild of the right length passes
+    (
+        "src/codimgeo/verify.py",
+        "    if rebuilt != p:\n",
+        "    if len(rebuilt) != len(p):\n",
+        "killed",
+        "tests/test_cli.py::test_failure_branches_pin_counterexamples[roundtrip-mismatch]",
+    ),
+    # dilworth's hook-length check one-sided: a count above the sweep passes
+    (
+        "src/codimgeo/verify.py",
+        "if count != swept:",
+        "if count < swept:",
+        "killed",
+        "tests/test_cli.py::test_failure_branches_pin_counterexamples[dilworth-count]",
+    ),
+    # dilworth's ceiling loosened by one
+    (
+        "src/codimgeo/verify.py",
+        "if count > ceiling:",
+        "if count > ceiling + 1:",
+        "killed",
+        "tests/test_cli.py::test_failure_branches_pin_counterexamples[dilworth-ceiling]",
+    ),
+    # the chunk-letter bound loosened by one
+    (
+        "src/codimgeo/verify.py",
+        "if chunk_letters > length + chunk_count:",
+        "if chunk_letters > length + chunk_count + 1:",
+        "killed",
+        "tests/test_cli.py::test_failure_branches_pin_counterexamples[chunks-letters]",
+    ),
+    # growth passing a rearrangement of the parent's own length
+    (
+        "src/codimgeo/verify.py",
+        "if any(word_length(c) <= base for c in rearrangements(p, cuts)):",
+        "if any(word_length(c) < base for c in rearrangements(p, cuts)):",
+        "killed",
+        "tests/test_cli.py::test_failure_branches_pin_counterexamples[growth]",
+    ),
+    # classic_step without its refusal of a d-good word: the step fails on no witness
+    (
+        "src/codimgeo/reduction.py",
+        "    if witness is None:\n"
+        '        raise ValueError(f"permutation {one_line(p)} is {d}-good; nothing to rewrite")\n',
+        "",
+        "killed",
+        "tests/test_cli.py::test_guard_paths_pin_stderr[reduce --perm 1,2,3 --d 2 --mode classic-permutation 1,2,3 is 2-good; nothing to rewrite]",
+    ),
+    # the main step admitting a word of exactly the threshold length
+    (
+        "src/codimgeo/reduction.py",
+        "    if base >= radius:\n",
+        "    if base > radius:\n",
+        "killed",
+        "tests/test_cli.py::test_guard_paths_pin_stderr[reduce --perm 2,1,4,3,5,6 --d 3 --mode main-word length 2 is not below the threshold "
+        "2; the rewrite only applies inside the ball]",
+    ),
+    # --closure without its refusal of --perm: the closure gets no degree
+    (
+        "src/codimgeo/cli.py",
+        "        if args.n is None or args.perm is not None:\n"
+        '            raise ValueError("--closure takes --n, not --perm")\n',
+        "",
+        "killed",
+        "tests/test_cli.py::test_guard_paths_pin_stderr[reduce --perm 2,1 --d 2 --mode classic --closure---closure takes --n, not --perm]",
+    ),
+    # a bad --perm raising TypeError, which escapes the usage-error handler
+    (
+        "src/codimgeo/perm.py",
+        'raise ValueError(f"not comma-separated integers',
+        'raise TypeError(f"not comma-separated integers',
+        "killed",
+        "tests/test_cli.py::test_guard_paths_pin_stderr[greedy --perm 1,2,x-not comma-separated integers: '1,2,x']",
+    ),
+    # a usage error exiting 1, as a falsification does; every guard row fails too
+    (
+        "src/codimgeo/cli.py",
+        '        print(f"error: {exc}", file=sys.stderr)\n        return EXIT_USAGE\n',
+        '        print(f"error: {exc}", file=sys.stderr)\n        return EXIT_FAIL\n',
+        "killed",
+        "tests/test_cli.py::test_mahonian_row_limit",
+    ),
+    # a usage error printed without its "error: " prefix; every guard row fails too
+    (
+        "src/codimgeo/cli.py",
+        '        print(f"error: {exc}", file=sys.stderr)\n',
+        '        print(f"{exc}", file=sys.stderr)\n',
+        "killed",
+        "tests/test_cli.py::test_mahonian_row_limit",
+    ),
+    # word_length's seen list left unsorted, so bisect counts wrongly
+    (
+        "src/codimgeo/perm.py",
+        "        insort(seen, v)\n",
+        "        seen.append(v)\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_03_word_metric_equals_bfs",
+    ),
+    # inversion_set numbering positions from 0
+    (
+        "src/codimgeo/perm.py",
+        "    positions = range(1, len(image) + 1)\n",
+        "    positions = range(len(image))\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_03_word_metric_equals_bfs",
+    ),
+    # classic_step cutting at a (d - 1)-bad witness; the closure's oracle
+    # (test_closure_equals_worklist_oracle) fails too
+    (
+        "src/codimgeo/reduction.py",
+        "    witness = find_d_bad_witness(p, d)\n    if witness is None:",
+        "    witness = find_d_bad_witness(p, d - 1)\n    if witness is None:",
+        "killed",
+        "tests/test_cli.py::test_guard_paths_pin_stderr[reduce --perm 1,2,3 --d 2 --mode classic-permutation 1,2,3 is 2-good; nothing to rewrite]",
+    ),
+    # the classic sources read off the decreasing table backwards
+    (
+        "src/codimgeo/reduction.py",
+        "zip(all_permutations(n), decreasing_table(n)) if longest",
+        "zip(all_permutations(n), reversed(decreasing_table(n))) if longest",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_07_dictionary_descent_closure",
+    ),
+    # the main step's growth check demanding two more inversions
+    (
+        "src/codimgeo/reduction.py",
+        "    if min(lengths) <= base:\n",
+        "    if min(lengths) <= base + 1:\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_08_ball_escape_closure_and_strict_bound",
+    ),
+    # left_greedy_form keeping blocks of one letter as chunks
+    (
+        "src/codimgeo/greedy.py",
+        "            if j > block:\n",
+        "            if j >= block:\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_06_structural_suite",
+    ),
+    # left_greedy_form cutting where the current letter, not the prefix maximum, is j
+    (
+        "src/codimgeo/greedy.py",
+        "        high = max(high, value)\n",
+        "        high = value\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_06_structural_suite",
+    ),
+    # the cut search letting a gap piece run into the next chunk
+    (
+        "src/codimgeo/greedy.py",
+        "            if end + 1 in chunk_end:\n                break\n",
+        "",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_06_structural_suite",
+    ),
+    # chunk_stats counting one letter too many per chunk
+    (
+        "src/codimgeo/greedy.py",
+        "    total = sum(end - start + 1 for start, end in chunks)\n",
+        "    total = sum(end - start + 2 for start, end in chunks)\n",
+        "killed",
+        "tests/test_acceptance.py::test_criterion_06_structural_suite",
+    ),
+    # compare_bounds calling a classic win a tie; the winner-by-crossover
+    # test (test_theorem_wins_exactly_below_the_crossover) fails too
+    (
+        "src/codimgeo/bounds.py",
+        "        elif classic < theorem:\n",
+        "        elif classic > theorem:\n",
+        "killed",
+        "tests/test_bounds.py::test_compare_bounds_report",
     ),
 )
 

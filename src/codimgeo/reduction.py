@@ -217,12 +217,13 @@ def _close(
         children = step(p, d)
         children = steps[p] = tuple(map(words.setdefault, children, children))
         chain[p] = 1 + max(map(chain.get, children, repeat(0)))
+    ordered = tuple(sorted(steps.items()))
     return ReductionTrace(
         mode=mode,
         n=n,
         d=d,
-        sources=tuple(sorted(steps)),
-        steps=tuple(sorted(steps.items())),
+        sources=tuple(p for p, _ in ordered),
+        steps=ordered,
         visited=len(words),
         max_depth=max(chain.values(), default=0),
         terminal_support=frozenset(words.keys() - steps.keys()),

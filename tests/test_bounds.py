@@ -257,5 +257,10 @@ def test_compare_bounds_boundary_row():
     assert rows[0].theorem == 24
 
 
-def test_compare_bounds_classic_wins_eventually():
-    assert compare_bounds(3, 15)[-1].winner == "classic"
+def test_theorem_wins_exactly_below_the_crossover():
+    # the theorem bound beats (d - 1)^(2n) exactly when n < crossover_n(d), for n <= 400
+    for d in range(3, 13):
+        crossover = crossover_n(d)
+        rows = compare_bounds(d, 400)
+        expected = ["theorem" if row.n < crossover else "classic" for row in rows]
+        assert [row.winner for row in rows] == expected, d

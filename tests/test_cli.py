@@ -29,7 +29,6 @@ from codimgeo.perm import (
     is_d_good,
     length_table,
     one_line,
-    parse_permutation,
     reversal,
     word_length,
 )
@@ -108,12 +107,6 @@ def test_mahonian_check_brute_force_disagreement(capsys, monkeypatch):
     assert err == "falsification: brute-force histogram disagrees\n"
 
 
-def test_mahonian_rejects_bad_degree(capsys):
-    code, _, err = run(capsys, "mahonian", "--n", "0")
-    assert code == 2
-    assert "error" in err
-
-
 def test_mahonian_row_limit(capsys):
     assert run(capsys, "mahonian", "--n", "6")[0] == 0
     code, out, err = run(capsys, "mahonian", "--n", str(ROW_MAX_N + 1))
@@ -169,12 +162,7 @@ def test_bounds_output_matches_report(capsys):
         }
 
 
-def test_bounds_usage_error(capsys):
-    code, _, err = run(capsys, "bounds", "--d", "4", "--n-max", "3")
-    assert code == 2
-    assert "error" in err
-
-
+# Each refusal of a command, with its exact stderr; a new refusal is a row here, not a new test.
 @pytest.mark.parametrize(
     "argv, err",
     [
@@ -188,6 +176,13 @@ def test_bounds_usage_error(capsys):
         ("crossover --d-max 1", "d must be at least 2, got 1"),
         ("verify --n-max 0", "suite metric needs n_max at least 1, got 0"),
         ("reduce --d 2 --mode main", "need --perm for a single step (or --closure with --n)"),
+        ("reduce --perm 1,2,3 --d 2 --mode classic", "permutation 1,2,3 is 2-good; nothing to rewrite"),
+        (
+            "reduce --perm 2,1,4,3,5,6 --d 3 --mode main",
+            "word length 2 is not below the threshold 2; the rewrite only applies inside the ball",
+        ),
+        ("reduce --perm 2,1 --d 2 --mode classic --closure", "--closure takes --n, not --perm"),
+        ("greedy --perm 1,2,x", "not comma-separated integers: '1,2,x'"),
     ],
 )
 def test_guard_paths_pin_stderr(capsys, argv, err):
@@ -314,48 +309,6 @@ def test_main_reports_its_empty_ball_at_degree_two():
     )
 
 
-# The words of degree <= 4 whose inversions share no letter: there the longest
-# increasing run is exactly n - |sigma|, so badsize's increasing bound is tight.
-TIGHT_INCREASING = (
-    "1", "1,2", "2,1", "1,2,3", "1,3,2", "2,1,3",
-    "1,2,3,4", "1,2,4,3", "1,3,2,4", "2,1,3,4", "2,1,4,3",
-)
-
-
-def _increasing_failures(shortfall):
-    """badsize's increasing-bound failures when each run falls short by shortfall."""
-    failures = []
-    for word in TIGHT_INCREASING:
-        bound = word.count(",") + 1 - word_length(parse_permutation(word).image) + shortfall
-        failures.append(f"{word}: longest increasing run {bound - 1} below n - |sigma| = {bound}")
-    return tuple(failures)
-
-
-def test_failures_are_listed_degree_by_degree(monkeypatch):
-    monkeypatch.setattr("codimgeo.verify.length_table", lambda n: [x - 1 for x in length_table(n)])
-    floors = (
-        ("1", 1),
-        ("1,2", 1), ("2,1", 2),
-        ("1,2,3", 1), ("1,3,2", 2), ("2,1,3", 2), ("3,2,1", 3),
-        ("1,2,3,4", 1), ("1,2,4,3", 2), ("1,3,2,4", 2), ("1,4,3,2", 3),
-        ("2,1,3,4", 2), ("3,2,1,4", 3), ("4,3,2,1", 4),
-    )
-    expected = tuple(f"{word}: length below the {floor}-bad floor" for word, floor in floors)
-    failures = run_suite("badsize", 4).failures
-    assert tuple(f for f in failures if f.endswith("-bad floor")) == expected
-    # one inversion short also breaks the increasing bound wherever it is tight
-    assert tuple(f for f in failures if not f.endswith("-bad floor")) == _increasing_failures(1)
-
-
-def test_badsize_reports_a_short_increasing_run(monkeypatch):
-    monkeypatch.setattr(
-        "codimgeo.verify.decreasing_table", lambda n: bytes(x - 1 for x in decreasing_table(n))
-    )
-    result = run_suite("badsize", 4)
-    assert result.checked == 33  # still one check per word
-    assert result.failures == _increasing_failures(0)
-
-
 def test_verify_cap_exceeded(capsys):
     code, _, err = run(capsys, "verify", "--n-max", "8", "--suites", "metric")
     assert code == 2
@@ -392,99 +345,6 @@ def test_verify_json_payload(capsys):
     assert suite["info"]
 
 
-def test_verify_main_reports_falsification(capsys, monkeypatch):
-    def falsified(p, d):
-        raise FalsificationError(f"no decomposition of {one_line(p)}")
-
-    monkeypatch.setattr("codimgeo.reduction.main_step", falsified)
-    code, out, _ = run(capsys, "verify", "--n-max", "4", "--suites", "main")
-    assert code == 1
-    assert out.splitlines()[1].split() == ["main", "4", "0", "FAIL"]  # a raised closure checks nothing
-    assert "  main counterexample: n=3 d=2: closure raised no decomposition of 1,2,3\n" in out
-
-
-def test_verify_dilworth_reports_a_miscount(capsys, monkeypatch):
-    monkeypatch.setattr("codimgeo.verify.count_d_good", lambda n, d: count_d_good(n, d) + 1)
-    code, out, _ = run(capsys, "verify", "--n-max", "4", "--suites", "dilworth")
-    assert code == 1
-    assert "FAIL" in out
-    assert "  dilworth counterexample: n=3 d=2: hook-length count 2 != swept count 1\n" in out
-    assert "  dilworth counterexample: n=4 d=3: hook-length count 15 != swept count 14\n" in out
-
-
-def test_verify_roundtrip_reports_an_invalid_inversion_set(capsys, monkeypatch):
-    # {(1, n)} alone breaks interpolation at (1, 2, n) once n >= 3
-    def invalid(p):
-        return frozenset({(1, len(p))}) if len(p) >= 3 else inversion_set(p)
-
-    monkeypatch.setattr("codimgeo.verify.inversion_set", invalid)
-    code, out, _ = run(capsys, "verify", "--n-max", "3", "--suites", "roundtrip")
-    assert code == 1
-    assert (
-        "  roundtrip counterexample: 1,2,3: inversion set violates axioms "
-        "(interpolation fails at positions (1, 2, 3))\n"
-    ) in out
-    assert "round-trip mismatch" not in out
-
-
-def test_verify_roundtrip_reports_a_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr("codimgeo.verify.from_inversion_set", lambda n, r: reversal(n))
-    code, out, _ = run(capsys, "verify", "--n-max", "3", "--suites", "roundtrip")
-    assert code == 1
-    assert "  roundtrip counterexample: 1,2: round-trip mismatch\n" in out
-    assert "  roundtrip counterexample: 2,1: round-trip mismatch\n" not in out
-    assert "violates axioms" not in out
-
-
-def test_verify_chunks_reports_excess_chunk_letters(capsys, monkeypatch):
-    # one chunk letter more than |sigma| + k allows
-    def inflated(p):
-        chunk_count, _, length = chunk_stats(p)
-        return chunk_count, length + chunk_count + 1, length
-
-    monkeypatch.setattr("codimgeo.verify.chunk_stats", inflated)
-    code, out, _ = run(capsys, "verify", "--n-max", "2", "--suites", "chunks")
-    assert code == 1
-    assert "  chunks counterexample: 1: chunk letters exceed |sigma| + k\n" in out
-    assert "more chunks than inversions" not in out
-
-
-def test_verify_growth_reports_a_non_growing_rearrangement(capsys, monkeypatch):
-    # listing the parent among its rearrangements adds a child that does not grow
-    monkeypatch.setattr(
-        "codimgeo.verify.rearrangements", lambda p, cuts: (*rearrangements(p, cuts), p)
-    )
-    code, out, _ = run(capsys, "verify", "--suites", "growth", "--n-max", "4")
-    assert code == 1
-    assert "FAIL" in out
-    assert "  growth counterexample: 1,2: some rearrangement of 2 pieces fails to grow\n" in out
-
-
-def test_verify_dilworth_reports_a_count_above_its_ceiling(capsys, monkeypatch):
-    # a ceiling one below the good count is exceeded at every (n, d), first at n = d = 2
-    monkeypatch.setattr("codimgeo.verify.classic_bound", lambda n, d: count_d_good(n, d) - 1)
-    code, out, _ = run(capsys, "verify", "--suites", "dilworth")
-    assert code == 1
-    assert "FAIL" in out
-    counterexamples = [line for line in out.splitlines() if "counterexample" in line]
-    assert counterexamples[0] == "  dilworth counterexample: n=2 d=2: 1 good exceeds 0"
-
-
-def test_verify_dilworth_reports_a_count_not_below_the_theorem_bound(capsys, monkeypatch):
-    # a theorem bound equal to the good count: good < bound fails at every (n, d), alone
-    monkeypatch.setattr("codimgeo.verify.theorem_bound", count_d_good)
-    code, out, _ = run(capsys, "verify", "--n-max", "4", "--suites", "dilworth")
-    assert code == 1
-    assert out.splitlines()[1].split() == ["dilworth", "4", "6", "FAIL"]  # checked unchanged
-    counterexamples = [line for line in out.splitlines() if "counterexample" in line]
-    assert counterexamples == [
-        f"  dilworth counterexample: n={n} d={d}: {count_d_good(n, d)} good not below "
-        f"the theorem bound {count_d_good(n, d)}"
-        for n in range(2, 5)
-        for d in range(2, n + 1)
-    ]
-
-
 def test_verify_main_propagates_other_errors(monkeypatch):
     # a programming error is not a counterexample
     def broken(p, d):
@@ -515,78 +375,208 @@ def _grown(p):
     return length + 1, letters, length  # one chunk more than inversions
 
 
-# Each failure branch of each suite, forced by replacing one name verify imports.
+def _inflated(p):
+    chunk_count, _, length = chunk_stats(p)
+    return chunk_count, length + chunk_count + 1, length  # one chunk letter past |sigma| + k
+
+
+def _falsified(n, d):
+    raise FalsificationError(f"no decomposition of {one_line(tuple(range(1, n + 1)))}")
+
+
+# Each failure branch of each suite, forced by replacing one name verify imports:
+# (suite, n_max, name, fake, checked, failures).  checked is the suite's count
+# under the fake, as its table row prints it.  A new failure branch is a row
+# here, not a new test.
 FAILURE_BRANCHES = {
     "metric": (
-        "metric", 2, "cayley_distance_bfs", _only_at((2, 1), 0, cayley_distance_bfs),
+        "metric", 2, "cayley_distance_bfs", _only_at((2, 1), 0, cayley_distance_bfs), 3,
         ("2,1: word_length != BFS distance",),
     ),
+    "roundtrip-axioms": (
+        # {(1, n)} alone breaks interpolation at (1, 2, n) once n >= 3
+        "roundtrip", 3, "inversion_set",
+        lambda p: frozenset({(1, len(p))}) if len(p) >= 3 else inversion_set(p), 9,
+        tuple(
+            f"{word}: inversion set violates axioms (interpolation fails at positions (1, 2, 3))"
+            for word in ("1,2,3", "1,3,2", "2,1,3", "2,3,1", "3,1,2", "3,2,1")
+        ),
+    ),
+    "roundtrip-mismatch": (
+        "roundtrip", 3, "from_inversion_set", lambda n, r: reversal(n), 9,
+        tuple(
+            f"{word}: round-trip mismatch"
+            for word in ("1,2", "1,2,3", "1,3,2", "2,1,3", "2,3,1", "3,1,2")
+        ),
+    ),
+    "badsize-increasing": (
+        # every run one short: the increasing bound fails where it is tight, on the words
+        # whose inversions share no letter, and the floor nowhere
+        "badsize", 4, "decreasing_table",
+        lambda n: bytes(x - 1 for x in decreasing_table(n)), 33,
+        (
+            "1: longest increasing run 0 below n - |sigma| = 1",
+            "1,2: longest increasing run 1 below n - |sigma| = 2",
+            "2,1: longest increasing run 0 below n - |sigma| = 1",
+            "1,2,3: longest increasing run 2 below n - |sigma| = 3",
+            "1,3,2: longest increasing run 1 below n - |sigma| = 2",
+            "2,1,3: longest increasing run 1 below n - |sigma| = 2",
+            "1,2,3,4: longest increasing run 3 below n - |sigma| = 4",
+            "1,2,4,3: longest increasing run 2 below n - |sigma| = 3",
+            "1,3,2,4: longest increasing run 2 below n - |sigma| = 3",
+            "2,1,3,4: longest increasing run 2 below n - |sigma| = 3",
+            "2,1,4,3: longest increasing run 1 below n - |sigma| = 2",
+        ),
+    ),
+    "badsize-floor": (
+        # one inversion short: the floor fails where it is tight, and so does the increasing bound
+        "badsize", 4, "length_table", lambda n: [x - 1 for x in length_table(n)], 33,
+        (
+            "1: length below the 1-bad floor",
+            "1: longest increasing run 1 below n - |sigma| = 2",
+            "1,2: length below the 1-bad floor",
+            "1,2: longest increasing run 2 below n - |sigma| = 3",
+            "2,1: length below the 2-bad floor",
+            "2,1: longest increasing run 1 below n - |sigma| = 2",
+            "1,2,3: length below the 1-bad floor",
+            "1,2,3: longest increasing run 3 below n - |sigma| = 4",
+            "1,3,2: length below the 2-bad floor",
+            "1,3,2: longest increasing run 2 below n - |sigma| = 3",
+            "2,1,3: length below the 2-bad floor",
+            "2,1,3: longest increasing run 2 below n - |sigma| = 3",
+            "3,2,1: length below the 3-bad floor",
+            "1,2,3,4: length below the 1-bad floor",
+            "1,2,3,4: longest increasing run 4 below n - |sigma| = 5",
+            "1,2,4,3: length below the 2-bad floor",
+            "1,2,4,3: longest increasing run 3 below n - |sigma| = 4",
+            "1,3,2,4: length below the 2-bad floor",
+            "1,3,2,4: longest increasing run 3 below n - |sigma| = 4",
+            "1,4,3,2: length below the 3-bad floor",
+            "2,1,3,4: length below the 2-bad floor",
+            "2,1,3,4: longest increasing run 3 below n - |sigma| = 4",
+            "2,1,4,3: longest increasing run 2 below n - |sigma| = 3",
+            "3,2,1,4: length below the 3-bad floor",
+            "4,3,2,1: length below the 4-bad floor",
+        ),
+    ),
+    "dilworth-ceiling": (
+        # a ceiling one below the good count is exceeded at every (n, d)
+        "dilworth", 3, "classic_bound", lambda n, d: count_d_good(n, d) - 1, 3,
+        ("n=2 d=2: 1 good exceeds 0", "n=3 d=2: 1 good exceeds 0", "n=3 d=3: 5 good exceeds 4"),
+    ),
+    "dilworth-theorem": (
+        # a theorem bound equal to the good count: good < bound fails at every (n, d), alone
+        "dilworth", 4, "theorem_bound", count_d_good, 6,
+        tuple(
+            f"n={n} d={d}: {count_d_good(n, d)} good not below the theorem bound "
+            f"{count_d_good(n, d)}"
+            for n in range(2, 5)
+            for d in range(2, n + 1)
+        ),
+    ),
+    "dilworth-count": (
+        # one good word too many: it also exceeds the d = 2 ceiling, and reaches the
+        # theorem bound wherever the bound is n!
+        "dilworth", 4, "count_d_good", lambda n, d: count_d_good(n, d) + 1, 6,
+        (
+            "n=2 d=2: hook-length count 2 != swept count 1",
+            "n=2 d=2: 2 good exceeds 1",
+            "n=2 d=2: 2 good not below the theorem bound 2",
+            "n=3 d=2: hook-length count 2 != swept count 1",
+            "n=3 d=2: 2 good exceeds 1",
+            "n=3 d=3: hook-length count 6 != swept count 5",
+            "n=3 d=3: 6 good not below the theorem bound 6",
+            "n=4 d=2: hook-length count 2 != swept count 1",
+            "n=4 d=2: 2 good exceeds 1",
+            "n=4 d=3: hook-length count 15 != swept count 14",
+            "n=4 d=4: hook-length count 24 != swept count 23",
+            "n=4 d=4: 24 good not below the theorem bound 24",
+        ),
+    ),
     "lgf-spans": (
-        "lgf", 2, "left_greedy_form", _only_at((2, 1), ((1, 1),), left_greedy_form),
+        "lgf", 2, "left_greedy_form", _only_at((2, 1), ((1, 1),), left_greedy_form), 3,
         ("2,1: chunks are not disjoint spans of length 2 or more",),
     ),
     "lgf-gap": (
-        "lgf", 2, "left_greedy_form", _only_at((2, 1), (), left_greedy_form),
+        "lgf", 2, "left_greedy_form", _only_at((2, 1), (), left_greedy_form), 3,
         ("2,1: gap position 1 starts inversion (1,2)",),
     ),
     "lgf-outside": (
-        "lgf", 3, "left_greedy_form", _only_at((1, 3, 2), ((1, 2),), left_greedy_form),
+        "lgf", 3, "left_greedy_form", _only_at((1, 3, 2), ((1, 2),), left_greedy_form), 9,
         ("1,3,2: inversion (2,3) crosses a chunk border",),
     ),
     "lgf-between": (
         "lgf", 4, "inversion_set",
-        _only_at((2, 1, 4, 3), ((1, 2), (2, 3), (3, 4)), inversion_set),
+        _only_at((2, 1, 4, 3), ((1, 2), (2, 3), (3, 4)), inversion_set), 33,
         ("2,1,4,3: inversion (2,3) crosses a chunk border",),
     ),
     "chunks-count": (
-        "chunks", 2, "chunk_stats", _grown,
+        "chunks", 2, "chunk_stats", _grown, 3,
         tuple(f"{word}: more chunks than inversions" for word in ("1", "1,2", "2,1")),
     ),
+    "chunks-letters": (
+        "chunks", 2, "chunk_stats", _inflated, 3,
+        tuple(f"{word}: chunk letters exceed |sigma| + k" for word in ("1", "1,2", "2,1")),
+    ),
     "chunks-span": (
-        "chunks", 3, "inversion_set", _only_at((1, 2, 3), ((1, 3),), inversion_set),
+        "chunks", 3, "inversion_set", _only_at((1, 2, 3), ((1, 3),), inversion_set), 9,
         ("1,2,3: inversion (1,3) longer than |sigma|",),
     ),
+    "growth": (
+        # listing the parent among its rearrangements adds a child that does not grow
+        "growth", 2, "rearrangements", lambda p, cuts: (*rearrangements(p, cuts), p), 1,
+        ("1,2: some rearrangement of 2 pieces fails to grow",),
+    ),
     "classic-bad": (
-        "classic", 2, "longest_decreasing", lambda p: 2,
+        "classic", 2, "longest_decreasing", lambda p: 2, 2,
         ("n=2 d=2: terminal 1,2 is 2-bad",),
     ),
     "classic-count": (
         "classic", 2, "classic_closure",
-        _edited(classic_closure, steps=lambda t: tuple((p, cs + cs) for p, cs in t.steps)),
+        _edited(classic_closure, steps=lambda t: tuple((p, cs + cs) for p, cs in t.steps)), 2,
         ("n=2 d=2: 2,1 has wrong child count",),
     ),
     "classic-descent": (
         "classic", 2, "classic_closure",
-        _edited(classic_closure, steps=lambda t: tuple((p, (p,)) for p, _ in t.steps)),
+        _edited(classic_closure, steps=lambda t: tuple((p, (p,)) for p, _ in t.steps)), 2,
         ("n=2 d=2: 2,1 has non-descending child",),
     ),
     "classic-support": (
-        "classic", 2, "count_d_good", lambda n, d: 0,
+        "classic", 2, "count_d_good", lambda n, d: 0, 2,
         ("n=2 d=2: terminal support exceeds good count",),
     ),
+    "main-raised": (
+        # a closure that raised checks nothing
+        "main", 4, "main_closure", _falsified, 0,
+        tuple(
+            f"n={n} d={d}: closure raised no decomposition of {','.join(map(str, range(1, n + 1)))}"
+            for n in range(2, 5)
+            for d in range(2, n + 1)
+        ),
+    ),
     "main-ball": (
-        "main", 3, "ball_radius", lambda n, d: ball_radius(n, d) + n * n,
+        "main", 3, "ball_radius", lambda n, d: ball_radius(n, d) + n * n, 2,
         ("n=3 d=2: terminal 2,3,1 is inside the ball",),
     ),
     "main-count": (
         "main", 3, "main_closure",
-        _edited(main_closure, steps=lambda t: tuple((p, cs + cs) for p, cs in t.steps)),
+        _edited(main_closure, steps=lambda t: tuple((p, cs + cs) for p, cs in t.steps)), 2,
         ("n=3 d=2: 1,2,3 has wrong child count",),
     ),
     "main-growth": (
         "main", 3, "main_closure",
-        _edited(main_closure, steps=lambda t: tuple((p, (p,)) for p, _ in t.steps)),
+        _edited(main_closure, steps=lambda t: tuple((p, (p,)) for p, _ in t.steps)), 2,
         ("n=3 d=2: 1,2,3 has non-growing child",),
     ),
     "main-depth": (
         "main", 3, "main_closure",
-        _edited(main_closure, max_depth=lambda t: t.n * (t.n - 1) // 2 + 1),
+        _edited(main_closure, max_depth=lambda t: t.n * (t.n - 1) // 2 + 1), 2,
         # the runner builds the closure below the suite's first degree too
         tuple(f"n={n} d={d}: depth exceeds C(n,2)" for n, d in ((2, 2), (3, 2), (3, 3))),
     ),
     "main-complement": (
         "main", 3, "main_closure",
-        _edited(main_closure, complement_size=lambda t: t.complement_size + 1),
+        _edited(main_closure, complement_size=lambda t: t.complement_size + 1), 2,
         tuple(
             f"n={n} d={d}: ball and complement do not add up to n!"
             for n, d in ((2, 2), (3, 2), (3, 3))
@@ -597,11 +587,13 @@ FAILURE_BRANCHES = {
 
 @pytest.mark.parametrize("case", list(FAILURE_BRANCHES))
 def test_failure_branches_pin_counterexamples(capsys, monkeypatch, case):
-    suite, n_max, name, fake, expected = FAILURE_BRANCHES[case]
+    suite, n_max, name, fake, checked, expected = FAILURE_BRANCHES[case]
     monkeypatch.setattr(f"codimgeo.verify.{name}", fake)
-    assert run_suite(suite, n_max).failures == expected
+    result = run_suite(suite, n_max)
+    assert (result.checked, result.failures) == (checked, expected)
     code, out, _ = run(capsys, "verify", "--n-max", str(n_max), "--suites", suite)
     assert code == 1
+    assert out.splitlines()[1].split() == [suite, str(n_max), str(checked), "FAIL"]
     assert f"  {suite} counterexample: {expected[0]}\n" in out
 
 
@@ -631,12 +623,6 @@ def test_greedy_json(capsys):
     assert payload["chunks"] == [[2, 3]]
     assert payload["gaps"] == [[1, 1], [4, 4]]
     assert payload["stats"]["word_length"] == 1
-
-
-def test_greedy_parse_failure(capsys):
-    code, _, err = run(capsys, "greedy", "--perm", "1,2,x")
-    assert code == 2
-    assert "error" in err
 
 
 def test_reduce_classic_step(capsys):
@@ -669,18 +655,6 @@ def test_reduce_main_step_at_large_degree(capsys):
     children = payload["children"]
     assert len({child["perm"] for child in children}) == len(children) == 119
     assert all(child["word_length"] > 0 for child in children)
-
-
-def test_reduce_precondition_exit(capsys):
-    code, _, err = run(capsys, "reduce", "--perm", "1,2,3", "--d", "2", "--mode", "classic")
-    assert code == 2
-    assert "2-good" in err
-
-
-def test_reduce_main_outside_ball_exit(capsys):
-    code, _, err = run(capsys, "reduce", "--perm", "2,1,4,3,5,6", "--d", "3", "--mode", "main")
-    assert code == 2
-    assert "threshold" in err
 
 
 @pytest.mark.parametrize("mode", ["classic", "main"])
@@ -741,12 +715,6 @@ def test_reduce_closure_json_shapes(capsys):
     classic = json.loads(run(capsys, *argv)[1])
     assert "complement_size" not in classic["summary"]
     assert classic["terminal"] == ["1,2,3"]
-
-
-def test_reduce_closure_requires_n(capsys):
-    code, _, err = run(capsys, "reduce", "--perm", "2,1", "--d", "2", "--mode", "classic", "--closure")
-    assert code == 2
-    assert "--closure" in err
 
 
 @pytest.mark.parametrize("flag", [("--n", "3"), ("--summary-only",)])

@@ -71,21 +71,9 @@ def test_inversion_set_example():
     assert sorted(r) == [(1, 2), (1, 3)]
 
 
-@given(permutations(max_n=6))
-def test_word_length_matches_bfs(p):
-    assert word_length(p) == cayley_distance_bfs(p)
-
-
 def test_bfs_scale_cap():
     with pytest.raises(ScaleError):
         cayley_distance_bfs(identity(7))
-
-
-@given(permutations())
-def test_inversion_roundtrip(p):
-    r = inversion_set(p)
-    validate_inversion_set(len(p), r)
-    assert from_inversion_set(len(p), r) == p
 
 
 def test_plain_set_roundtrip():
